@@ -2,6 +2,9 @@
 // durable snapshot state. It is deliberately tiny: a Writer that appends
 // fixed-width integers, floats, and length-prefixed blobs to a growing
 // buffer, and a Reader with a sticky error that decodes the same stream.
+// Slices go in bulk: the writer grows the buffer once per slice and the
+// reader bounds-checks once per slice, so multi-megabyte cache arrays do
+// not pay a growth or bounds check per element.
 //
 // The encoding has no self-description: reader and writer must agree on the
 // field order, which the per-package EncodeState/DecodeState pairs pin by
@@ -15,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // ErrTruncated is the sticky error a Reader reports when the stream ends
@@ -69,46 +73,69 @@ func (w *Writer) Blob(b []byte) {
 	w.buf = append(w.buf, b...)
 }
 
+// Nested appends a u32 length prefix followed by whatever fn writes — the
+// same bytes as Blob of fn's encoding, without encoding into a separate
+// buffer first. If fn fails, the partial write is dropped.
+func (w *Writer) Nested(fn func(*Writer) error) error {
+	at := len(w.buf)
+	w.U32(0)
+	if err := fn(w); err != nil {
+		w.buf = w.buf[:at]
+		return err
+	}
+	binary.LittleEndian.PutUint32(w.buf[at:], uint32(len(w.buf)-at-4))
+	return nil
+}
+
 // String appends s as a Blob.
 func (w *Writer) String(s string) { w.Blob([]byte(s)) }
+
+// Grow reserves room for n more bytes, so a caller that knows the size of
+// what it is about to write pays for at most one reallocation.
+func (w *Writer) Grow(n int) { w.buf = slices.Grow(w.buf, n) }
+
+// extend appends n bytes to the buffer (growing it at most once) and
+// returns them for the caller to fill.
+func (w *Writer) extend(n int) []byte {
+	w.buf = slices.Grow(w.buf, n)
+	l := len(w.buf)
+	w.buf = w.buf[:l+n]
+	return w.buf[l:]
+}
 
 // U64s appends a u32 count followed by the values.
 func (w *Writer) U64s(vs []uint64) {
 	w.U32(uint32(len(vs)))
-	for _, v := range vs {
-		w.U64(v)
+	b := w.extend(8 * len(vs))
+	for i, v := range vs {
+		binary.LittleEndian.PutUint64(b[8*i:], v)
 	}
 }
 
 // U32s appends a u32 count followed by the values.
 func (w *Writer) U32s(vs []uint32) {
 	w.U32(uint32(len(vs)))
-	for _, v := range vs {
-		w.U32(v)
-	}
-}
-
-// I32s appends a u32 count followed by the values.
-func (w *Writer) I32s(vs []int32) {
-	w.U32(uint32(len(vs)))
-	for _, v := range vs {
-		w.U32(uint32(v))
+	b := w.extend(4 * len(vs))
+	for i, v := range vs {
+		binary.LittleEndian.PutUint32(b[4*i:], v)
 	}
 }
 
 // I64s appends a u32 count followed by the values.
 func (w *Writer) I64s(vs []int64) {
 	w.U32(uint32(len(vs)))
-	for _, v := range vs {
-		w.I64(v)
+	b := w.extend(8 * len(vs))
+	for i, v := range vs {
+		binary.LittleEndian.PutUint64(b[8*i:], uint64(v))
 	}
 }
 
 // F64s appends a u32 count followed by the values.
 func (w *Writer) F64s(vs []float64) {
 	w.U32(uint32(len(vs)))
-	for _, v := range vs {
-		w.F64(v)
+	b := w.extend(8 * len(vs))
+	for i, v := range vs {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
 	}
 }
 
@@ -238,67 +265,66 @@ func (r *Reader) Blob() []byte {
 // String reads a Blob as a string.
 func (r *Reader) String() string { return string(r.Blob()) }
 
+// slice reads a u32 count and the n*elemSize bytes behind it with one
+// bounds check, returning the count and the element bytes (nil and 0 on
+// error or an empty slice).
+func (r *Reader) slice(elemSize int) ([]byte, int) {
+	n := r.count(elemSize)
+	b := r.take(n * elemSize)
+	if b == nil || n == 0 {
+		return nil, 0
+	}
+	return b, n
+}
+
 // U64s reads a count-prefixed []uint64.
 func (r *Reader) U64s() []uint64 {
-	n := r.count(8)
-	if r.err != nil || n == 0 {
+	b, n := r.slice(8)
+	if n == 0 {
 		return nil
 	}
 	vs := make([]uint64, n)
 	for i := range vs {
-		vs[i] = r.U64()
+		vs[i] = binary.LittleEndian.Uint64(b[8*i:])
 	}
 	return vs
 }
 
 // U32s reads a count-prefixed []uint32.
 func (r *Reader) U32s() []uint32 {
-	n := r.count(4)
-	if r.err != nil || n == 0 {
+	b, n := r.slice(4)
+	if n == 0 {
 		return nil
 	}
 	vs := make([]uint32, n)
 	for i := range vs {
-		vs[i] = r.U32()
-	}
-	return vs
-}
-
-// I32s reads a count-prefixed []int32.
-func (r *Reader) I32s() []int32 {
-	n := r.count(4)
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	vs := make([]int32, n)
-	for i := range vs {
-		vs[i] = int32(r.U32())
+		vs[i] = binary.LittleEndian.Uint32(b[4*i:])
 	}
 	return vs
 }
 
 // I64s reads a count-prefixed []int64.
 func (r *Reader) I64s() []int64 {
-	n := r.count(8)
-	if r.err != nil || n == 0 {
+	b, n := r.slice(8)
+	if n == 0 {
 		return nil
 	}
 	vs := make([]int64, n)
 	for i := range vs {
-		vs[i] = r.I64()
+		vs[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return vs
 }
 
 // F64s reads a count-prefixed []float64.
 func (r *Reader) F64s() []float64 {
-	n := r.count(8)
-	if r.err != nil || n == 0 {
+	b, n := r.slice(8)
+	if n == 0 {
 		return nil
 	}
 	vs := make([]float64, n)
 	for i := range vs {
-		vs[i] = r.F64()
+		vs[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return vs
 }

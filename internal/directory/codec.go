@@ -1,36 +1,29 @@
 package directory
 
-import "a4sim/internal/codec"
+import (
+	"a4sim/internal/cache"
+	"a4sim/internal/codec"
+)
 
-// EncodeState appends the directory's dynamic state: slot words, LRU
-// permutations, valid bitmaps, the tracked-line count, and the
-// back-invalidation diagnostic. Geometry is structural.
+// EncodeState appends the directory's dynamic state: the sparse set array
+// (cache.EncodeSets) and the back-invalidation diagnostic. Geometry is
+// structural, and the tracked-line count is derived: DecodeState recounts
+// it from the restored slots.
 func (d *Directory) EncodeState(w *codec.Writer) {
-	w.U64s(d.slots)
-	w.U64s(d.order)
-	w.U32s(d.used)
-	w.Int(d.valid)
+	cache.EncodeSets(w, d.slots, d.order, d.used)
 	w.I64(d.BackInvalidations)
 }
 
 // DecodeState restores state written by EncodeState, rejecting snapshots
-// whose geometry disagrees with the receiver's.
+// whose geometry or slot contents disagree with the receiver's. On error
+// the receiver is left untouched.
 func (d *Directory) DecodeState(r *codec.Reader) {
-	slots := r.U64s()
-	order := r.U64s()
-	used := r.U32s()
-	valid := r.Int()
+	sets := cache.ReadSets(r, len(d.order), d.ways)
 	backInv := r.I64()
 	if r.Err() != nil {
 		return
 	}
-	if len(slots) != len(d.slots) || len(order) != len(d.order) || len(used) != len(d.used) {
-		r.Failf("directory: snapshot geometry mismatch (%d slots, directory has %d)", len(slots), len(d.slots))
-		return
-	}
-	d.slots = slots
-	d.order = order
-	d.used = used
-	d.valid = valid
+	sets.Restore(d.slots, d.order, d.used)
+	d.valid = sets.Len()
 	d.BackInvalidations = backInv
 }

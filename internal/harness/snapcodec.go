@@ -32,10 +32,12 @@ import (
 // snapshots are then re-executed, never misparsed.
 // Version history: v2 added the sampled-execution state (engine skipped-tick
 // counter, Synthetic fast-forward rate trackers, the window's schedule
-// anchor and detailed-second tally, and the sampling-spec fingerprint).
+// anchor and detailed-second tally, and the sampling-spec fingerprint); v3
+// writes the cache and directory arrays sparsely (valid slots only) and
+// drops their derived occupancy counters, which decoding recounts.
 const (
 	snapMagic   = "A4SN"
-	snapVersion = 2
+	snapVersion = 3
 )
 
 // Workload kind tags in the encoded stream.
@@ -62,8 +64,18 @@ func wlKind(w workload.Workload) (uint8, error) {
 // scenario built from the same spec (same workloads, geometry, manager, and
 // series options); DecodeSnapshot validates that structurally.
 func (sn *Snapshot) Encode() ([]byte, error) {
-	s := sn.frozen
 	w := &codec.Writer{}
+	if err := sn.EncodeTo(w); err != nil {
+		return nil, err
+	}
+	return w.Bytes(), nil
+}
+
+// EncodeTo appends the encoding Encode returns to w, so a caller that
+// frames the snapshot (the service's disk and wire wrap) writes header and
+// state into one buffer instead of copying the state a second time.
+func (sn *Snapshot) EncodeTo(w *codec.Writer) error {
+	s := sn.frozen
 	w.Raw([]byte(snapMagic))
 	w.U32(snapVersion)
 
@@ -95,7 +107,7 @@ func (sn *Snapshot) Encode() ([]byte, error) {
 	for _, wl := range s.Workloads {
 		kind, err := wlKind(wl)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		w.U8(kind)
 		switch wl := wl.(type) {
@@ -111,7 +123,7 @@ func (sn *Snapshot) Encode() ([]byte, error) {
 	if s.Controller != nil {
 		s.Controller.EncodeState(w)
 	}
-	return w.Bytes(), nil
+	return nil
 }
 
 // DecodeSnapshot restores encoded state onto fresh, a just-started scenario

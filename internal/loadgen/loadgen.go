@@ -319,13 +319,16 @@ dispatch:
 		mu.Unlock()
 		res.Sent++
 		wg.Add(1)
-		go func(ev Event) {
+		// Latency runs from the scheduled send time, not from slot
+		// acquisition: a request that queued behind the in-flight cap
+		// waited on the server's backlog, and timing it from the
+		// acquisition would hide that wait (coordinated omission).
+		go func(ev Event, scheduled time.Time) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			t0 := time.Now()
 			err := issue(client, ev)
-			observe(ev.Class, outcomeForErr(err), time.Since(t0).Microseconds())
-		}(ev)
+			observe(ev.Class, outcomeForErr(err), time.Since(scheduled).Microseconds())
+		}(ev, scheduled)
 	}
 	wg.Wait()
 	res.ElapsedSec = time.Since(start).Seconds()

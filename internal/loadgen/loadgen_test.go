@@ -87,6 +87,36 @@ func TestLagBoundFires(t *testing.T) {
 	}
 }
 
+// TestLatencyCountsQueueing pins the coordinated-omission fix: with one
+// in-flight slot and a server slower than the arrival gap, later requests
+// wait for the slot, and that wait is part of the latency the client
+// experiences. Timed from slot acquisition, every request would read as
+// one service time; timed from its scheduled send, the backlog shows.
+func TestLatencyCountsQueueing(t *testing.T) {
+	const delay = 60 * time.Millisecond
+	srv := stubServer(t, delay, 0)
+	res, err := Run(context.Background(), Config{
+		URL:         srv.URL,
+		Rate:        50,
+		Duration:    200 * time.Millisecond,
+		Seed:        1,
+		Mix:         map[string]float64{ClassCached: 1},
+		MaxInflight: 1,
+		SkipPriming: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Sent != res.Offered || res.Sent < 8 {
+		t.Fatalf("sent %d of %d offered", res.Sent, res.Offered)
+	}
+	// Ten 20ms-spaced arrivals through one 60ms slot: the last one is sent
+	// ~400ms after it was due, so the tail must carry several service times.
+	if p99 := res.P99Ms(); p99 < 4*float64(delay/time.Millisecond) {
+		t.Fatalf("p99 %.1fms with a 1-slot cap and a %v server: queueing behind the cap is not counted", p99, delay)
+	}
+}
+
 // TestSearchConverges drives the saturation search against a stub whose
 // capacity is known by construction (8 concurrent slots x 5ms service
 // time = ~1600 rps): the search must bracket the knee, converge, and

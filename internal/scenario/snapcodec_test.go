@@ -113,6 +113,44 @@ func TestSnapshotCodecMatchesFreshRun(t *testing.T) {
 	}
 }
 
+// TestSnapshotReencodeIdentical pins the codec as a fixpoint: for every
+// builtin mix, a snapshot taken inside the measurement window decodes
+// onto a fresh skeleton and re-encodes to exactly the bytes it came from.
+// The v3 stream drops the cache arrays' derived counters and empty slots,
+// so this is what proves the decoder rebuilds everything the encoder left
+// out.
+func TestSnapshotReencodeIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates every builtin mix")
+	}
+	for _, mix := range BuiltinMixes() {
+		mix := mix
+		t.Run(mix, func(t *testing.T) {
+			t.Parallel()
+			sp := snapMixSpec(t, mix)
+			s := startSkeleton(t, sp)
+			s.Warm(sp.WarmupSec)
+			s.BeginMeasure()
+			s.Measure(1)
+			data, err := s.Snapshot().Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sn, err := harness.DecodeSnapshot(data, startSkeleton(t, sp))
+			if err != nil {
+				t.Fatal(err)
+			}
+			again, err := sn.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again, data) {
+				t.Fatalf("re-encoded snapshot differs: %d bytes vs %d", len(again), len(data))
+			}
+		})
+	}
+}
+
 // TestDecodeSnapshotRejectsMismatch pins the decoder's validation: a
 // snapshot restores only onto a scenario with the same structure, the same
 // encoding version, and an intact byte stream. Everything else errors

@@ -46,14 +46,18 @@ const (
 	snapWrapVersion = 1
 )
 
-func encodeSnapWrap(measured float64, spec, snap []byte) []byte {
+// encodeSnapWrap frames snap with its measured seconds and spec, encoding
+// the snapshot straight into the frame's buffer.
+func encodeSnapWrap(measured float64, spec []byte, snap *harness.Snapshot) ([]byte, error) {
 	w := &codec.Writer{}
 	w.Raw([]byte(snapWrapMagic))
 	w.U32(snapWrapVersion)
 	w.F64(measured)
 	w.Blob(spec)
-	w.Blob(snap)
-	return w.Bytes()
+	if err := w.Nested(snap.EncodeTo); err != nil {
+		return nil, err
+	}
+	return w.Bytes(), nil
 }
 
 func decodeSnapWrap(data []byte) (measured float64, spec, snap []byte, err error) {
@@ -89,11 +93,11 @@ func (s *Service) depositSnap(prefix string, snap *harness.Snapshot, measured fl
 	if !advanced || s.disk == nil {
 		return
 	}
-	data, err := snap.Encode()
+	data, err := encodeSnapWrap(measured, spec, snap)
 	if err != nil {
 		return
 	}
-	s.disk.Replace(store.KindSnap, prefix, encodeSnapWrap(measured, spec, data))
+	s.disk.Replace(store.KindSnap, prefix, data)
 }
 
 // diskSnapshot rehydrates the warm snapshot stored under prefix: unwrap,
@@ -157,8 +161,8 @@ func decodeWrappedSnapshot(prefix string, data []byte) (*harness.Snapshot, float
 func (s *Service) SnapshotBytes(prefix string) ([]byte, bool) {
 	if s.snaps != nil {
 		if snap, measured, spec, ok := s.snaps.get(prefix); ok {
-			if data, err := snap.Encode(); err == nil {
-				return encodeSnapWrap(measured, spec, data), true
+			if data, err := encodeSnapWrap(measured, spec, snap); err == nil {
+				return data, true
 			}
 		}
 	}

@@ -250,7 +250,7 @@ func TestTraceCoversLifecycle(t *testing.T) {
 	for _, sp := range spans {
 		names[sp.Name] = true
 	}
-	for _, want := range []string{"queue_wait", "warm", "measure"} {
+	for _, want := range []string{"queue_wait", "warm", "measure", "snapshot_deposit"} {
 		if !names[want] {
 			t.Errorf("trace missing %s span: %v", want, spans)
 		}

@@ -626,7 +626,9 @@ func (s *Service) execute(sp *scenario.Spec, tr *obs.Trace, pub *obs.SeriesPub) 
 		m := tr.Begin("measure")
 		sc.Measure(run.MeasureSec - measured)
 		m.End()
+		dp := tr.Begin("snapshot_deposit")
 		s.depositSnap(prefix, sc.Snapshot(), run.MeasureSec, spec)
+		dp.End()
 		return scenario.FromResult(run, hash, sc.EndMeasure()), tlog.Events(), tlog.Dropped, nil
 	}
 	sc, err := run.Start()
@@ -643,7 +645,9 @@ func (s *Service) execute(sp *scenario.Spec, tr *obs.Trace, pub *obs.SeriesPub) 
 	m.End()
 	// Snapshot before closing the window: the stored state must be
 	// continuable, and EndMeasure only reads the accumulators.
+	dp := tr.Begin("snapshot_deposit")
 	s.depositSnap(prefix, sc.Snapshot(), run.MeasureSec, canon)
+	dp.End()
 	return scenario.FromResult(run, hash, sc.EndMeasure()), tlog.Events(), tlog.Dropped, nil
 }
 
