@@ -4,10 +4,16 @@
 // by rendezvous-hashing its routing key — the spec's prefix hash — so that
 // specs sharing a run prefix consistently land on the same backend and
 // reuse its warm-snapshot LRU, while distinct prefixes spread across the
-// fleet. Because execution is deterministic and content-addressed, any
-// backend produces byte-identical results for a given spec; routing is
-// therefore purely a performance policy, and losing a backend mid-sweep is
-// handled by re-sending its points to the next backend in rendezvous order
+// fleet. A sweep's prefix groups are placed together before any point is
+// sent: each goes to its rendezvous home unless that would push the home
+// past an even share of the sweep's simulated seconds (consistent hashing
+// with bounded loads), so one backend never runs most of a sweep while
+// another idles. Requests by content hash (/extend, /result, /series) try
+// the backend that last served the run's prefix first. Because execution
+// is deterministic and content-addressed, any backend produces
+// byte-identical results for a given spec; routing is therefore purely a
+// performance policy, and losing a backend mid-sweep is handled by
+// re-sending its points to the next backend in rendezvous order
 // (idempotent: a re-executed point cannot differ).
 package cluster
 
@@ -19,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"sort"
@@ -151,12 +158,19 @@ var _ service.Runner = (*Coordinator)(nil)
 // coordinator over the same fleet routes identically, and removing one
 // backend only moves that backend's keys.
 func (c *Coordinator) rendezvous(key string) []*backend {
+	return rendezvousOver(key, c.backends)
+}
+
+// rendezvousOver is rendezvous restricted to bs. Scores depend only on
+// (URL, key), so the result does not depend on the order of bs, and
+// filtering the full order gives the same sequence as ranking the subset.
+func rendezvousOver(key string, bs []*backend) []*backend {
 	type scored struct {
 		b *backend
 		s uint64
 	}
-	order := make([]scored, len(c.backends))
-	for i, b := range c.backends {
+	order := make([]scored, len(bs))
+	for i, b := range bs {
 		// sha256 rather than a cheap multiplicative hash: backend URLs share
 		// long prefixes, and weakly-avalanched hashes visibly bias the
 		// highest-random-weight comparison across such near-identical seeds.
@@ -304,20 +318,38 @@ func translateStatus(url string, status int, body []byte) error {
 	return fmt.Errorf("cluster: backend %s: %w", url, service.ErrFromStatus(status, body))
 }
 
-// submitKey routes body down key's rendezvous order until a backend serves
-// it. A lost call gets one same-backend retry (transient transport hiccups
-// should not re-shard the keyspace and abandon a backend's warm state);
-// backends lost twice in a row are marked down (so later points skip them
-// without paying a timeout) and the point is re-sent to the next backend —
-// the retry-with-reroute that keeps a sweep complete when a node dies
-// mid-run. When the routing target differs from the backend that last
-// served this key, the previous owner's warm snapshot is shipped over
-// first, so reroutes and revivals continue from warm state instead of
-// re-simulating the prefix.
-func (c *Coordinator) submitKey(key, path string, body []byte, tr *obs.Trace) (service.Result, error) {
+// failover returns key's rendezvous order with head moved to the front: the
+// backend a sweep placed the key on, or the one that last served it. A nil
+// head, or one that already is the home, leaves the order as it is.
+func (c *Coordinator) failover(key string, head *backend) []*backend {
+	order := c.rendezvous(key)
+	if head == nil || order[0] == head {
+		return order
+	}
+	out := append(make([]*backend, 0, len(order)), head)
+	for _, b := range order {
+		if b != head {
+			out = append(out, b)
+		}
+	}
+	return out
+}
+
+// submitKey routes body down key's failover order, headed by head (nil for
+// the rendezvous home), until a backend serves it. A lost call gets one
+// same-backend retry (transient transport hiccups should not re-shard the
+// keyspace and abandon a backend's warm state); backends lost twice in a
+// row are marked down (so later points skip them without paying a
+// timeout) and the point is re-sent to the next backend — the
+// retry-with-reroute that keeps a sweep complete when a node dies mid-run.
+// When the routing target differs from the backend that last served this
+// key, the previous owner's warm snapshot is shipped over first, so
+// reroutes and revivals continue from warm state instead of re-simulating
+// the prefix.
+func (c *Coordinator) submitKey(key string, head *backend, path string, body []byte, tr *obs.Trace) (service.Result, error) {
 	var lastErr, lastBusy error
 	sawLost := false
-	for _, b := range c.rendezvous(key) {
+	for _, b := range c.failover(key, head) {
 		if !c.routable(b) {
 			continue
 		}
@@ -418,22 +450,38 @@ func (c *Coordinator) recordOwner(key, url string) {
 	c.owners[key] = url
 }
 
+// ownerOf returns the backend that last served routing key, or nil when
+// none is recorded (or the recorded URL left the fleet).
+func (c *Coordinator) ownerOf(key string) *backend {
+	c.mu.Lock()
+	url := c.owners[key]
+	c.mu.Unlock()
+	for _, b := range c.backends {
+		if b.url == url {
+			return b
+		}
+	}
+	return nil
+}
+
 // Submit routes one spec to the backend owning its prefix hash. Using the
 // prefix (not the full content hash) as the routing key is what gives
 // same-prefix submissions — a /run, its /extend, the measure_sec rows of a
 // sweep — affinity to one backend's warm-snapshot LRU.
 func (c *Coordinator) Submit(sp *scenario.Spec) (service.Result, error) {
-	return c.submit(sp, nil)
+	return c.submit(sp, nil, nil)
 }
 
 // SubmitTraced is Submit with the request's trace threaded through routing:
 // handoffs, reroutes, and the backend hop itself all land in tr, and the
 // trace ID is forwarded so the owning backend's spans join the same trace.
 func (c *Coordinator) SubmitTraced(sp *scenario.Spec, tr *obs.Trace) (service.Result, error) {
-	return c.submit(sp, tr)
+	return c.submit(sp, nil, tr)
 }
 
-func (c *Coordinator) submit(sp *scenario.Spec, tr *obs.Trace) (service.Result, error) {
+// submit sends sp down its prefix's failover order headed by head (nil for
+// the rendezvous home).
+func (c *Coordinator) submit(sp *scenario.Spec, head *backend, tr *obs.Trace) (service.Result, error) {
 	canon, _, prefix, err := sp.Digest()
 	if err == nil {
 		// Mirror the local serving policy before spending a network hop:
@@ -444,7 +492,7 @@ func (c *Coordinator) submit(sp *scenario.Spec, tr *obs.Trace) (service.Result, 
 		c.rejected.Add(1)
 		return service.Result{}, err
 	}
-	res, err := c.submitKey(prefix, "/run", canon, tr)
+	res, err := c.submitKey(prefix, head, "/run", canon, tr)
 	if err == nil {
 		c.recordRoute(res.Hash, prefix)
 	}
@@ -452,11 +500,12 @@ func (c *Coordinator) submit(sp *scenario.Spec, tr *obs.Trace) (service.Result, 
 }
 
 // Extend re-runs a served spec by content address with a new measurement
-// window. The coordinator remembers which routing key served each hash, so
-// the request lands on the backend holding the run's indexed spec and warm
-// snapshot; unknown or evicted hashes fall back to probing the fleet in
-// deterministic order, and only when every backend answers 404 does the
-// client see ErrUnknownHash.
+// window. The coordinator remembers which routing key served each hash and
+// which backend last served that key, so the request lands first on the
+// backend holding the run's indexed spec and warm snapshot — even when a
+// sweep placed the prefix off its rendezvous home. Unknown or evicted
+// hashes fall back to probing the fleet in deterministic order, and only
+// when every backend answers 404 does the client see ErrUnknownHash.
 func (c *Coordinator) Extend(hash string, measureSec float64) (service.Result, error) {
 	return c.extend(hash, measureSec, nil)
 }
@@ -478,7 +527,7 @@ func (c *Coordinator) extend(hash string, measureSec float64, tr *obs.Trace) (se
 	}
 	var lastErr error
 	sawUnknown, incomplete := false, false
-	for _, b := range c.rendezvous(key) {
+	for _, b := range c.failover(key, c.ownerOf(key)) {
 		if !c.routable(b) {
 			// A skipped backend might hold the run; its silence must not be
 			// read as a 404.
@@ -525,11 +574,16 @@ func (c *Coordinator) extend(hash string, measureSec float64, tr *obs.Trace) (se
 
 // Sweep expands the grid locally and shards its points over the fleet:
 // same-prefix rows form a group that runs sequentially (shortest
-// measurement first) against the backend owning that prefix, so later rows
-// fork the warm snapshot earlier rows deposited; distinct prefixes run
-// concurrently on their own backends. Results assemble by grid index, so
-// the response is byte-identical to a single-node (or serial) run of the
-// same request — backend count, like worker count, never reorders points.
+// measurement first) against one backend, so later rows fork the warm
+// snapshot earlier rows deposited; distinct groups run concurrently. Every
+// group is placed before any point is sent (see place): at its rendezvous
+// home when the home has room under the sweep's bounded load, else at the
+// next backend in its order that has, so the sweep's simulated seconds
+// spread over the fleet instead of queueing on one hash-favoured backend.
+// A lost placed backend fails over down the rest of the group's rendezvous
+// order. Results assemble by grid index, so the response is byte-identical
+// to a single-node (or serial) run of the same request — backend count and
+// placement, like worker count, never reorder points.
 func (c *Coordinator) Sweep(req *service.SweepRequest) ([]service.SweepPoint, error) {
 	specs, grids, err := service.ExpandSweep(req)
 	if err != nil {
@@ -547,22 +601,23 @@ func (c *Coordinator) Sweep(req *service.SweepRequest) ([]service.SweepPoint, er
 		}
 	}
 	groups := service.GroupSpecsByPrefix(specs)
+	homes := c.place(specs, groups)
 	points := make([]service.SweepPoint, len(specs))
 	errs := make([]error, len(specs))
 	var wg sync.WaitGroup
-	for _, idxs := range groups {
+	for g, idxs := range groups {
 		wg.Add(1)
-		go func(idxs []int) {
+		go func(idxs []int, head *backend) {
 			defer wg.Done()
 			for _, i := range idxs {
-				res, err := c.Submit(specs[i])
+				res, err := c.submit(specs[i], head, nil)
 				if err != nil {
 					errs[i] = err
 					continue
 				}
 				points[i] = service.SweepPoint{Grid: grids[i], Hash: res.Hash, Cached: res.Cached, Report: res.Report}
 			}
-		}(idxs)
+		}(idxs, homes[g])
 	}
 	wg.Wait()
 	for i, err := range errs {
@@ -573,29 +628,109 @@ func (c *Coordinator) Sweep(req *service.SweepRequest) ([]service.SweepPoint, er
 	return points, nil
 }
 
+// place assigns each prefix group of a sweep to one routable backend (nil
+// entries when none is routable, which leaves routing to the rendezvous
+// order). A group's routing key is its prefix hash, and its cost is its
+// simulated seconds: warm-up plus its longest measurement window, since
+// the group's later rows fork its earlier ones.
+func (c *Coordinator) place(specs []*scenario.Spec, groups [][]int) []*backend {
+	var up []*backend
+	for _, b := range c.backends {
+		if c.routable(b) {
+			up = append(up, b)
+		}
+	}
+	keys := make([]string, len(groups))
+	costs := make([]float64, len(groups))
+	for g, idxs := range groups {
+		// Validated specs always hash; an empty key still places
+		// deterministically, and submit reports the real error.
+		keys[g], _ = specs[idxs[0]].PrefixHash()
+		warm := specs[idxs[0]].WarmupSec
+		if warm == 0 {
+			warm = scenario.DefaultWarmupSec
+		}
+		longest := 0.0
+		for _, i := range idxs {
+			meas := specs[i].MeasureSec
+			if meas == 0 {
+				meas = scenario.DefaultMeasureSec
+			}
+			longest = math.Max(longest, meas)
+		}
+		costs[g] = warm + longest
+	}
+	return placeGroups(keys, costs, up)
+}
+
+// placeGroups is consistent hashing with bounded loads (Mirrokni, Thorup &
+// Zadimoghaddam, SODA 2018) over one sweep. Walking the groups in order,
+// group g goes to the first backend in its rendezvous order over up whose
+// assigned cost stays within ceil(total cost / len(up)); when none has
+// room, to the least-loaded backend (ties to the earlier one in the
+// group's order). A backend therefore exceeds the bound only through the
+// one group that did not fit anywhere, and a group leaves its home only
+// when the home is full. The result is a pure function of (keys, costs,
+// the URLs in up) — not of up's order — so every coordinator over the same
+// healthy fleet places a grid identically.
+func placeGroups(keys []string, costs []float64, up []*backend) []*backend {
+	out := make([]*backend, len(keys))
+	if len(up) == 0 {
+		return out
+	}
+	total := 0.0
+	for _, cost := range costs {
+		total += cost
+	}
+	bound := math.Ceil(total / float64(len(up)))
+	load := make(map[*backend]float64, len(up))
+	for g, key := range keys {
+		order := rendezvousOver(key, up)
+		var pick *backend
+		for _, b := range order {
+			if load[b]+costs[g] <= bound {
+				pick = b
+				break
+			}
+		}
+		if pick == nil {
+			pick = order[0]
+			for _, b := range order[1:] {
+				if load[b] < load[pick] {
+					pick = b
+				}
+			}
+		}
+		load[pick] += costs[g]
+		out[g] = pick
+	}
+	return out
+}
+
 // Lookup fetches a cached report by content address from the backend that
-// served it (via the route index), probing the rest of the fleet in
-// rendezvous order if needed.
+// last served its prefix (via the route and owner indexes), probing the
+// rest of the fleet in rendezvous order if needed.
 func (c *Coordinator) Lookup(hash string) ([]byte, bool) {
 	return c.fetchByHash("/result/", hash)
 }
 
 // Series fetches a cached run's per-second telemetry by content address,
-// routed exactly like Lookup: the route index points at the backend that
-// executed the run (series live beside reports in its cache), and unknown
-// hashes fall back to probing the fleet in rendezvous order.
+// routed exactly like Lookup: series live beside reports in the executing
+// backend's cache, and unknown hashes fall back to probing the fleet in
+// rendezvous order.
 func (c *Coordinator) Series(hash string) ([]byte, bool) {
 	return c.fetchByHash("/series/", hash)
 }
 
-// fetchByHash GETs path+hash from the backend the route index names for
-// hash, then from the rest of the fleet in deterministic rendezvous order.
+// fetchByHash GETs path+hash from the backend that last served the hash's
+// routing key, then from the rest of the fleet in deterministic rendezvous
+// order.
 func (c *Coordinator) fetchByHash(path, hash string) ([]byte, bool) {
 	key, known := c.routeOf(hash)
 	if !known {
 		key = hash
 	}
-	for _, b := range c.rendezvous(key) {
+	for _, b := range c.failover(key, c.ownerOf(key)) {
 		if !c.routable(b) {
 			continue
 		}
@@ -604,8 +739,13 @@ func (c *Coordinator) fetchByHash(path, hash string) ([]byte, bool) {
 			b.setDown(true)
 			continue
 		}
-		data, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
+		data, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes+1))
 		resp.Body.Close()
+		if len(data) > maxResponseBytes {
+			// A miss, not a lost backend: the same content address yields
+			// the same oversized answer everywhere (see call).
+			return nil, false
+		}
 		if err == nil && resp.StatusCode == http.StatusOK {
 			return data, true
 		}

@@ -142,9 +142,10 @@ func comparePoints(t *testing.T, got, want []service.SweepPoint) {
 	}
 }
 
-// TestClusterReroutesLostBackendMidSweep kills the busiest backend after it
-// has served exactly one point and pins that every lost point is rerouted:
-// the sweep completes and stays byte-identical to a serial run.
+// TestClusterReroutesLostBackendMidSweep kills the backend the sweep
+// places the most groups on after it has served exactly one point and pins
+// that every lost point is rerouted: the sweep completes and stays
+// byte-identical to a serial run.
 func TestClusterReroutesLostBackendMidSweep(t *testing.T) {
 	// Three backends, the victim wrapped so it can be killed mid-flight.
 	kills := make([]*killableBackend, 3)
@@ -162,29 +163,32 @@ func TestClusterReroutesLostBackendMidSweep(t *testing.T) {
 	}
 	coord := newCoordinator(t, urls...)
 
-	// Eight distinct-seed points: eight prefix groups. Pick the backend that
-	// homes the most of them as the victim, so it is guaranteed to receive
-	// at least one point after its single allowed request — httptest ports
-	// are random, so the assignment must be derived, not assumed.
-	specs := make([]*scenario.Spec, 8)
-	homes := map[string]int{}
-	for i := range specs {
-		specs[i] = testSpec(uint64(100 + i))
-		_, _, prefix, err := specs[i].Digest()
-		if err != nil {
-			t.Fatal(err)
-		}
-		homes[coord.rendezvous(prefix)[0].url]++
+	// Eight distinct-seed points: eight prefix groups. Pick the backend the
+	// sweep places the most of them on as the victim, so it is guaranteed
+	// to receive at least one point after its single allowed request —
+	// httptest ports are random, so the placement must be derived, not
+	// assumed.
+	req := &service.SweepRequest{
+		Spec: *testSpec(0),
+		Axes: []service.Axis{{Param: "seed", Values: []float64{100, 101, 102, 103, 104, 105, 106, 107}}},
+	}
+	specs, _, err := service.ExpandSweep(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	placed := map[string]int{}
+	for _, b := range coord.place(specs, service.GroupSpecsByPrefix(specs)) {
+		placed[b.url]++
 	}
 	victim, most := "", 0
-	for url, n := range homes {
+	for url, n := range placed {
 		if n > most {
 			victim, most = url, n
 		}
 	}
 	if most < 2 {
-		// 8 points over <=3 homes: pigeonhole guarantees a home with >=3.
-		t.Fatalf("no backend homes 2+ points: %v", homes)
+		// 8 points over <=3 backends: pigeonhole guarantees one with >=3.
+		t.Fatalf("no backend is placed 2+ points: %v", placed)
 	}
 	for i, url := range urls {
 		if url == victim {
@@ -192,10 +196,6 @@ func TestClusterReroutesLostBackendMidSweep(t *testing.T) {
 		}
 	}
 
-	req := &service.SweepRequest{
-		Spec: *testSpec(0),
-		Axes: []service.Axis{{Param: "seed", Values: []float64{100, 101, 102, 103, 104, 105, 106, 107}}},
-	}
 	got, err := coord.Sweep(req)
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +211,7 @@ func TestClusterReroutesLostBackendMidSweep(t *testing.T) {
 
 	st := coord.Stats()
 	if st.Reroutes < uint64(most-1) {
-		t.Errorf("reroutes = %d, want >= %d (victim homed %d points, served 1)", st.Reroutes, most-1, most)
+		t.Errorf("reroutes = %d, want >= %d (victim was placed %d points, served 1)", st.Reroutes, most-1, most)
 	}
 	downSeen := false
 	for _, bs := range st.Backends {

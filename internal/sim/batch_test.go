@@ -5,6 +5,45 @@ import (
 	"testing"
 )
 
+// runEpochsReference is the reference dispatcher: the straight-line loop
+// whose Step call sequence defines the engine's semantics. Run goes through
+// RunEpochsBatched, which must produce the identical sequence with the
+// bookkeeping amortized (pinned by TestRunEpochsBatchedEquivalence).
+func runEpochsReference(e *Engine, epochs int) {
+	e.stopped = false
+	budgets := make([]int, len(e.actors))
+	for ep := 0; ep < epochs && !e.stopped; ep++ {
+		// Compute per-epoch budgets with fractional carry, so low-rate
+		// actors still make progress over multiple epochs.
+		for i, a := range e.actors {
+			want := a.OpsPerSecond(e.now)/EpochsPerSecond + e.carry[i]
+			b := int(want)
+			e.carry[i] = want - float64(b)
+			budgets[i] = b
+		}
+		// Interleave: divide each actor's budget across slices.
+		for s := 0; s < InterleaveSlices; s++ {
+			sliceTick := e.now + Tick(s*TicksPerEpoch/InterleaveSlices)
+			for i, a := range e.actors {
+				share := budgets[i] / InterleaveSlices
+				if s < budgets[i]%InterleaveSlices {
+					share++
+				}
+				if share > 0 {
+					a.Step(sliceTick, share)
+				}
+			}
+		}
+		e.now += TicksPerEpoch
+		if e.now%TicksPerSecond == 0 {
+			for _, o := range e.observers {
+				o.OnSecond(e.now)
+			}
+			e.ffSkipped = 0
+		}
+	}
+}
+
 // traceActor records every Step call so dispatcher variants can be compared
 // call-for-call. Its rate varies with time (bursty, fractional, or zero) to
 // exercise carry accumulation and the zero-budget filtering paths.
@@ -63,7 +102,7 @@ func TestRunEpochsBatchedEquivalence(t *testing.T) {
 	bat.AddObserver(FuncObserver(func(now Tick) { batSec = append(batSec, now) }))
 
 	for _, epochs := range []int{137, 1500, 863, 2000} {
-		ref.RunEpochs(epochs)
+		runEpochsReference(ref, epochs)
 		bat.RunEpochsBatched(epochs)
 	}
 
@@ -246,7 +285,7 @@ func BenchmarkDispatch(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.RunEpochs(EpochsPerSecond)
+				runEpochsReference(e, EpochsPerSecond)
 			}
 		})
 		b.Run(sh.name+"/batched", func(b *testing.B) {

@@ -82,7 +82,6 @@ type Engine struct {
 	observers []Observer
 	rng       *RNG
 	carry     []float64     // fractional op budget carried between epochs, per actor
-	budgets   []int         // per-epoch scratch, reused across RunEpochs calls
 	active    []actorShares // per-epoch scratch for the batched dispatcher
 
 	// ffSkipped counts the ticks of the current simulated second that were
@@ -128,7 +127,8 @@ func (e *Engine) AddObserver(o Observer) {
 
 // Stop requests that Run return at the end of the current epoch. The stop is
 // consumed by the Run in progress (or, if none is running, by the next one):
-// RunEpochs clears it on entry, so a stopped engine can be driven again.
+// RunEpochsBatched clears it on entry, so a stopped engine can be driven
+// again.
 func (e *Engine) Stop() { e.stopped = true }
 
 // Actors returns the registered actors in registration order (a copy; the
@@ -182,52 +182,6 @@ func (e *Engine) Run(seconds float64) {
 	e.RunEpochsBatched(epochs)
 }
 
-// RunEpochs advances simulated time by the given number of epochs. A pending
-// Stop from before the call is discarded: Stop ends the Run it interrupts,
-// it does not latch future Runs into no-ops.
-//
-// RunEpochs is the reference dispatcher: the straight-line loop whose Step
-// call sequence defines the engine's semantics. Run goes through
-// RunEpochsBatched, which produces the identical sequence with the
-// bookkeeping amortized (pinned by TestRunEpochsBatchedEquivalence).
-func (e *Engine) RunEpochs(epochs int) {
-	e.stopped = false
-	if cap(e.budgets) < len(e.actors) {
-		e.budgets = make([]int, len(e.actors))
-	}
-	budgets := e.budgets[:len(e.actors)]
-	for ep := 0; ep < epochs && !e.stopped; ep++ {
-		// Compute per-epoch budgets with fractional carry, so low-rate
-		// actors still make progress over multiple epochs.
-		for i, a := range e.actors {
-			want := a.OpsPerSecond(e.now)/EpochsPerSecond + e.carry[i]
-			b := int(want)
-			e.carry[i] = want - float64(b)
-			budgets[i] = b
-		}
-		// Interleave: divide each actor's budget across slices.
-		for s := 0; s < InterleaveSlices; s++ {
-			sliceTick := e.now + Tick(s*TicksPerEpoch/InterleaveSlices)
-			for i, a := range e.actors {
-				share := budgets[i] / InterleaveSlices
-				if s < budgets[i]%InterleaveSlices {
-					share++
-				}
-				if share > 0 {
-					a.Step(sliceTick, share)
-				}
-			}
-		}
-		e.now += TicksPerEpoch
-		if e.now%TicksPerSecond == 0 {
-			for _, o := range e.observers {
-				o.OnSecond(e.now)
-			}
-			e.ffSkipped = 0
-		}
-	}
-}
-
 // sliceOffsets are the slice start times within an epoch, hoisted out of the
 // dispatch loop.
 var sliceOffsets = func() [InterleaveSlices]Tick {
@@ -239,9 +193,12 @@ var sliceOffsets = func() [InterleaveSlices]Tick {
 }()
 
 // RunEpochsBatched advances simulated time by the given number of epochs
-// with the dispatch bookkeeping amortized. The Step call sequence — which
-// actors, in which order, at which slice times, with which budgets — is
-// byte-identical to RunEpochs; only the loop overhead differs:
+// with the dispatch bookkeeping amortized. A pending Stop from before the
+// call is discarded: Stop ends the run it interrupts, it does not latch
+// future runs into no-ops. The Step call sequence — which actors, in which
+// order, at which slice times, with which budgets — is byte-identical to
+// the straight-line reference loop kept beside its equivalence test
+// (TestRunEpochsBatchedEquivalence); only the loop overhead differs:
 //
 //   - each actor's per-slice share split (quotient/remainder) is computed
 //     once per epoch instead of div/mod per slice,
@@ -300,7 +257,7 @@ func (e *Engine) RunEpochsBatched(epochs int) {
 // second boundary, and SkippedTicks reports the skipped portion of the
 // second to them. Actors that do not implement FastForwarder panic by name —
 // the harness validates the actor set before scheduling any gap. A pending
-// Stop is discarded on entry, exactly as in RunEpochs.
+// Stop is discarded on entry, exactly as in RunEpochsBatched.
 func (e *Engine) FastForward(epochs int) {
 	e.stopped = false
 	for epochs > 0 && !e.stopped {

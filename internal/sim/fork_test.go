@@ -34,7 +34,7 @@ func TestStopBetweenRunsIsDiscarded(t *testing.T) {
 	e.Stop()
 	e.Run(1.0)
 	if got := e.Now(); got != TicksPerSecond {
-		t.Errorf("pending stop should be discarded at RunEpochs entry: now=%v", got)
+		t.Errorf("pending stop should be discarded at Run entry: now=%v", got)
 	}
 }
 
