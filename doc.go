@@ -25,9 +25,10 @@
 // a worker pool, singleflight deduplication, and an LRU result cache keyed
 // by spec hash — determinism makes cache hits byte-identical to fresh runs.
 //
-// Simulation state is forkable: every layer implements a deep-copy
-// contract composed by harness.Scenario.Fork/Snapshot, with forked
-// execution byte-identical to fresh execution (DESIGN.md §10). Sweeps
+// Simulation state is forkable: every layer implements one state contract,
+// the snapshot codec, and harness.Scenario.Fork/Snapshot rebuild a
+// scenario from its recorded construction and decode the state onto it,
+// with forked execution byte-identical to fresh execution (DESIGN.md §10). Sweeps
 // whose points share a prefix warm it once and fork per point, and
 // a4serve caches warm snapshots so POST /extend and measure-window sweep
 // rows simulate only their additional seconds.

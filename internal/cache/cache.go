@@ -202,33 +202,6 @@ func New(numSets, ways int) *Cache {
 	return c
 }
 
-// Clone returns an independent deep copy of the array: slots, LRU
-// permutations, valid bitmaps, the incremental occupancy counters, and the
-// victim-randomness stream. The copy shares no memory with the original, so
-// the two diverge freely — this is the cache's half of the simulation
-// snapshot/fork contract. Clone only reads the receiver and is safe to call
-// concurrently with other Clone calls on the same array.
-func (c *Cache) Clone() *Cache {
-	n := &Cache{
-		slots:      append([]uint64(nil), c.slots...),
-		order:      append([]uint64(nil), c.order...),
-		valid:      append([]uint32(nil), c.valid...),
-		ways:       c.ways,
-		wayBits:    c.wayBits,
-		setMask:    c.setMask,
-		validByWay: append([]int32(nil), c.validByWay...),
-		ownerByWay: make([][]int32, len(c.ownerByWay)),
-		randPct:    c.randPct,
-		rngs:       c.rngs,
-	}
-	for w, s := range c.ownerByWay {
-		if s != nil {
-			n.ownerByWay[w] = append([]int32(nil), s...)
-		}
-	}
-	return n
-}
-
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
 

@@ -37,13 +37,6 @@ func New(numCores, ways int) *Allocator {
 	return a
 }
 
-// Clone returns an independent deep copy of the CAT state (masks and
-// core-to-CLOS associations).
-func (a *Allocator) Clone() *Allocator {
-	n := &Allocator{ways: a.ways, masks: a.masks, clos: append([]uint8(nil), a.clos...)}
-	return n
-}
-
 // NumCores returns the number of managed cores.
 func (a *Allocator) NumCores() int { return len(a.clos) }
 

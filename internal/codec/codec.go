@@ -34,6 +34,9 @@ type Writer struct {
 // Bytes returns the encoded stream.
 func (w *Writer) Bytes() []byte { return w.buf }
 
+// Reset empties the buffer, keeping its capacity for reuse.
+func (w *Writer) Reset() { w.buf = w.buf[:0] }
+
 // Len returns the number of bytes written so far.
 func (w *Writer) Len() int { return len(w.buf) }
 
@@ -71,20 +74,6 @@ func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
 func (w *Writer) Blob(b []byte) {
 	w.U32(uint32(len(b)))
 	w.buf = append(w.buf, b...)
-}
-
-// Nested appends a u32 length prefix followed by whatever fn writes — the
-// same bytes as Blob of fn's encoding, without encoding into a separate
-// buffer first. If fn fails, the partial write is dropped.
-func (w *Writer) Nested(fn func(*Writer) error) error {
-	at := len(w.buf)
-	w.U32(0)
-	if err := fn(w); err != nil {
-		w.buf = w.buf[:at]
-		return err
-	}
-	binary.LittleEndian.PutUint32(w.buf[at:], uint32(len(w.buf)-at-4))
-	return nil
 }
 
 // String appends s as a Blob.

@@ -134,35 +134,23 @@ func TestTruncatedBulkSlice(t *testing.T) {
 	}
 }
 
-// TestNestedMatchesBlob pins Nested as a copy-free Blob: the same bytes as
-// encoding into a separate buffer first, and nothing at all when the
-// nested encoder fails.
-func TestNestedMatchesBlob(t *testing.T) {
-	inner := func(w *Writer) error {
-		w.Raw([]byte("hdr"))
-		writeBulk(w, 9)
-		return nil
+// TestResetReusesBuffer pins Reset as an empty writer that keeps its
+// capacity: encoding after Reset yields the same bytes as a new writer
+// without growing the buffer again.
+func TestResetReusesBuffer(t *testing.T) {
+	w := &Writer{}
+	writeBulk(w, 9)
+	want := append([]byte(nil), w.Bytes()...)
+	capBefore := cap(w.Bytes())
+	w.Reset()
+	if w.Len() != 0 {
+		t.Fatalf("Reset left %d bytes", w.Len())
 	}
-	sep := &Writer{}
-	inner(sep)
-	blob, nested := &Writer{}, &Writer{}
-	blob.U64(42)
-	blob.Blob(sep.Bytes())
-	nested.U64(42)
-	nested.Grow(1 << 10)
-	if err := nested.Nested(inner); err != nil {
-		t.Fatal(err)
+	writeBulk(w, 9)
+	if !bytes.Equal(w.Bytes(), want) {
+		t.Fatal("encoding after Reset differs from a fresh writer's")
 	}
-	if !bytes.Equal(blob.Bytes(), nested.Bytes()) {
-		t.Fatal("Nested differs from Blob of the same encoding")
-	}
-
-	boom := errors.New("boom")
-	err := nested.Nested(func(w *Writer) error {
-		w.U64s(make([]uint64, 50))
-		return boom
-	})
-	if !errors.Is(err, boom) || !bytes.Equal(blob.Bytes(), nested.Bytes()) {
-		t.Fatalf("failed Nested left %d bytes behind (err %v)", nested.Len()-blob.Len(), err)
+	if cap(w.Bytes()) != capBefore {
+		t.Fatalf("Reset dropped capacity: %d, had %d", cap(w.Bytes()), capBefore)
 	}
 }

@@ -208,59 +208,6 @@ func New(cfg Config, h *hierarchy.Hierarchy, info []WorkloadInfo,
 	return c
 }
 
-// Fork returns an independent deep copy of the controller's state machine
-// wired to the given (already forked) hierarchy and sampler closures: zone
-// bounds, search state, references, antagonist records, demotions, and the
-// decision log all carry over, so the fork's next OnSecond decides exactly
-// what the original's would. The optional trace mirror is not carried —
-// attach a fresh one with SetTraceLog if the fork should trace.
-func (c *Controller) Fork(h *hierarchy.Hierarchy,
-	sampler func() []pcm.Sample, memBW func() float64) *Controller {
-	n := &Controller{
-		cfg:         c.cfg,
-		h:           h,
-		ways:        c.ways,
-		secs:        c.secs,
-		state:       c.state,
-		stateAge:    c.stateAge,
-		lpLeft:      c.lpLeft,
-		lpRight:     c.lpRight,
-		minLeft:     c.minLeft,
-		hitRef:      make(map[pcm.WorkloadID]float64, len(c.hitRef)),
-		lastHit:     make(map[pcm.WorkloadID]float64, len(c.lastHit)),
-		lastSeen:    make(map[pcm.WorkloadID]pcm.Sample, len(c.lastSeen)),
-		antagonists: make(map[pcm.WorkloadID]*antagonist, len(c.antagonists)),
-		demoted:     make(map[pcm.WorkloadID]bool, len(c.demoted)),
-		lastMemBW:   c.lastMemBW,
-		savedLPLeft: c.savedLPLeft,
-		Events:      append([]string(nil), c.Events...),
-		sampler:     sampler,
-		memBW:       memBW,
-	}
-	n.info = make([]WorkloadInfo, len(c.info))
-	for i, w := range c.info {
-		n.info[i] = w
-		n.info[i].Cores = append([]int(nil), w.Cores...)
-	}
-	for id, v := range c.hitRef {
-		n.hitRef[id] = v
-	}
-	for id, v := range c.lastHit {
-		n.lastHit[id] = v
-	}
-	for id, s := range c.lastSeen {
-		n.lastSeen[id] = s
-	}
-	for id, a := range c.antagonists {
-		ac := *a
-		n.antagonists[id] = &ac
-	}
-	for id, v := range c.demoted {
-		n.demoted[id] = v
-	}
-	return n
-}
-
 // hasIOHPW reports whether any I/O workload currently holds HPW priority.
 func (c *Controller) hasIOHPW() bool {
 	for _, w := range c.info {

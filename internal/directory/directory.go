@@ -86,21 +86,6 @@ func New(numSets, ways int) *Directory {
 	return d
 }
 
-// Clone returns an independent deep copy of the directory, including the
-// tracked-line count and back-invalidation diagnostics, for the simulation
-// snapshot/fork contract.
-func (d *Directory) Clone() *Directory {
-	return &Directory{
-		slots:             append([]uint64(nil), d.slots...),
-		order:             append([]uint64(nil), d.order...),
-		used:              append([]uint32(nil), d.used...),
-		ways:              d.ways,
-		setMask:           d.setMask,
-		valid:             d.valid,
-		BackInvalidations: d.BackInvalidations,
-	}
-}
-
 func pack(addr uint64, core int16) uint64 {
 	return addr&0xFFFFFFFF | uint64(uint16(core))<<coreShift
 }

@@ -152,17 +152,23 @@ type prefixSweep struct {
 }
 
 // runPrefixSweeps executes the groups on the worker pool in two phases:
-// every group's prefix is built and warmed (concurrently across groups),
-// then every point forks, diverges, and measures (concurrently across all
-// points of all groups). A single-point group skips the fork and measures
-// the warmed prefix directly — equivalent by the fork contract. Results are
-// indexed [group][point]; reports are byte-identical at any worker count.
+// every group's prefix is built, warmed and snapshotted once (concurrently
+// across groups), then every point forks the snapshot, diverges, and
+// measures (concurrently across all points of all groups). A single-point
+// group skips the snapshot and measures the warmed prefix directly —
+// equivalent by the fork contract. Results are indexed [group][point];
+// reports are byte-identical at any worker count.
 func runPrefixSweeps(o Options, groups []prefixSweep) [][]*harness.Result {
 	warmed := make([]*harness.Scenario, len(groups))
+	snaps := make([]*harness.Snapshot, len(groups))
 	forEachPoint(o, len(groups), func(g int) {
 		s := groups[g].build()
 		s.Warm(groups[g].warm)
-		warmed[g] = s
+		if len(groups[g].diverge) > 1 {
+			snaps[g] = s.Snapshot()
+		} else {
+			warmed[g] = s
+		}
 	})
 	type point struct{ g, p int }
 	var pts []point
@@ -177,10 +183,10 @@ func runPrefixSweeps(o Options, groups []prefixSweep) [][]*harness.Result {
 		g, p := pts[i].g, pts[i].p
 		grp := groups[g]
 		s := warmed[g]
-		if len(grp.diverge) > 1 {
-			// Concurrent forks of one warmed prefix only read it, so points
-			// of a group need no ordering among themselves.
-			s = s.Fork()
+		if snaps[g] != nil {
+			// Concurrent forks of one snapshot only read it, so points of
+			// a group need no ordering among themselves.
+			s = snaps[g].Fork()
 		}
 		if d := grp.diverge[p]; d != nil {
 			d(s)

@@ -4,129 +4,124 @@ import (
 	"fmt"
 
 	"a4sim/internal/core"
-	"a4sim/internal/pcm"
-	"a4sim/internal/sim"
-	"a4sim/internal/workload"
 )
 
 // This file implements the scenario snapshot/fork contract: a running
-// scenario can be deep-copied mid-flight into an independent copy whose
-// continued execution is byte-identical to the original's would-be
-// continuation. Every stateful layer participates — engine (time, RNG
-// streams, budget carries), hierarchy (caches, directory, CAT, PCIe, memory
-// accounting), devices (ring and command queues), workloads (streams,
-// cursors, latency reservoirs), the per-second monitor (including an open
-// measurement window), and the A4 controller's state machine. Forks never
-// alias mutable state, so original and copies run concurrently on separate
-// goroutines; the packed SoA cache layouts copy as flat slices.
+// scenario can be captured mid-flight and continued as any number of
+// independent copies whose execution is byte-identical to the original's
+// would-be continuation. There is one state contract, the snapshot codec
+// (snapcodec.go): a snapshot is the encoded dynamic state plus the recipe
+// that built the scenario, and a fork replays the recipe onto a fresh
+// skeleton and decodes the state onto it. Memory, the durable store and
+// the wire therefore all carry the same bytes, and a layer adds state in
+// exactly one place, its EncodeState/DecodeState pair.
 //
 // The contract is what makes warm-state reuse sound: sweeps whose points
 // share a scenario prefix (same construction, same warm-up) run the prefix
-// once, fork per point, and diverge — see internal/figures' prefix runner
-// and internal/service's snapshot cache.
+// once, snapshot it, fork per point, and diverge — see internal/figures'
+// prefix runner and internal/service's snapshot cache.
 
-// Fork returns an independent deep copy of the scenario at its current
-// instant. The copy has its own engine, hierarchy, devices, workloads,
-// monitor, and (if attached) controller, re-wired to each other and ordered
-// exactly as the original's engine steps them, so both sides produce
-// identical event streams from the fork point.
-//
-// Fork only reads the receiver, so multiple goroutines may fork one
-// scenario concurrently; the forks themselves are independent. Scenarios
-// carrying observers the harness did not register (e.g. streaming
-// sim.FuncObservers attached by a CLI) cannot be forked and panic with the
-// offending type.
-func (s *Scenario) Fork() *Scenario {
-	f := &Scenario{P: s.P, started: s.started, measureStart: s.measureStart}
-	f.P.Hierarchy.PortNames = append([]string(nil), s.P.Hierarchy.PortNames...)
-	f.Fabric = s.Fabric.Clone()
-	f.H = s.H.Fork(f.Fabric)
-	f.Alloc = s.Alloc.Clone()
-	f.rng = s.rng.Clone()
-
-	// Clone devices and workloads, remembering old -> new actor identities
-	// so the engine's registration order can be replayed.
-	clones := make(map[sim.Actor]sim.Actor)
-	if s.NIC != nil {
-		f.NIC = s.NIC.Fork(f.H)
-		clones[s.NIC] = f.NIC
-	}
-	if s.SSD != nil {
-		f.SSD = s.SSD.Fork(f.H)
-		clones[s.SSD] = f.SSD
-	}
-	f.Workloads = make([]workload.Workload, len(s.Workloads))
-	for i, w := range s.Workloads {
-		var fw workload.Workload
-		switch w := w.(type) {
-		case *workload.DPDK:
-			fw = w.Fork(f.H, f.NIC)
-		case *workload.FIO:
-			fw = w.Fork(f.H, f.SSD)
-		case *workload.Synthetic:
-			fw = w.Fork(f.H)
-		default:
-			panic(fmt.Sprintf("harness: cannot fork workload type %T", w))
-		}
-		f.Workloads[i] = fw
-		clones[w] = fw
-	}
-	f.Infos = make([]core.WorkloadInfo, len(s.Infos))
-	for i, in := range s.Infos {
-		f.Infos[i] = in
-		f.Infos[i].Cores = append([]int(nil), in.Cores...)
-	}
-
-	f.Monitor = s.Monitor.fork(f)
-	var observers []sim.Observer
-	for _, o := range s.Engine.Observers() {
-		switch o := o.(type) {
-		case *Monitor:
-			if o != s.Monitor {
-				panic("harness: cannot fork a scenario with a foreign Monitor observer")
-			}
-			observers = append(observers, f.Monitor)
-		case *core.Controller:
-			if o != s.Controller {
-				panic("harness: cannot fork a scenario with a foreign Controller observer")
-			}
-			f.Controller = o.Fork(f.H,
-				func() []pcm.Sample { return f.Monitor.Last() },
-				func() float64 { return f.Monitor.LastMemBW() })
-			observers = append(observers, f.Controller)
-		default:
-			panic(fmt.Sprintf("harness: cannot fork observer type %T", o))
-		}
-	}
-
-	actors := make([]sim.Actor, 0, len(clones))
-	for _, a := range s.Engine.Actors() {
-		ca, ok := clones[a]
-		if !ok {
-			panic(fmt.Sprintf("harness: cannot fork actor type %T", a))
-		}
-		actors = append(actors, ca)
-	}
-	f.Engine = s.Engine.Fork(actors, observers)
-	return f
+// recipe is a scenario's construction: the Params NewScenario was given
+// and each outermost construction call (Ensure*, Add*, Start,
+// Monitor.EnableSeries) with copied arguments. Replaying it yields a
+// skeleton structurally identical to the recorded scenario at the instant
+// it started; everything that changes afterwards — CAT masks, DCA
+// switches, an open measurement window — is dynamic state and travels in
+// the encoded stream.
+type recipe struct {
+	params Params
+	steps  []func(*Scenario)
 }
 
-// Snapshot is an immutable capture of a scenario's full state. It is safe
-// to fork from multiple goroutines concurrently; each Fork yields a fresh,
+// record appends one construction step to the scenario's recipe.
+func (s *Scenario) record(step func(*Scenario)) {
+	s.recipe.steps = append(s.recipe.steps, step)
+}
+
+// build replays the recipe onto a new scenario.
+func (r recipe) build() *Scenario {
+	s := NewScenario(r.params)
+	for _, step := range r.steps {
+		step(s)
+	}
+	return s
+}
+
+// Snapshot is an immutable capture of a scenario's full state: the encoded
+// state and the recipe that rebuilds the scenario's skeleton. It is safe to
+// fork from multiple goroutines concurrently; each Fork yields a fresh,
 // independently runnable scenario, so one warmed prefix fans out to any
 // number of divergent continuations.
 type Snapshot struct {
-	frozen *Scenario
+	data   []byte
+	recipe recipe
 }
 
-// Snapshot captures the scenario's state at the current instant. The
-// snapshot is a private deep copy: the live scenario keeps running without
-// affecting it.
+// Snapshot encodes the scenario's state at the current instant. The live
+// scenario keeps running without affecting the snapshot.
+//
+// Scenarios carrying actors or observers the harness did not register
+// (e.g. streaming sim.FuncObservers attached by a CLI) cannot be captured
+// and panic with the offending type: the replayed skeleton would silently
+// drop them.
 func (s *Scenario) Snapshot() *Snapshot {
-	return &Snapshot{frozen: s.Fork()}
+	s.mustOwnEngine()
+	data, err := s.encode()
+	if err != nil {
+		panic(err)
+	}
+	// The recipe only grows, so sharing its steps with the live scenario
+	// is safe: later appends never touch the snapshot's prefix.
+	return &Snapshot{data: data, recipe: s.recipe}
 }
 
-// Fork materializes a runnable scenario from the captured state.
+// Fork returns an independent copy of the scenario at its current instant;
+// it is Snapshot().Fork(). Fork only reads the receiver, so multiple
+// goroutines may fork one scenario concurrently.
+func (s *Scenario) Fork() *Scenario {
+	return s.Snapshot().Fork()
+}
+
+// Fork materializes a runnable scenario from the captured state: the
+// recipe rebuilds the skeleton and the encoded state is decoded onto it.
+// Per-execution taps (Monitor row hooks, controller trace logs) are not
+// part of the state; whoever forks attaches its own.
 func (sn *Snapshot) Fork() *Scenario {
-	return sn.frozen.Fork()
+	f := sn.recipe.build()
+	if err := f.decode(sn.data); err != nil {
+		// The bytes were produced by Encode or validated by DecodeSnapshot
+		// onto a skeleton from the same recipe.
+		panic(fmt.Sprintf("harness: fork: %v", err))
+	}
+	return f
+}
+
+// mustOwnEngine panics unless every engine actor and observer is one the
+// scenario registered itself. The harness registers every NIC, SSD and
+// workload it builds and an engine never drops an actor, so a count that
+// matches means no foreign actor.
+func (s *Scenario) mustOwnEngine() {
+	own := len(s.Workloads)
+	if s.NIC != nil {
+		own++
+	}
+	if s.SSD != nil {
+		own++
+	}
+	if n := len(s.Engine.Actors()); n != own {
+		panic(fmt.Sprintf("harness: cannot snapshot a scenario with %d engine actors, %d registered by the scenario", n, own))
+	}
+	for _, o := range s.Engine.Observers() {
+		switch o := o.(type) {
+		case *Monitor:
+			if o == s.Monitor {
+				continue
+			}
+		case *core.Controller:
+			if o == s.Controller {
+				continue
+			}
+		}
+		panic(fmt.Sprintf("harness: cannot snapshot a scenario with foreign observer type %T", o))
+	}
 }

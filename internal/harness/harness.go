@@ -7,6 +7,7 @@ package harness
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"a4sim/internal/baseline"
 	"a4sim/internal/core"
@@ -184,14 +185,19 @@ type Scenario struct {
 	rng     *sim.RNG
 	started bool
 	// measureStart anchors the sampling schedule's phase: set by
-	// BeginMeasure, carried by fork and snapshot, so split and forked
+	// BeginMeasure, carried by the snapshot, so split and forked
 	// measurement windows keep the exact detailed/skipped interval sequence
 	// of an uninterrupted run.
 	measureStart sim.Tick
+	// recipe records how the scenario was built, so a snapshot can rebuild
+	// its structural skeleton before decoding state onto it (see fork.go).
+	recipe recipe
 }
 
 // NewScenario builds an empty scenario environment.
 func NewScenario(p Params) *Scenario {
+	given := p
+	given.Hierarchy.PortNames = slices.Clone(p.Hierarchy.PortNames)
 	d := DefaultParams()
 	if p.RateScale <= 0 {
 		p.RateScale = d.RateScale
@@ -240,6 +246,7 @@ func NewScenario(p Params) *Scenario {
 		Fabric: fabric,
 		H:      hierarchy.New(p.Hierarchy, fabric),
 		Alloc:  mem.NewAddressSpace(),
+		recipe: recipe{params: given},
 	}
 	s.rng = s.Engine.RNG().Fork()
 	s.Monitor = NewMonitor(s)
@@ -259,6 +266,11 @@ func (s *Scenario) ssdLinesPerSec() float64 {
 // EnsureNIC lazily creates the NIC with numRings rings; the NIC's DMA
 // traffic is attributed to wl.
 func (s *Scenario) EnsureNIC(numRings int, wl pcm.WorkloadID) *nic.NIC {
+	s.record(func(f *Scenario) { f.EnsureNIC(numRings, wl) })
+	return s.ensureNIC(numRings, wl)
+}
+
+func (s *Scenario) ensureNIC(numRings int, wl pcm.WorkloadID) *nic.NIC {
 	if s.NIC != nil {
 		return s.NIC
 	}
@@ -278,6 +290,11 @@ func (s *Scenario) EnsureNIC(numRings int, wl pcm.WorkloadID) *nic.NIC {
 
 // EnsureSSD lazily creates the SSD array.
 func (s *Scenario) EnsureSSD() *ssd.SSD {
+	s.record(func(f *Scenario) { f.EnsureSSD() })
+	return s.ensureSSD()
+}
+
+func (s *Scenario) ensureSSD() *ssd.SSD {
 	if s.SSD != nil {
 		return s.SSD
 	}
@@ -310,8 +327,10 @@ func (s *Scenario) register(w workload.Workload, prio workload.Priority) {
 // AddDPDK adds a DPDK-T (touch=true) or DPDK-NT workload on the given
 // cores, creating the NIC on demand.
 func (s *Scenario) AddDPDK(name string, cores []int, touch bool, prio workload.Priority) *workload.DPDK {
+	c := slices.Clone(cores)
+	s.record(func(f *Scenario) { f.AddDPDK(name, slices.Clone(c), touch, prio) })
 	id := s.Fabric.Register(name)
-	n := s.EnsureNIC(len(cores), id)
+	n := s.ensureNIC(len(cores), id)
 	d := workload.NewDPDK(workload.DPDKConfig{
 		Name:        name,
 		Cores:       cores,
@@ -327,8 +346,10 @@ func (s *Scenario) AddDPDK(name string, cores []int, touch bool, prio workload.P
 
 // AddFastclick adds the Fastclick proxy.
 func (s *Scenario) AddFastclick(cores []int, prio workload.Priority) *workload.DPDK {
+	c := slices.Clone(cores)
+	s.record(func(f *Scenario) { f.AddFastclick(slices.Clone(c), prio) })
 	id := s.Fabric.Register("fastclick")
-	n := s.EnsureNIC(len(cores), id)
+	n := s.ensureNIC(len(cores), id)
 	d := workload.NewFastclick(cores, s.H, n, id, s.P.RateScale)
 	s.register(d, prio)
 	return d
@@ -336,8 +357,10 @@ func (s *Scenario) AddFastclick(cores []int, prio workload.Priority) *workload.D
 
 // AddFIO adds the FIO workload with the given block size.
 func (s *Scenario) AddFIO(name string, cores []int, blockBytes, queueDepth int, prio workload.Priority) *workload.FIO {
+	c := slices.Clone(cores)
+	s.record(func(f *Scenario) { f.AddFIO(name, slices.Clone(c), blockBytes, queueDepth, prio) })
 	id := s.Fabric.Register(name)
-	dev := s.EnsureSSD()
+	dev := s.ensureSSD()
 	f := workload.NewFIO(workload.FIOConfig{
 		Name:         name,
 		Cores:        cores,
@@ -354,8 +377,10 @@ func (s *Scenario) AddFIO(name string, cores []int, blockBytes, queueDepth int, 
 
 // AddFFSB adds the FFSB-H (heavy=true) or FFSB-L proxy.
 func (s *Scenario) AddFFSB(name string, heavy bool, cores []int, prio workload.Priority) *workload.FIO {
+	c := slices.Clone(cores)
+	s.record(func(f *Scenario) { f.AddFFSB(name, heavy, slices.Clone(c), prio) })
 	id := s.Fabric.Register(name)
-	dev := s.EnsureSSD()
+	dev := s.ensureSSD()
 	f := workload.NewFFSB(name, heavy, cores, s.H, dev, id, s.Alloc, s.rng.Fork(), s.P.RateScale)
 	s.register(f, prio)
 	return f
@@ -363,6 +388,8 @@ func (s *Scenario) AddFFSB(name string, heavy bool, cores []int, prio workload.P
 
 // AddXMem adds an X-Mem instance.
 func (s *Scenario) AddXMem(name string, cores []int, wsBytes int64, pattern workload.Pattern, write bool, prio workload.Priority) *workload.Synthetic {
+	c := slices.Clone(cores)
+	s.record(func(f *Scenario) { f.AddXMem(name, slices.Clone(c), wsBytes, pattern, write, prio) })
 	x := workload.NewXMem(workload.XMemConfig{
 		Name:      name,
 		Cores:     cores,
@@ -377,6 +404,7 @@ func (s *Scenario) AddXMem(name string, cores []int, wsBytes int64, pattern work
 
 // AddSPEC adds a single-core SPEC CPU2017 proxy.
 func (s *Scenario) AddSPEC(bench string, core int, prio workload.Priority) *workload.Synthetic {
+	s.record(func(f *Scenario) { f.AddSPEC(bench, core, prio) })
 	w, err := workload.NewSPEC(bench, core, s.H, s.Alloc, s.rng.Fork(), s.P.RateScale)
 	if err != nil {
 		panic(err)
@@ -387,6 +415,7 @@ func (s *Scenario) AddSPEC(bench string, core int, prio workload.Priority) *work
 
 // AddRedisPair adds Redis-S and Redis-C on two cores.
 func (s *Scenario) AddRedisPair(serverCore, clientCore int, prioS, prioC workload.Priority) (*workload.Synthetic, *workload.Synthetic) {
+	s.record(func(f *Scenario) { f.AddRedisPair(serverCore, clientCore, prioS, prioC) })
 	srv := workload.NewRedisServer(serverCore, s.H, s.Alloc, s.rng.Fork(), s.P.RateScale)
 	s.register(srv, prioS)
 	cli := workload.NewRedisClient(clientCore, s.H, s.Alloc, s.rng.Fork(), s.P.RateScale)
@@ -396,6 +425,13 @@ func (s *Scenario) AddRedisPair(serverCore, clientCore int, prioS, prioC workloa
 
 // AddSynthetic adds a custom compute workload.
 func (s *Scenario) AddSynthetic(cfg workload.SyntheticConfig, prio workload.Priority) *workload.Synthetic {
+	c := cfg
+	c.Cores = slices.Clone(cfg.Cores)
+	s.record(func(f *Scenario) {
+		cfg := c
+		cfg.Cores = slices.Clone(c.Cores)
+		f.AddSynthetic(cfg, prio)
+	})
 	cfg.RateScale = s.P.RateScale
 	w := workload.NewSynthetic(cfg, s.H, s.Alloc, s.rng.Fork())
 	s.register(w, prio)
@@ -409,6 +445,7 @@ func (s *Scenario) Start(m ManagerSpec) {
 		panic("harness: Start called twice")
 	}
 	s.started = true
+	s.record(func(f *Scenario) { f.Start(m) })
 	if s.P.Sample.Enabled() {
 		if err := s.P.Sample.Validate(); err != nil {
 			panic(err)

@@ -114,7 +114,10 @@ func NewMonitor(s *Scenario) *Monitor {
 // EnableSeries selects the extended telemetry columns for subsequent
 // measurement windows. It must be called before BeginWindow (the scenario
 // layer calls it between Start and the first measurement).
-func (m *Monitor) EnableSeries(opts SeriesOpts) { m.opts = opts }
+func (m *Monitor) EnableSeries(opts SeriesOpts) {
+	m.s.record(func(f *Scenario) { f.Monitor.EnableSeries(opts) })
+	m.opts = opts
+}
 
 // SeriesOptions returns the current selection.
 func (m *Monitor) SeriesOptions() SeriesOpts { return m.opts }
@@ -127,49 +130,6 @@ func (m *Monitor) Series() *stats.Series {
 		return nil
 	}
 	return m.win.series
-}
-
-// fork returns an independent deep copy of the sampler bound to the forked
-// scenario: the last sample set, any open measurement window's series and
-// delta baselines, and the progress marks all carry over, so a window
-// opened before the fork closes on the fork with exactly the metrics — and
-// exactly the series rows — an uninterrupted run reports.
-func (m *Monitor) fork(s *Scenario) *Monitor {
-	n := &Monitor{
-		s:          s,
-		last:       append([]pcm.Sample(nil), m.last...),
-		lastMemRd:  m.lastMemRd,
-		lastMemWr:  m.lastMemWr,
-		collecting: m.collecting,
-		secs:       m.secs,
-		detailSecs: m.detailSecs,
-		opts:       m.opts,
-	}
-	if m.win != nil {
-		w := *m.win
-		w.series = m.win.series.Clone()
-		// Copy the row scratch's values, not just its shape: the sampled
-		// path replicates the previous row across fully skipped seconds.
-		w.row = append([]float64(nil), m.win.row...)
-		w.lastProg = append([]int64(nil), m.win.lastProg...)
-		if m.win.wlBase != nil {
-			w.wlBase = make(map[pcm.WorkloadID]int, len(m.win.wlBase))
-			for id, v := range m.win.wlBase {
-				w.wlBase[id] = v
-			}
-		}
-		if m.win.occScratch != nil {
-			w.occScratch = make(map[int16]int, len(m.win.occScratch))
-		}
-		n.win = &w
-	}
-	if m.progressMark != nil {
-		n.progressMark = make(map[pcm.WorkloadID]int64, len(m.progressMark))
-		for id, v := range m.progressMark {
-			n.progressMark[id] = v
-		}
-	}
-	return n
 }
 
 // Last returns the most recent per-second samples.

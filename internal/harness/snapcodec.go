@@ -11,20 +11,21 @@ import (
 	"a4sim/internal/workload"
 )
 
-// This file implements the durable form of the snapshot/fork contract:
-// Snapshot.Encode serializes a captured scenario's dynamic state to bytes,
-// and DecodeSnapshot restores it onto a freshly constructed scenario built
-// from the same spec. The split is "structure from spec, state from blob":
-// the byte stream carries only mutable state (RNG streams, cache arrays,
-// ring/command queues, controller state machine, open telemetry window),
-// while everything structural — geometry, workload set, column layout — is
-// rebuilt by the receiver from the canonical spec and validated against the
-// stream's fingerprint. A decoded snapshot forks into continuations that
-// are byte-identical to the original's (pinned by internal/scenario's
-// round-trip tests), which is what lets the service spill warm state to
-// disk and the cluster ship it between backends: anything restored can be
-// re-derived by plain re-execution, so a failed decode degrades to a fresh
-// run, never to wrong bytes.
+// This file implements the snapshot codec, the one form in which scenario
+// state is copied: Scenario.Snapshot serializes a scenario's dynamic state
+// to bytes, and decoding restores it onto a freshly constructed scenario —
+// one replayed from the recorded construction (Snapshot.Fork) or built
+// from the same spec (DecodeSnapshot). The split is "structure from
+// construction, state from blob": the byte stream carries only mutable
+// state (RNG streams, cache arrays, ring/command queues, controller state
+// machine, open telemetry window), while everything structural — geometry,
+// workload set, column layout — is rebuilt by the receiver and validated
+// against the stream's fingerprint. A decoded snapshot forks into
+// continuations that are byte-identical to the original's (pinned by
+// internal/scenario's round-trip tests), which is what lets the service
+// spill warm state to disk and the cluster ship it between backends:
+// anything restored can be re-derived by plain re-execution, so a failed
+// decode degrades to a fresh run, never to wrong bytes.
 
 // snapMagic and snapVersion identify the encoding. The version covers the
 // entire layer order and every per-package wire shape; any change to either
@@ -60,22 +61,47 @@ func wlKind(w workload.Workload) (uint8, error) {
 	}
 }
 
-// Encode serializes the captured state. The result decodes only onto a
-// scenario built from the same spec (same workloads, geometry, manager, and
-// series options); DecodeSnapshot validates that structurally.
-func (sn *Snapshot) Encode() ([]byte, error) {
-	w := &codec.Writer{}
-	if err := sn.EncodeTo(w); err != nil {
+// Encode returns the captured state's encoding. The result decodes only
+// onto a scenario built from the same spec (same workloads, geometry,
+// manager, and series options); DecodeSnapshot validates that
+// structurally. The bytes are the snapshot's own: callers must not modify
+// them.
+func (sn *Snapshot) Encode() ([]byte, error) { return sn.data, nil }
+
+// encoders recycles encode buffers. Each encoding is copied out at its
+// exact length, so a snapshot holds no spare capacity and the buffer's
+// growth is paid once per process rather than once per snapshot. It is a
+// free list, not a sync.Pool, because a pool may drop a buffer at any GC
+// and each drop costs a snapshot-sized regrowth. Four buffers cover the
+// concurrent snapshots of a sweep or serving worker pool on a few cores;
+// a snapshot taken while all four are out encodes into a new buffer.
+var encoders = make(chan *codec.Writer, 4)
+
+// encode serializes the scenario's dynamic state.
+func (s *Scenario) encode() ([]byte, error) {
+	var w *codec.Writer
+	select {
+	case w = <-encoders:
+	default:
+		w = &codec.Writer{}
+	}
+	defer func() {
+		w.Reset()
+		select {
+		case encoders <- w:
+		default:
+		}
+	}()
+	if err := s.encodeTo(w); err != nil {
 		return nil, err
 	}
-	return w.Bytes(), nil
+	out := make([]byte, w.Len())
+	copy(out, w.Bytes())
+	return out, nil
 }
 
-// EncodeTo appends the encoding Encode returns to w, so a caller that
-// frames the snapshot (the service's disk and wire wrap) writes header and
-// state into one buffer instead of copying the state a second time.
-func (sn *Snapshot) EncodeTo(w *codec.Writer) error {
-	s := sn.frozen
+// encodeTo appends the encoding of s to w.
+func (s *Scenario) encodeTo(w *codec.Writer) error {
 	w.Raw([]byte(snapMagic))
 	w.U32(snapVersion)
 
@@ -126,22 +152,32 @@ func (sn *Snapshot) EncodeTo(w *codec.Writer) error {
 	return nil
 }
 
-// DecodeSnapshot restores encoded state onto fresh, a just-started scenario
-// built from the same spec the snapshot was taken from (the caller obtains
-// it by re-running the spec's construction — cheap, no simulation). It
-// takes ownership of fresh: on success the returned snapshot wraps it (fork
-// the snapshot to obtain runnable scenarios); on error fresh is in an
-// undefined state and must be discarded.
+// DecodeSnapshot restores encoded state onto fresh, a just-started
+// scenario built from the same spec the snapshot was taken from (the
+// caller obtains it by re-running the spec's construction — cheap, no
+// simulation), validating it in full. On success the returned snapshot
+// holds fresh's recipe and the re-encoding of the restored state, so it
+// never aliases data and its bytes are always the encoder's own. fresh is
+// consumed either way: on error it is in an undefined state.
 func DecodeSnapshot(data []byte, fresh *Scenario) (*Snapshot, error) {
 	if !fresh.started {
 		return nil, fmt.Errorf("harness: DecodeSnapshot needs a started scenario")
 	}
+	if err := fresh.decode(data); err != nil {
+		return nil, err
+	}
+	return fresh.Snapshot(), nil
+}
+
+// decode restores encoded state onto s, a skeleton built by the recipe of
+// the scenario the state was taken from, validating structure first.
+func (s *Scenario) decode(data []byte) error {
 	r := codec.NewReader(data)
 	if string(r.Raw(len(snapMagic))) != snapMagic {
-		return nil, fmt.Errorf("harness: not a snapshot (bad magic)")
+		return fmt.Errorf("harness: not a snapshot (bad magic)")
 	}
 	if v := r.U32(); v != snapVersion {
-		return nil, fmt.Errorf("harness: snapshot version %d, want %d", v, snapVersion)
+		return fmt.Errorf("harness: snapshot version %d, want %d", v, snapVersion)
 	}
 
 	nActors := r.Int()
@@ -153,45 +189,45 @@ func DecodeSnapshot(data []byte, fresh *Scenario) (*Snapshot, error) {
 	sampleDetail := r.I64()
 	samplePeriod := r.I64()
 	if err := r.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	switch {
-	case nActors != len(fresh.Engine.Actors()):
-		return nil, fmt.Errorf("harness: snapshot has %d actors, scenario has %d", nActors, len(fresh.Engine.Actors()))
-	case nWorkloads != len(fresh.Workloads):
-		return nil, fmt.Errorf("harness: snapshot has %d workloads, scenario has %d", nWorkloads, len(fresh.Workloads))
-	case hasNIC != (fresh.NIC != nil):
-		return nil, fmt.Errorf("harness: snapshot and scenario disagree on NIC presence")
-	case hasSSD != (fresh.SSD != nil):
-		return nil, fmt.Errorf("harness: snapshot and scenario disagree on SSD presence")
-	case nFabric != fresh.Fabric.NumWorkloads():
-		return nil, fmt.Errorf("harness: snapshot has %d fabric workloads, scenario has %d", nFabric, fresh.Fabric.NumWorkloads())
-	case hasController != (fresh.Controller != nil):
-		return nil, fmt.Errorf("harness: snapshot and scenario disagree on controller presence")
-	case sampleDetail != fresh.P.Sample.DetailUs || samplePeriod != fresh.P.Sample.PeriodUs:
-		return nil, fmt.Errorf("harness: snapshot sampling schedule %d/%d differs from scenario's %d/%d",
-			sampleDetail, samplePeriod, fresh.P.Sample.DetailUs, fresh.P.Sample.PeriodUs)
+	case nActors != len(s.Engine.Actors()):
+		return fmt.Errorf("harness: snapshot has %d actors, scenario has %d", nActors, len(s.Engine.Actors()))
+	case nWorkloads != len(s.Workloads):
+		return fmt.Errorf("harness: snapshot has %d workloads, scenario has %d", nWorkloads, len(s.Workloads))
+	case hasNIC != (s.NIC != nil):
+		return fmt.Errorf("harness: snapshot and scenario disagree on NIC presence")
+	case hasSSD != (s.SSD != nil):
+		return fmt.Errorf("harness: snapshot and scenario disagree on SSD presence")
+	case nFabric != s.Fabric.NumWorkloads():
+		return fmt.Errorf("harness: snapshot has %d fabric workloads, scenario has %d", nFabric, s.Fabric.NumWorkloads())
+	case hasController != (s.Controller != nil):
+		return fmt.Errorf("harness: snapshot and scenario disagree on controller presence")
+	case sampleDetail != s.P.Sample.DetailUs || samplePeriod != s.P.Sample.PeriodUs:
+		return fmt.Errorf("harness: snapshot sampling schedule %d/%d differs from scenario's %d/%d",
+			sampleDetail, samplePeriod, s.P.Sample.DetailUs, s.P.Sample.PeriodUs)
 	}
 
-	fresh.Engine.DecodeState(r)
-	fresh.measureStart = sim.Tick(r.I64())
-	fresh.rng.SetState(r.U64())
-	fresh.Fabric.DecodeState(r)
-	fresh.H.DecodeState(r)
-	fresh.Alloc.DecodeState(r)
-	if fresh.NIC != nil {
-		fresh.NIC.DecodeState(r)
+	s.Engine.DecodeState(r)
+	s.measureStart = sim.Tick(r.I64())
+	s.rng.SetState(r.U64())
+	s.Fabric.DecodeState(r)
+	s.H.DecodeState(r)
+	s.Alloc.DecodeState(r)
+	if s.NIC != nil {
+		s.NIC.DecodeState(r)
 	}
-	if fresh.SSD != nil {
-		fresh.SSD.DecodeState(r)
+	if s.SSD != nil {
+		s.SSD.DecodeState(r)
 	}
-	for i, wl := range fresh.Workloads {
+	for i, wl := range s.Workloads {
 		want, err := wlKind(wl)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if got := r.U8(); r.Err() == nil && got != want {
-			return nil, fmt.Errorf("harness: snapshot workload %d has kind %d, scenario has %d", i, got, want)
+			return fmt.Errorf("harness: snapshot workload %d has kind %d, scenario has %d", i, got, want)
 		}
 		switch wl := wl.(type) {
 		case *workload.DPDK:
@@ -202,17 +238,17 @@ func DecodeSnapshot(data []byte, fresh *Scenario) (*Snapshot, error) {
 			wl.DecodeState(r)
 		}
 	}
-	fresh.Monitor.decodeState(r)
-	if fresh.Controller != nil {
-		fresh.Controller.DecodeState(r)
+	s.Monitor.decodeState(r)
+	if s.Controller != nil {
+		s.Controller.DecodeState(r)
 	}
 	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("harness: decode snapshot: %w", err)
+		return fmt.Errorf("harness: decode snapshot: %w", err)
 	}
 	if n := r.Remaining(); n != 0 {
-		return nil, fmt.Errorf("harness: snapshot has %d trailing bytes", n)
+		return fmt.Errorf("harness: snapshot has %d trailing bytes", n)
 	}
-	return &Snapshot{frozen: fresh}, nil
+	return nil
 }
 
 // encodeState appends the sampler's dynamic state: the last sample set,

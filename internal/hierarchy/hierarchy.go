@@ -133,30 +133,6 @@ func New(cfg Config, fabric *pcm.Fabric) *Hierarchy {
 	return h
 }
 
-// Fork returns an independent deep copy of the whole memory system wired to
-// the given (already cloned) counter fabric: LLC, MLCs, extended directory,
-// memory controller, CAT state, PCIe complex, and the migration-race RNG.
-// The copy shares no mutable state with the original, so forked simulations
-// diverge freely while replaying identically from the fork point.
-func (h *Hierarchy) Fork(fabric *pcm.Fabric) *Hierarchy {
-	n := &Hierarchy{
-		cfg:    h.cfg,
-		llc:    h.llc.Clone(),
-		dir:    h.dir.Clone(),
-		mem:    h.mem.Clone(),
-		cat:    h.cat.Clone(),
-		pcie:   h.pcie.Clone(),
-		fabric: fabric,
-		rng:    h.rng,
-	}
-	n.cfg.PortNames = append([]string(nil), h.cfg.PortNames...)
-	n.mlcs = make([]*mlc.MLC, len(h.mlcs))
-	for i, m := range h.mlcs {
-		n.mlcs[i] = m.Clone()
-	}
-	return n
-}
-
 // FastForward is the memory system's seam in the sampled-execution contract
 // (sim.FastForwarder, called by the harness per skipped gap since the
 // hierarchy is passive, not an engine actor). The model is steady-state

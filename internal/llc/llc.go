@@ -89,18 +89,6 @@ func New(g Geometry) *LLC {
 	return l
 }
 
-// Clone returns an independent deep copy: the array plus the current way
-// masks (DCA reconfiguration on the original does not leak into the copy).
-func (l *LLC) Clone() *LLC {
-	return &LLC{
-		geom:          l.geom,
-		arr:           l.arr.Clone(),
-		dcaMask:       l.dcaMask,
-		inclusiveMask: l.inclusiveMask,
-		allMask:       l.allMask,
-	}
-}
-
 // Geometry returns the configured geometry.
 func (l *LLC) Geometry() Geometry { return l.geom }
 

@@ -13,13 +13,6 @@ func NewAddressSpace() *AddressSpace {
 	return &AddressSpace{nextLine: 1 << 10}
 }
 
-// Clone returns an independent copy of the allocator cursor, so a forked
-// simulation can keep allocating without racing the original for addresses.
-func (a *AddressSpace) Clone() *AddressSpace {
-	n := *a
-	return &n
-}
-
 // Alloc reserves sizeBytes (rounded up to whole lines) and returns the first
 // line address of the region.
 func (a *AddressSpace) Alloc(sizeBytes int64) uint64 {

@@ -25,13 +25,6 @@ type Controller struct {
 // New returns an empty controller.
 func New() *Controller { return &Controller{} }
 
-// Clone returns an independent copy of the accounting state, including the
-// pending (un-Delta'd) byte counts.
-func (c *Controller) Clone() *Controller {
-	n := *c
-	return &n
-}
-
 // ReadLine accounts one 64-byte line read from DRAM.
 func (c *Controller) ReadLine() { c.readBytes += LineBytes }
 

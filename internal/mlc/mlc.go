@@ -34,11 +34,6 @@ func New(g Geometry, core int16) *MLC {
 	return &MLC{arr: cache.New(g.Sets, g.Ways), core: core, all: cache.MaskAll(g.Ways)}
 }
 
-// Clone returns an independent deep copy of the MLC.
-func (m *MLC) Clone() *MLC {
-	return &MLC{arr: m.arr.Clone(), core: m.core, all: m.all}
-}
-
 // Core returns the owning core index.
 func (m *MLC) Core() int16 { return m.core }
 

@@ -121,30 +121,6 @@ func New(cfg Config, h *hierarchy.Hierarchy, wl pcm.WorkloadID, alloc *mem.Addre
 	return n
 }
 
-// Fork returns an independent deep copy of the NIC wired to the given
-// (already forked) hierarchy: ring contents, arrival stamps, RSS cursor,
-// mid-packet DMA progress, and drop/delivery counters all carry over, so the
-// copy's packet stream continues exactly where the original's left off.
-func (n *NIC) Fork(h *hierarchy.Hierarchy) *NIC {
-	f := &NIC{
-		cfg:         n.cfg,
-		h:           h,
-		wl:          n.wl,
-		currentRing: n.currentRing,
-		lineInPkt:   n.lineInPkt,
-		dropped:     n.dropped,
-		written:     n.written,
-		rate:        n.rate,
-	}
-	f.rings = make([]*Ring, len(n.rings))
-	for i, r := range n.rings {
-		cr := *r
-		cr.stamps = append([]float64(nil), r.stamps...)
-		f.rings[i] = &cr
-	}
-	return f
-}
-
 // Name implements sim.Actor.
 func (n *NIC) Name() string { return n.cfg.Name }
 

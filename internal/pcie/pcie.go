@@ -69,18 +69,6 @@ func NewComplex(names ...string) *Complex {
 	return c
 }
 
-// Clone returns an independent deep copy of the complex: per-port DCA
-// knobs, traffic accounting (including pending deltas), and the global
-// switch.
-func (c *Complex) Clone() *Complex {
-	n := &Complex{globalDCA: c.globalDCA, ports: make([]*Port, len(c.ports))}
-	for i, p := range c.ports {
-		cp := *p
-		n.ports[i] = &cp
-	}
-	return n
-}
-
 // Port returns port i.
 func (c *Complex) Port(i int) *Port {
 	if i < 0 || i >= len(c.ports) {

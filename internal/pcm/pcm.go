@@ -89,18 +89,6 @@ func NewFabric(rateScale float64) *Fabric {
 	return &Fabric{RateScale: rateScale}
 }
 
-// Clone returns an independent deep copy of the fabric: every counter block
-// is copied, including the delta baselines, so a forked simulation's samples
-// continue exactly where the original's left off.
-func (f *Fabric) Clone() *Fabric {
-	n := &Fabric{RateScale: f.RateScale, counters: make([]*Counters, len(f.counters))}
-	for i, c := range f.counters {
-		cc := *c
-		n.counters[i] = &cc
-	}
-	return n
-}
-
 // Register adds a workload and returns its ID.
 func (f *Fabric) Register(name string) WorkloadID {
 	f.counters = append(f.counters, &Counters{Name: name})

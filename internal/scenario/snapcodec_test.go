@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"a4sim/internal/harness"
@@ -204,5 +205,36 @@ func TestDecodeSnapshotRejectsMismatch(t *testing.T) {
 	padded := append(append([]byte(nil), data...), 0xA4)
 	if _, err := harness.DecodeSnapshot(padded, startSkeleton(t, sp)); err == nil {
 		t.Error("trailing bytes must fail to decode")
+	}
+}
+
+// TestSnapshotEncodeAllocation pins the encoder's allocation: state is
+// encoded into a reused scratch buffer and copied out at exactly its
+// length, so once the buffer is primed a tiny-mix snapshot allocates less
+// than twice the bytes it holds, and holds no spare capacity.
+func TestSnapshotEncodeAllocation(t *testing.T) {
+	sp := snapMixSpec(t, "tiny")
+	s := startSkeleton(t, sp)
+	s.Warm(1)
+	s.BeginMeasure()
+	s.Measure(1)
+	s.Snapshot() // primes the scratch buffer
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sn := s.Snapshot()
+	runtime.ReadMemStats(&after)
+	data, err := sn.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(data) != len(data) {
+		t.Errorf("snapshot holds %d bytes of capacity for %d bytes of state", cap(data), len(data))
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("encoded %d bytes, allocated %d", len(data), alloc)
+	if alloc >= 2*uint64(len(data)) {
+		t.Errorf("encoding %d bytes allocated %d bytes (%.2fx), want under 2x",
+			len(data), alloc, float64(alloc)/float64(len(data)))
 	}
 }

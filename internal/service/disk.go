@@ -46,17 +46,20 @@ const (
 	snapWrapVersion = 1
 )
 
-// encodeSnapWrap frames snap with its measured seconds and spec, encoding
-// the snapshot straight into the frame's buffer.
+// encodeSnapWrap frames snap's encoding with its measured seconds and
+// spec. The snapshot is already encoded; framing is one copy.
 func encodeSnapWrap(measured float64, spec []byte, snap *harness.Snapshot) ([]byte, error) {
+	data, err := snap.Encode()
+	if err != nil {
+		return nil, err
+	}
 	w := &codec.Writer{}
+	w.Grow(len(snapWrapMagic) + 4 + 8 + 4 + len(spec) + 4 + len(data))
 	w.Raw([]byte(snapWrapMagic))
 	w.U32(snapWrapVersion)
 	w.F64(measured)
 	w.Blob(spec)
-	if err := w.Nested(snap.EncodeTo); err != nil {
-		return nil, err
-	}
+	w.Blob(data)
 	return w.Bytes(), nil
 }
 
@@ -81,7 +84,9 @@ func decodeSnapWrap(data []byte) (measured float64, spec, snap []byte, err error
 }
 
 // depositSnap stores a warm snapshot in the memory cache and, when that
-// actually advanced the prefix's state, mirrors it to the durable store.
+// actually advanced the prefix's state, mirrors it to the durable store. A
+// snapshot is its encoded bytes, so memory and the store hold one encoding
+// and the store write only frames it.
 // The disk write is best-effort and ordered after the memory decision;
 // concurrent advances can at worst leave disk one step behind memory, which
 // costs re-simulation after a restart, never a wrong result.
@@ -156,8 +161,9 @@ func decodeWrappedSnapshot(prefix string, data []byte) (*harness.Snapshot, float
 }
 
 // SnapshotBytes exports the warm snapshot for prefix in wrapped form — the
-// body the cluster ships on a handoff. Memory is preferred (freshest);
-// otherwise the durable store's copy is forwarded as-is.
+// body the cluster ships on a handoff. Memory is preferred (freshest; its
+// bytes are framed, not re-encoded); otherwise the durable store's copy is
+// forwarded as-is.
 func (s *Service) SnapshotBytes(prefix string) ([]byte, bool) {
 	if s.snaps != nil {
 		if snap, measured, spec, ok := s.snaps.get(prefix); ok {

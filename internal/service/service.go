@@ -43,12 +43,13 @@ type Config struct {
 	// fast with ErrBusy instead of growing memory without bound. 0 means
 	// 4096 (one full-size sweep).
 	MaxQueue int
-	// SnapshotEntries caps the warm-state snapshot cache: full deep copies
-	// of executed scenarios at their last measured second, keyed by the
-	// spec's prefix hash, from which longer measurement windows fork and
-	// continue instead of re-simulating the shared prefix. Each entry holds
-	// a complete simulation image (several MB at the Skylake geometry), so
-	// the cap is deliberately small. 0 means 8; negative disables snapshot
+	// SnapshotEntries caps the warm-state snapshot cache: encoded
+	// snapshots of executed scenarios at their last measured second, keyed
+	// by the spec's prefix hash, from which longer measurement windows fork
+	// and continue instead of re-simulating the shared prefix. Each entry
+	// holds the same bytes the store and /snapshot export carry (about
+	// 3 MB for the tiny mix at the Skylake geometry), so the cap is
+	// deliberately small. 0 means 8; negative disables snapshot
 	// reuse entirely.
 	SnapshotEntries int
 	// Store, when non-nil, is the durable content-addressed object store
@@ -716,8 +717,8 @@ func (s *Service) TraceEvents(hash string, n int) ([]byte, bool) {
 	return data, true
 }
 
-// snapStore is a bounded LRU of warm simulation snapshots keyed by prefix
-// hash. One entry per prefix: put keeps the longest-measured state, since
+// snapStore is a bounded LRU of warm simulation snapshots (encoded state
+// plus construction recipe) keyed by prefix hash. One entry per prefix: put keeps the longest-measured state, since
 // any request at or past it can continue from there while earlier states
 // would re-simulate more.
 type snapStore struct {

@@ -338,8 +338,16 @@ func TestSubmitBackpressure(t *testing.T) {
 	svc := New(Config{Workers: 1, MaxQueue: 1})
 	defer svc.Close()
 
-	// Fill the queue without signalling, so the worker stays asleep (Go
-	// conds have no spurious wakeups) and the state is deterministic.
+	// Occupy the single worker with a job seen to start that blocks until
+	// released, then fill the queue behind it, so the state is
+	// deterministic whenever the worker goroutine got scheduled.
+	started, release := make(chan struct{}), make(chan struct{})
+	defer close(release) // runs before Close, which waits for the job
+	svc.qmu.Lock()
+	svc.queue = append(svc.queue, func() { close(started); <-release })
+	svc.work.Signal()
+	svc.qmu.Unlock()
+	<-started
 	svc.qmu.Lock()
 	svc.queue = append(svc.queue, func() {})
 	svc.qmu.Unlock()

@@ -142,27 +142,6 @@ func (e *Engine) Observers() []Observer {
 	return append([]Observer(nil), e.observers...)
 }
 
-// Fork returns an engine that continues this one's simulated time, RNG
-// stream, and per-actor budget carries, but steps the given actor and
-// observer sets instead. The caller supplies deep copies of the original
-// actors in the same registration order, so the fork replays exactly the
-// schedule the original would have run — this is the engine's half of the
-// scenario snapshot/fork contract. Fork panics if the actor count differs
-// from the original's, since the budget carries are matched by position.
-func (e *Engine) Fork(actors []Actor, observers []Observer) *Engine {
-	if len(actors) != len(e.actors) {
-		panic(fmt.Sprintf("sim: Fork with %d actors, engine has %d", len(actors), len(e.actors)))
-	}
-	return &Engine{
-		now:       e.now,
-		actors:    append([]Actor(nil), actors...),
-		observers: append([]Observer(nil), observers...),
-		rng:       e.rng.Clone(),
-		carry:     append([]float64(nil), e.carry...),
-		ffSkipped: e.ffSkipped,
-	}
-}
-
 // SkippedTicks returns how many ticks of the current simulated second were
 // fast-forwarded rather than executed in detail. It is meaningful during an
 // OnSecond callback (where TicksPerSecond - SkippedTicks() is the detailed

@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+
+	"a4sim/internal/codec"
+)
 
 // TestStopDoesNotLatch is the regression test for the latched-stop bug: a
 // Stop during one Run (e.g. warm-up) must not turn the next Run (the
@@ -38,9 +42,11 @@ func TestStopBetweenRunsIsDiscarded(t *testing.T) {
 	}
 }
 
-// TestEngineForkContinues checks the engine-level fork contract: a fork with
-// equivalent actors replays the same schedule (time, budgets, carries).
-func TestEngineForkContinues(t *testing.T) {
+// TestEngineStateContinues checks the engine's half of the snapshot
+// contract: an engine rebuilt with equivalent actors and restored from the
+// encoded state replays the same schedule (time, budgets, carries), and a
+// state with a different actor count fails the read.
+func TestEngineStateContinues(t *testing.T) {
 	e := NewEngine(7)
 	a := &countingActor{name: "a", rate: 333} // fractional carry is the point
 	e.AddActor(a)
@@ -48,35 +54,44 @@ func TestEngineForkContinues(t *testing.T) {
 	e.AddObserver(FuncObserver(func(now Tick) { secs = append(secs, now) }))
 	e.Run(1.5)
 
+	w := &codec.Writer{}
+	e.EncodeState(w)
 	fa := *a // countingActor state is plain data
-	f := e.Fork([]Actor{&fa}, []Observer{FuncObserver(func(Tick) {})})
+	f := NewEngine(99)
+	f.AddActor(&fa)
+	f.AddObserver(FuncObserver(func(Tick) {}))
+	r := codec.NewReader(w.Bytes())
+	f.DecodeState(r)
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
 	if f.Now() != e.Now() {
-		t.Fatalf("fork time %v != original %v", f.Now(), e.Now())
+		t.Fatalf("restored time %v != original %v", f.Now(), e.Now())
 	}
 	e.Run(1.5)
 	f.Run(1.5)
 	if fa.ops != a.ops || fa.steps != a.steps || fa.lastAt != a.lastAt {
-		t.Errorf("forked actor diverged: ops %d vs %d, steps %d vs %d",
+		t.Errorf("restored actor diverged: ops %d vs %d, steps %d vs %d",
 			fa.ops, a.ops, fa.steps, a.steps)
 	}
 
-	defer func() {
-		if recover() == nil {
-			t.Errorf("Fork with mismatched actor count should panic")
-		}
-	}()
-	e.Fork(nil, nil)
+	r = codec.NewReader(w.Bytes())
+	NewEngine(7).DecodeState(r)
+	if r.Err() == nil {
+		t.Errorf("decoding onto an engine with a different actor count should fail")
+	}
 }
 
-// TestRNGClone pins that Clone continues the identical stream while Fork
-// derives a new one.
-func TestRNGClone(t *testing.T) {
+// TestRNGStateContinues pins that restoring a generator's state word
+// continues the identical stream.
+func TestRNGStateContinues(t *testing.T) {
 	r := NewRNG(42)
 	r.Uint64()
-	c := r.Clone()
+	c := NewRNG(1)
+	c.SetState(r.State())
 	for i := 0; i < 32; i++ {
 		if r.Uint64() != c.Uint64() {
-			t.Fatalf("clone diverged at draw %d", i)
+			t.Fatalf("restored generator diverged at draw %d", i)
 		}
 	}
 }

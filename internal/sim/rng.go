@@ -64,14 +64,6 @@ func (r *RNG) Fork() *RNG {
 	return NewRNG(r.Uint64() | 1)
 }
 
-// Clone returns an exact copy of the generator: the clone continues the same
-// stream from the same position. This is the snapshot primitive — unlike
-// Fork, which advances the parent and derives a new stream.
-func (r *RNG) Clone() *RNG {
-	c := *r
-	return &c
-}
-
 // Zipf draws from a bounded Zipf-like distribution over [0, n) with skew s
 // using inverse-CDF over a precomputed table-free approximation. For the
 // workload generators a coarse approximation is sufficient: rank is drawn as

@@ -24,7 +24,7 @@ func (e *Engine) EncodeState(w *codec.Writer) {
 
 // DecodeState restores state written by EncodeState. The carry count must
 // match the engine's registered actor count (budget carries are matched by
-// position, exactly as in Fork); a mismatch means the snapshot was taken
+// position); a mismatch means the snapshot was taken
 // from a structurally different scenario and fails the read.
 func (e *Engine) DecodeState(r *codec.Reader) {
 	now := r.I64()

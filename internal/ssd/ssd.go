@@ -83,42 +83,6 @@ func New(cfg Config, h *hierarchy.Hierarchy) *SSD {
 	return &SSD{cfg: cfg, h: h}
 }
 
-// Clone returns an independent copy of a command, including its private
-// service progress. Commands are owned by exactly one queue at a time (the
-// array's in-flight/done lists until Drain, the consuming workload's
-// completion queues after), so each owner deep-copies its own commands when
-// the simulation forks.
-func (c *Command) Clone() *Command {
-	n := *c
-	return &n
-}
-
-// Fork returns an independent deep copy of the array wired to the given
-// (already forked) hierarchy. In-flight and completed-but-undrained commands
-// are cloned, so the fork's service schedule continues identically.
-func (s *SSD) Fork(h *hierarchy.Hierarchy) *SSD {
-	f := &SSD{
-		cfg:            s.cfg,
-		h:              h,
-		next:           s.next,
-		completedBytes: s.completedBytes,
-		servicedCmds:   s.servicedCmds,
-	}
-	if s.inflight != nil {
-		f.inflight = make([]*Command, len(s.inflight))
-		for i, c := range s.inflight {
-			f.inflight[i] = c.Clone()
-		}
-	}
-	if s.done != nil {
-		f.done = make([]*Command, len(s.done))
-		for i, c := range s.done {
-			f.done[i] = c.Clone()
-		}
-	}
-	return f
-}
-
 // Name implements sim.Actor.
 func (s *SSD) Name() string { return s.cfg.Name }
 

@@ -124,16 +124,6 @@ func (h *Histogram) Merge(o *Histogram) {
 	h.sum += o.sum
 }
 
-// Clone returns an independent copy, so a lock-guarded histogram can be
-// snapshotted once and read (exposed, quantiled) outside the lock.
-func (h *Histogram) Clone() *Histogram {
-	return &Histogram{
-		counts: append([]uint64(nil), h.counts...),
-		total:  h.total,
-		sum:    h.sum,
-	}
-}
-
 // Cumulative returns the distribution at power-of-two boundaries for
 // exposition: bounds[k] is 2^k (covering the recorded range) and cum[k]
 // counts the recorded values strictly below it. Empty for an empty

@@ -109,7 +109,8 @@ func TestHistogramMergeAssociative(t *testing.T) {
 	bc := NewHistogram()
 	bc.Merge(parts[1])
 	bc.Merge(parts[2])
-	right := parts[0].Clone()
+	right := NewHistogram()
+	right.Merge(parts[0])
 	right.Merge(bc)
 	want := all.mustEncode(t)
 	if got := left.mustEncode(t); !bytes.Equal(got, want) {

@@ -12,7 +12,7 @@ import (
 // over the columns, and reports carry the canonical encoding.
 //
 // Series is append-only, which is what makes run extension cheap: a forked
-// simulation clones the series and keeps appending, so an extended run's
+// simulation decodes the series and keeps appending, so an extended run's
 // series is byte-identical to a fresh longer run's (the fork contract,
 // pinned by internal/service's tests).
 type Series struct {
@@ -108,26 +108,6 @@ func (s *Series) SumInt(name string) int64 {
 		sum += int64(v)
 	}
 	return sum
-}
-
-// Clone returns an independent deep copy.
-func (s *Series) Clone() *Series {
-	if s == nil {
-		return nil
-	}
-	n := &Series{
-		names: append([]string(nil), s.names...),
-		index: make(map[string]int, len(s.index)),
-		cols:  make([][]float64, len(s.cols)),
-		rows:  s.rows,
-	}
-	for k, v := range s.index {
-		n.index[k] = v
-	}
-	for i, c := range s.cols {
-		n.cols[i] = append([]float64(nil), c...)
-	}
-	return n
 }
 
 // wireSeries is the canonical JSON shape of a series.

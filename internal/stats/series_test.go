@@ -3,6 +3,8 @@ package stats
 import (
 	"bytes"
 	"testing"
+
+	"a4sim/internal/codec"
 )
 
 func TestSeriesAppendAndReduce(t *testing.T) {
@@ -72,21 +74,26 @@ func TestSeriesDuplicateColumnPanics(t *testing.T) {
 	NewSeries("a", "a")
 }
 
-func TestSeriesCloneIndependent(t *testing.T) {
+// TestSeriesStateRoundTripIndependent pins the snapshot form of a series:
+// the decoded copy has the same rows and shares no storage with the
+// original.
+func TestSeriesStateRoundTripIndependent(t *testing.T) {
 	s := NewSeries("a")
 	s.Append(1)
-	c := s.Clone()
+	w := &codec.Writer{}
+	s.EncodeState(w)
+	r := codec.NewReader(w.Bytes())
+	c := DecodeSeriesState(r)
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
 	s.Append(2)
 	if c.Len() != 1 || s.Len() != 2 {
-		t.Fatalf("clone rows = %d (want 1), original = %d (want 2)", c.Len(), s.Len())
+		t.Fatalf("decoded rows = %d (want 1), original = %d (want 2)", c.Len(), s.Len())
 	}
 	c.Append(9)
 	if s.Column("a")[1] != 2 {
-		t.Fatal("clone append leaked into original")
-	}
-	var nilSeries *Series
-	if nilSeries.Clone() != nil {
-		t.Fatal("nil Clone should be nil")
+		t.Fatal("decoded append leaked into original")
 	}
 }
 

@@ -49,15 +49,6 @@ func (r *Reservoir) Add(v float64) {
 	}
 }
 
-// Clone returns an independent deep copy of the reservoir, including the
-// replacement RNG stream, so original and copy evolve identically under
-// identical sample streams.
-func (r *Reservoir) Clone() *Reservoir {
-	n := *r
-	n.samples = append([]float64(nil), r.samples...)
-	return &n
-}
-
 // Count returns how many samples have been offered (not retained).
 func (r *Reservoir) Count() int64 { return r.seen }
 

@@ -33,7 +33,7 @@ func (b *Base) decodeState(r *codec.Reader) { b.progress = r.I64() }
 
 // EncodeState appends the workload's dynamic state. Stream aliasing is
 // encoded explicitly — per-slot indices into a unique-stream table — so a
-// SharedWS workload round-trips with its sharing intact, mirroring Fork.
+// SharedWS workload round-trips with its sharing intact.
 func (s *Synthetic) EncodeState(w *codec.Writer) {
 	s.Base.encodeState(w)
 	w.Int(s.rr)

@@ -69,25 +69,6 @@ func NewDPDK(cfg DPDKConfig, h *hierarchy.Hierarchy, n *nic.NIC, id pcm.Workload
 	}
 }
 
-// Fork returns an independent deep copy of the workload wired to the given
-// (already forked) hierarchy and NIC: poll cursor, instruction accumulator,
-// and latency reservoirs (including their sampling RNG streams) carry over.
-func (d *DPDK) Fork(h *hierarchy.Hierarchy, n *nic.NIC) *DPDK {
-	f := &DPDK{
-		Base:    d.Base.fork(h),
-		cfg:     d.cfg,
-		nic:     n,
-		rr:      d.rr,
-		lat:     d.lat.Clone(),
-		waitLat: d.waitLat.Clone(),
-		descLat: d.descLat.Clone(),
-		procLat: d.procLat.Clone(),
-		instAcc: d.instAcc,
-	}
-	f.cfg.Cores = append([]int(nil), d.cfg.Cores...)
-	return f
-}
-
 // SetPort records the NIC's PCIe port for A4's device mapping.
 func (d *DPDK) SetPort(p int) { d.port = p }
 

@@ -107,55 +107,6 @@ func NewFIO(cfg FIOConfig, h *hierarchy.Hierarchy, dev *ssd.SSD, id pcm.Workload
 	return f
 }
 
-// Fork returns an independent deep copy of the workload wired to the given
-// (already forked) hierarchy and SSD array. Buffer pool addresses are shared
-// immutable data and copied as values; queued completions and the per-thread
-// in-processing commands are cloned, since commands drained from the array
-// are owned by this workload.
-func (f *FIO) Fork(h *hierarchy.Hierarchy, dev *ssd.SSD) *FIO {
-	n := &FIO{
-		Base:       f.Base.fork(h),
-		cfg:        f.cfg,
-		dev:        dev,
-		rng:        f.rng.Clone(),
-		readLat:    f.readLat.Clone(),
-		procLat:    f.procLat.Clone(),
-		rr:         f.rr,
-		started:    f.started,
-		instAcc:    f.instAcc,
-		curLine:    append([]int(nil), f.curLine...),
-		curStarted: append([]float64(nil), f.curStarted...),
-	}
-	n.cfg.Cores = append([]int(nil), f.cfg.Cores...)
-	n.slots = make([][]uint64, len(f.slots))
-	for t, pool := range f.slots {
-		n.slots[t] = append([]uint64(nil), pool...)
-	}
-	if f.userSlots != nil {
-		n.userSlots = make([][]uint64, len(f.userSlots))
-		for t, pool := range f.userSlots {
-			n.userSlots[t] = append([]uint64(nil), pool...)
-		}
-	}
-	n.completed = make([][]*ssd.Command, len(f.completed))
-	for t, q := range f.completed {
-		if q == nil {
-			continue
-		}
-		n.completed[t] = make([]*ssd.Command, len(q))
-		for i, c := range q {
-			n.completed[t][i] = c.Clone()
-		}
-	}
-	n.curCmd = make([]*ssd.Command, len(f.curCmd))
-	for t, c := range f.curCmd {
-		if c != nil {
-			n.curCmd[t] = c.Clone()
-		}
-	}
-	return n
-}
-
 func devPort(d *ssd.SSD) int {
 	// The SSD's port is part of its config; expose through a tiny accessor.
 	return d.Port()

@@ -105,15 +105,6 @@ func NewBase(name string, id pcm.WorkloadID, cores []int, class Class, port int,
 	}
 }
 
-// fork returns a copy of the shared bookkeeping re-wired to the given
-// (already forked) hierarchy.
-func (b *Base) fork(h *hierarchy.Hierarchy) Base {
-	n := *b
-	n.h = h
-	n.cores = append([]int(nil), b.cores...)
-	return n
-}
-
 // Name implements sim.Actor.
 func (b *Base) Name() string { return b.name }
 
@@ -176,14 +167,6 @@ func NewStream(alloc *mem.AddressSpace, wsBytes int64, p Pattern, skew float64, 
 		Skew:    skew,
 		rng:     rng,
 	}
-}
-
-// clone returns an independent copy of the stream: same working set, same
-// RNG position, same sequential cursor.
-func (s *Stream) clone() *Stream {
-	n := *s
-	n.rng = s.rng.Clone()
-	return &n
 }
 
 // skip advances the stream past n accesses without producing addresses: the

@@ -82,36 +82,6 @@ func NewSynthetic(cfg SyntheticConfig, h *hierarchy.Hierarchy, alloc *mem.Addres
 	return s
 }
 
-// Fork returns an independent deep copy of the workload wired to the given
-// (already forked) hierarchy. Stream aliasing is preserved: under SharedWS
-// every core slot points at one Stream, and the fork keeps that sharing
-// (with one cloned Stream) instead of splitting it into per-core cursors,
-// which would diverge from the original's access order.
-func (s *Synthetic) Fork(h *hierarchy.Hierarchy) *Synthetic {
-	n := &Synthetic{
-		Base:    s.Base.fork(h),
-		cfg:     s.cfg,
-		rng:     s.rng.Clone(),
-		rr:      s.rr,
-		instAcc: s.instAcc,
-		obsAcc:  s.obsAcc,
-		obsCyc:  s.obsCyc,
-		ffAcc:   s.ffAcc,
-	}
-	n.cfg.Cores = append([]int(nil), s.cfg.Cores...)
-	clones := make(map[*Stream]*Stream, len(s.streams))
-	n.streams = make([]*Stream, len(s.streams))
-	for i, st := range s.streams {
-		c, ok := clones[st]
-		if !ok {
-			c = st.clone()
-			clones[st] = c
-		}
-		n.streams[i] = c
-	}
-	return n
-}
-
 // Step implements sim.Actor: issue accesses until the cycle budget is spent.
 func (s *Synthetic) Step(now sim.Tick, budget int) int {
 	spent := 0
