@@ -54,7 +54,6 @@ func encodeSnapWrap(measured float64, spec []byte, snap *harness.Snapshot) ([]by
 		return nil, err
 	}
 	w := &codec.Writer{}
-	w.Grow(len(snapWrapMagic) + 4 + 8 + 4 + len(spec) + 4 + len(data))
 	w.Raw([]byte(snapWrapMagic))
 	w.U32(snapWrapVersion)
 	w.F64(measured)
