@@ -1,15 +1,15 @@
-// Benchmarks regenerating every figure of the paper (trimmed sweeps via
-// figures.Options.Quick) plus microbenchmarks of the simulation substrate.
-// Each figure benchmark reports its headline numbers with b.ReportMetric so
-// `go test -bench=.` output doubles as a compact reproduction record; run
-// cmd/a4bench for the full tables.
+// Microbenchmarks of the simulation substrate: hierarchy accesses, one
+// simulated second of the micro mix on each execution path, and the sweep
+// fork win. cmd/a4pair's gate workload runs BenchmarkScenarioSecond,
+// BenchmarkSweepFork and BenchmarkScenarioSecondSampled on a base revision
+// and on HEAD and judges their medians; the figures themselves run in
+// internal/figures' determinism tests and in perfbench's figures workload.
 package a4sim_test
 
 import (
 	"testing"
 	"time"
 
-	"a4sim/internal/figures"
 	"a4sim/internal/harness"
 	"a4sim/internal/hierarchy"
 	"a4sim/internal/obs"
@@ -17,158 +17,6 @@ import (
 	"a4sim/internal/stats"
 	"a4sim/internal/workload"
 )
-
-// benchFigure runs one figure per iteration and lets the caller extract
-// headline metrics from the final report.
-func benchFigure(b *testing.B, id string, metrics func(r *figures.Report, b *testing.B)) {
-	benchFigureOpts(b, id, figures.Options{Quick: true}, metrics)
-}
-
-func benchFigureOpts(b *testing.B, id string, opts figures.Options, metrics func(r *figures.Report, b *testing.B)) {
-	b.Helper()
-	fn, ok := figures.Registry[id]
-	if !ok {
-		b.Fatalf("unknown figure %s", id)
-	}
-	var rep *figures.Report
-	for i := 0; i < b.N; i++ {
-		rep = fn(opts)
-	}
-	if rep != nil && metrics != nil {
-		metrics(rep, b)
-	}
-}
-
-// evalBenchOpts compresses the A4 warm-up for the evaluation figures so the
-// whole suite fits a single bench run; the controller converges part-way,
-// which is enough for the reported headline metrics (full-length runs live
-// in cmd/a4bench and results/).
-var evalBenchOpts = figures.Options{Quick: true, Warmup: 10, Measure: 3}
-
-func report(b *testing.B, rep *figures.Report, metric, series, label string) {
-	b.Helper()
-	if v, ok := rep.Value(series, label); ok {
-		b.ReportMetric(v, metric)
-	}
-}
-
-func BenchmarkFig3a(b *testing.B) {
-	benchFigure(b, "3a", func(r *figures.Report, b *testing.B) {
-		report(b, r, "xmemMiss@dca", "xmem-llc-miss", "[0:1]")
-		report(b, r, "xmemMiss@std", "xmem-llc-miss", "[3:4]")
-	})
-}
-
-func BenchmarkFig3b(b *testing.B) {
-	benchFigure(b, "3b", func(r *figures.Report, b *testing.B) {
-		report(b, r, "xmemMiss@bloat", "xmem-llc-miss", "[5:6]")
-		report(b, r, "xmemMiss@incl", "xmem-llc-miss", "[9:10]")
-	})
-}
-
-func BenchmarkFig4(b *testing.B) {
-	benchFigure(b, "4", func(r *figures.Report, b *testing.B) {
-		report(b, r, "missOn", "xmem-llc-miss", "on[9:10]")
-		report(b, r, "missOff", "xmem-llc-miss", "off[9:10]")
-		report(b, r, "p99OffUs", "dpdk-p99-us", "off[9:10]")
-	})
-}
-
-func BenchmarkFig5(b *testing.B) {
-	benchFigure(b, "5", func(r *figures.Report, b *testing.B) {
-		report(b, r, "tpOn2MB", "storage-tp-dcaon", "2MB")
-		report(b, r, "tpOff2MB", "storage-tp-dcaoff", "2MB")
-		report(b, r, "memRdOn2MB", "memrd-dcaon", "2MB")
-	})
-}
-
-func BenchmarkFig6(b *testing.B) {
-	benchFigure(b, "6", func(r *figures.Report, b *testing.B) {
-		report(b, r, "latSolo", "net-avg-us-dcaon", "solo")
-		report(b, r, "lat128K", "net-avg-us-dcaon", "128KB")
-		report(b, r, "lat2MB", "net-avg-us-dcaon", "2MB")
-	})
-}
-
-func BenchmarkFig7(b *testing.B) {
-	benchFigure(b, "7", func(r *figures.Report, b *testing.B) {
-		report(b, r, "lat2E", "net-avg-us", "2E")
-		report(b, r, "lat4O", "net-avg-us", "4O")
-		report(b, r, "memRd2E", "mem-read-GBps", "2E")
-		report(b, r, "memRd4O", "mem-read-GBps", "4O")
-	})
-}
-
-func BenchmarkFig8a(b *testing.B) {
-	benchFigure(b, "8a", func(r *figures.Report, b *testing.B) {
-		report(b, r, "latOn128K", "net-avg-us-dcaon", "128KB")
-		report(b, r, "latSSDOff128K", "net-avg-us-ssdoff", "128KB")
-	})
-}
-
-func BenchmarkFig8b(b *testing.B) {
-	benchFigure(b, "8b", func(r *figures.Report, b *testing.B) {
-		report(b, r, "xmemMissWide", "xmem-llc-miss", "[2:5]")
-		report(b, r, "xmemMissTrash", "xmem-llc-miss", "[2:2]")
-	})
-}
-
-func BenchmarkFig11(b *testing.B) {
-	benchFigureOpts(b, "11", evalBenchOpts, func(r *figures.Report, b *testing.B) {
-		report(b, r, "xm1Default", "perf-xmem1-default", "1024B")
-		report(b, r, "xm1A4", "perf-xmem1-a4-d", "1024B")
-	})
-}
-
-func BenchmarkFig12(b *testing.B) {
-	benchFigureOpts(b, "12", evalBenchOpts, func(r *figures.Report, b *testing.B) {
-		report(b, r, "p99Default128K", "net-p99-us-default", "128KB")
-		report(b, r, "p99A4128K", "net-p99-us-a4-d", "128KB")
-	})
-}
-
-func BenchmarkFig13a(b *testing.B) {
-	benchFigureOpts(b, "13a", evalBenchOpts, func(r *figures.Report, b *testing.B) {
-		report(b, r, "hpA4", "perf-a4-d", "Avg(HP)")
-		report(b, r, "lpA4", "perf-a4-d", "Avg(LP)")
-		report(b, r, "allA4", "perf-a4-d", "Avg(all)")
-	})
-}
-
-func BenchmarkFig13b(b *testing.B) {
-	benchFigureOpts(b, "13b", evalBenchOpts, func(r *figures.Report, b *testing.B) {
-		report(b, r, "hpA4", "perf-a4-d", "Avg(HP)")
-		report(b, r, "lpA4", "perf-a4-d", "Avg(LP)")
-	})
-}
-
-func BenchmarkFig14(b *testing.B) {
-	benchFigureOpts(b, "14", evalBenchOpts, func(r *figures.Report, b *testing.B) {
-		report(b, r, "waitDefaultUs", "fastclick-wait-us", "default")
-		report(b, r, "waitA4Us", "fastclick-wait-us", "a4-d")
-		report(b, r, "memRdA4", "mem-read-GBps", "a4-d")
-	})
-}
-
-func BenchmarkFig15a(b *testing.B) {
-	benchFigureOpts(b, "15a", evalBenchOpts, func(r *figures.Report, b *testing.B) {
-		report(b, r, "hpT5_90", "avg-hp", "T5=90")
-	})
-}
-
-func BenchmarkFig15b(b *testing.B) {
-	benchFigureOpts(b, "15b", evalBenchOpts, func(r *figures.Report, b *testing.B) {
-		report(b, r, "hpDefaults", "avg-hp", "40/35/40")
-		report(b, r, "hpHighT2", "avg-hp", "T2-off")
-	})
-}
-
-func BenchmarkFig15c(b *testing.B) {
-	benchFigureOpts(b, "15c", evalBenchOpts, func(r *figures.Report, b *testing.B) {
-		report(b, r, "hp1s", "avg-hp", "1s")
-		report(b, r, "hpOracle", "avg-hp", "oracle")
-	})
-}
 
 // --- substrate microbenchmarks ---
 
@@ -229,10 +77,10 @@ func BenchmarkScenarioSecond(b *testing.B) {
 // detailed path on otherwise identical scenarios: both sub-benchmarks run
 // one simulated second of the micro mix inside an open measurement window;
 // "sampled" runs it under the default schedule (200 ms detail per 1 s
-// period), fast-forwarding the other 800 ms. scripts/bench.sh records
-// detailed/sampled ns-per-op as sampled_speedup; the acceptance target is
-// >=2x (ideal for the default schedule is 5x, the gap is the fast-forward
-// and extrapolation cost plus the detail windows' share of fixed work).
+// period), fast-forwarding the other 800 ms. cmd/a4pair's gate records
+// detailed/sampled ns-per-op as sampled_speedup and fails it below 1.8x
+// (ideal for the default schedule is 5x, the gap is the fast-forward and
+// extrapolation cost plus the detail windows' share of fixed work).
 func BenchmarkScenarioSecondSampled(b *testing.B) {
 	run := func(b *testing.B, sample harness.SampleSpec) {
 		p := harness.DefaultParams()
@@ -259,9 +107,10 @@ func BenchmarkScenarioSecondSampled(b *testing.B) {
 // simulated second inside an open measurement window: "off" is the default
 // measurement path (per-second core columns, no export — what every run
 // pays since the series refactor), "on" adds every extended column group
-// (device queues, LLC occupancy, export). scripts/bench.sh records the
-// relative difference as series_overhead_pct; the acceptance bound is that
-// the plane's cost stays within noise (<3%).
+// (device queues, LLC occupancy, export). The relative difference is the
+// series_overhead_pct the plane is held to (<3%); run it by hand, as
+// perfbench's traced ladder carries the production overhead
+// (trace.overhead_pct).
 func BenchmarkScenarioSecondSeries(b *testing.B) {
 	run := func(b *testing.B, opts harness.SeriesOpts) {
 		p := harness.DefaultParams()
@@ -289,8 +138,8 @@ func BenchmarkScenarioSecondSeries(b *testing.B) {
 // bare measurement loop, "on" adds everything a traced, streamed, metered
 // request pays — a span per second, a latency-histogram observation, and
 // the series row hook publishing through a hub to one draining subscriber.
-// scripts/bench.sh records the relative difference as obs_overhead_pct;
-// the acceptance bound is <3%.
+// The relative difference is the obs_overhead_pct the plane is held to
+// (<3%); run it by hand like the series benchmark above.
 func BenchmarkScenarioSecondObs(b *testing.B) {
 	run := func(b *testing.B, instrumented bool) {
 		p := harness.DefaultParams()
@@ -372,8 +221,8 @@ func pinWays(s *harness.Scenario, clos int, cores []int, lo, hi int) {
 
 // BenchmarkSweepFork compares the two runner strategies on the same sweep,
 // serially, so the ratio of the sub-benchmarks' ns/op is the wall-clock
-// reduction from warm-state reuse alone (scripts/bench.sh records it as
-// sweep_fork_speedup). The fork contract makes both produce identical
+// reduction from warm-state reuse alone (cmd/a4pair's gate records it as
+// sweep_fork_speedup and fails it below 1.5x). The fork contract makes both produce identical
 // results; see figures.TestPrefixSweepMatchesFresh for the pin.
 func BenchmarkSweepFork(b *testing.B) {
 	measurePoint := func(s *harness.Scenario, lo int) *harness.Result {
@@ -405,50 +254,5 @@ func BenchmarkSweepFork(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(len(sweepForkPoints)), "points")
-	})
-}
-
-// --- ablation benchmarks (design-choice knobs of DESIGN.md §4) ---
-
-func benchAblation(b *testing.B, id string, metrics func(r *figures.Report, b *testing.B)) {
-	b.Helper()
-	fn, ok := figures.AblationRegistry[id]
-	if !ok {
-		b.Fatalf("unknown ablation %s", id)
-	}
-	var rep *figures.Report
-	for i := 0; i < b.N; i++ {
-		rep = fn(figures.Options{Quick: true})
-	}
-	if rep != nil && metrics != nil {
-		metrics(rep, b)
-	}
-}
-
-func BenchmarkAblationMigrationRace(b *testing.B) {
-	benchAblation(b, "ab-migration", func(r *figures.Report, b *testing.B) {
-		report(b, r, "bloatAt0", "xmem-miss@[5:6]", "stick=0%")
-		report(b, r, "dirAt100", "xmem-miss@[9:10]", "stick=100%")
-	})
-}
-
-func BenchmarkAblationVictimRandomness(b *testing.B) {
-	benchAblation(b, "ab-plru", func(r *figures.Report, b *testing.B) {
-		report(b, r, "latentAt0", "xmem-miss@[0:1]", "rand=0%")
-		report(b, r, "latentAt10", "xmem-miss@[0:1]", "rand=10%")
-	})
-}
-
-func BenchmarkAblationBurstShaping(b *testing.B) {
-	benchAblation(b, "ab-burst", func(r *figures.Report, b *testing.B) {
-		report(b, r, "latBurstyUs", "net-avg-us", "bursty")
-		report(b, r, "latSmoothUs", "net-avg-us", "smooth")
-	})
-}
-
-func BenchmarkAblationSSDParallelism(b *testing.B) {
-	benchAblation(b, "ab-ssdpar", func(r *figures.Report, b *testing.B) {
-		report(b, r, "leak128Par8", "leak-rate@128KB", "par=8")
-		report(b, r, "leak128Par64", "leak-rate@128KB", "par=64")
 	})
 }

@@ -27,19 +27,14 @@
 //
 //	a4serve -addr :8044 -workers 8 -cache 512
 //	a4serve -addr :8050 -cluster "http://n1:8044,http://n2:8044"
-//	a4serve -loadgen -url http://localhost:8044 -n 200 -clients 8 -fresh 0.25
-//	a4serve -loadgen -url http://localhost:8050 -sweepn 24
 //
 // With -cluster the process serves as a coordinator: it executes nothing
 // itself, sharding requests over the listed backends by the spec's prefix
 // hash (internal/cluster) so same-prefix runs reuse one backend's warm
 // snapshots. Clients cannot tell the difference.
 //
-// The -loadgen mode hammers a running daemon (or coordinator) with a mix
-// of repeated and fresh specs and prints the served throughput
-// (service_cached_rps); -sweepn instead POSTs one seed-axis sweep and
-// prints cluster_sweep_rps (grid points per second of wall time). Both
-// metrics land in scripts/bench.sh's BENCH_<date>.json.
+// The a4load command drives a running daemon or coordinator with open-loop
+// load; cmd/a4pair compares serving throughput between revisions.
 package main
 
 import (
@@ -58,7 +53,6 @@ import (
 	"time"
 
 	"a4sim/internal/cluster"
-	"a4sim/internal/loadgen"
 	"a4sim/internal/scenario"
 	"a4sim/internal/service"
 	"a4sim/internal/store"
@@ -71,21 +65,8 @@ func main() {
 	storeDir := flag.String("store", "", "durable object store directory: spill results and warm snapshots to disk and rehydrate them on restart")
 	clusterURLs := flag.String("cluster", "", "comma-separated backend URLs: serve as cluster coordinator instead of executing locally")
 	revive := flag.Duration("revive", 0, "cluster: how long a down backend stays quarantined before revival probes (0 = default)")
-	loadgen := flag.Bool("loadgen", false, "run as load generator against -url instead of serving")
-	url := flag.String("url", "http://localhost:8044", "loadgen: target daemon or coordinator")
-	n := flag.Int("n", 200, "loadgen: total requests")
-	clients := flag.Int("clients", 8, "loadgen: concurrent clients")
-	fresh := flag.Float64("fresh", 0.25, "loadgen: fraction of requests with never-seen specs")
-	sweepN := flag.Int("sweepn", 0, "loadgen: POST one seed-axis sweep of this many points and print cluster_sweep_rps instead of hammering /run")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (off by default: profiling endpoints expose heap contents)")
 	flag.Parse()
-
-	if *loadgen {
-		if *sweepN > 0 {
-			os.Exit(runSweepgen(*url, *sweepN))
-		}
-		os.Exit(runLoadgen(*url, *n, *clients, *fresh))
-	}
 
 	// healthy gates /healthz: flipped to false at the start of a graceful
 	// shutdown so probes and coordinators stop routing here while in-flight
@@ -172,22 +153,4 @@ func main() {
 		svc.Close()
 	}
 	fmt.Println("a4serve: drained, exiting")
-}
-
-// runLoadgen is a deprecation shim over internal/loadgen's closed-loop
-// generator, kept so existing scripts invoking `a4serve -loadgen` keep
-// working. New work should use cmd/a4load, which adds open-loop arrival
-// schedules, per-class latency histograms, and saturation search.
-func runLoadgen(url string, n, clients int, freshFrac float64) int {
-	fmt.Fprintln(os.Stderr, "a4serve: -loadgen is deprecated; use the a4load command")
-	return loadgen.ClosedLoop(loadgen.ClosedConfig{
-		URL: url, N: n, Clients: clients, FreshFrac: freshFrac,
-		Out: os.Stdout, Errw: os.Stderr,
-	})
-}
-
-// runSweepgen is the matching shim for `a4serve -loadgen -sweepn`.
-func runSweepgen(url string, n int) int {
-	fmt.Fprintln(os.Stderr, "a4serve: -loadgen -sweepn is deprecated; use the a4load command")
-	return loadgen.SweepOnce(url, n, os.Stdout, os.Stderr)
 }

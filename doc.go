@@ -33,7 +33,8 @@
 // a4serve caches warm snapshots so POST /extend and measure-window sweep
 // rows simulate only their additional seconds.
 //
-// Build with the included go.mod (module a4sim); scripts/bench.sh records
-// benchmark snapshots (including a4serve's cache-served throughput and
-// the warm-state-reuse ratio sweep_fork_speedup) as BENCH_<date>.json.
+// Build with the included go.mod (module a4sim). The repository benchmark
+// is perfbench/, declared by BENCHMARK.json; cmd/a4pair compares it between
+// two revisions in alternating pairs, and its gate workload is CI's perf
+// gate.
 package a4sim

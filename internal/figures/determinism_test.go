@@ -18,9 +18,10 @@ func detOpts(workers int) Options {
 // TestParallelSweepDeterminism asserts the tentpole guarantee of the sweep
 // runner: every figure point owns its engine and seeded RNGs, so running
 // the sweep on a multi-goroutine pool produces a byte-identical Report to
-// serial execution.
+// serial execution. It covers every figure, so each one executes in the
+// tier-1 suite.
 func TestParallelSweepDeterminism(t *testing.T) {
-	for _, id := range []string{"3a", "5", "8b"} {
+	for _, id := range IDs() {
 		fn, ok := Registry[id]
 		if !ok {
 			t.Fatalf("unknown figure %s", id)
@@ -38,12 +39,14 @@ func TestParallelSweepDeterminism(t *testing.T) {
 	}
 }
 
-// TestParallelAblationDeterminism covers the ablation registry's sweeps.
+// TestParallelAblationDeterminism covers every ablation's sweep.
 func TestParallelAblationDeterminism(t *testing.T) {
-	fn := AblationRegistry["ab-burst"]
-	serial := fn(detOpts(1)).String()
-	parallel := fn(detOpts(3)).String()
-	if serial != parallel {
-		t.Errorf("ab-burst: parallel report differs from serial\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
+	for _, id := range AblationIDs() {
+		fn := AblationRegistry[id]
+		serial := fn(detOpts(1)).String()
+		parallel := fn(detOpts(3)).String()
+		if serial != parallel {
+			t.Errorf("%s: parallel report differs from serial\n--- serial ---\n%s\n--- parallel ---\n%s", id, serial, parallel)
+		}
 	}
 }

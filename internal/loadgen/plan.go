@@ -100,8 +100,8 @@ func BuildPlan(cfg Config) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The popular set: manager variants of the tiny mix, exactly the
-	// population the legacy closed-loop generator hammered.
+	// The popular set: three manager variants of the tiny mix, the few
+	// specs that repeated requests concentrate on.
 	popular := scenario.ManagerVariants(base, []string{"a4-d", "default", "isolate"})
 	popularBodies := make([]json.RawMessage, len(popular))
 	for i, sp := range popular {

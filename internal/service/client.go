@@ -251,9 +251,12 @@ func (c *Client) do(method, path string, body []byte) ([]byte, error) {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxClientResponseBytes))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxClientResponseBytes+1))
 	if err != nil {
 		return nil, fmt.Errorf("service: client: reading %s response: %w", path, err)
+	}
+	if len(data) > maxClientResponseBytes {
+		return nil, fmt.Errorf("service: client: %s response exceeds %d bytes", path, maxClientResponseBytes)
 	}
 	if resp.StatusCode != http.StatusOK {
 		return nil, ErrFromStatus(resp.StatusCode, data)

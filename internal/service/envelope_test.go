@@ -144,3 +144,25 @@ func TestStatusErrRoundTrip(t *testing.T) {
 		t.Errorf("bare-text body lost its message: %v", err)
 	}
 }
+
+// TestClientRejectsOversizedResponse pins the response cap: a body of
+// exactly maxClientResponseBytes arrives whole, and one byte more is an
+// error rather than a truncated success.
+func TestClientRejectsOversizedResponse(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		size := maxClientResponseBytes
+		if strings.HasSuffix(r.URL.Path, "/over") {
+			size++
+		}
+		w.Write(make([]byte, size))
+	}))
+	defer srv.Close()
+	c := NewClient(srv.URL, nil)
+	data, err := c.Result("cap")
+	if err != nil || len(data) != maxClientResponseBytes {
+		t.Fatalf("body at the cap: %d bytes, err %v; want all %d bytes", len(data), err, maxClientResponseBytes)
+	}
+	if data, err := c.Result("over"); err == nil {
+		t.Fatalf("body over the cap returned %d bytes and no error", len(data))
+	}
+}
