@@ -1,8 +1,6 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -18,37 +16,33 @@ import (
 	"time"
 )
 
-// The gate workload is the CI performance gate. Each side runs the
-// hot-path, fork and sampled-execution benchmarks and an a4load saturation
-// search against its own a4serve, in gatePairs alternating pairs, and the
-// change's medians are judged against these bounds.
-const (
-	gatePairs         = 5
-	maxScenarioRatio  = 1.25 // scenario_second_ms ≤ this × the parent's
-	minForkSpeedup    = 1.5  // sweep_fork_speedup ≥ this
-	minSampledSpeedup = 1.8  // sampled_speedup ≥ this
-	minSustainedRatio = 0.75 // loadgen_sustained_rps ≥ this × the parent's
-)
+// gatePairs is how many pairs the gate runs. Each side runs the hot-path,
+// fork and sampled-execution benchmarks and an a4load saturation search
+// against its own a4serve.
+const gatePairs = 5
 
-// gateMetrics are the judged metrics, in table order.
-var gateMetrics = []string{"scenario_second_ms", "sweep_fork_speedup", "sampled_speedup", "loadgen_sustained_rps"}
+// gateBounds judge the change's median c of each metric, given the
+// parent's median p.
+var gateBounds = []struct {
+	metric, bound string
+	ok            func(p, c float64) bool
+}{
+	{"scenario_second_ms", "≤ 1.25× parent", func(p, c float64) bool { return c <= 1.25*p }},
+	{"sweep_fork_speedup", "≥ 1.5", func(_, c float64) bool { return c >= 1.5 }},
+	{"sampled_speedup", "≥ 1.8", func(_, c float64) bool { return c >= 1.8 }},
+	{"loadgen_sustained_rps", "≥ 0.75× parent", func(p, c float64) bool { return c >= 0.75*p }},
+}
 
-// gate builds each side's binaries, runs the pairs, prints each metric's
-// medians and returns an error when a bound fails.
+// gate builds each side's a4serve and a4load, runs the pairs, prints each
+// metric's medians and returns an error when a bound fails.
 func gate(ctx context.Context, dirs [2]string) error {
 	for _, dir := range dirs {
-		bin := filepath.Join(dir, ".bench_build")
-		for _, build := range [][]string{
-			{"test", "-c", "-o", filepath.Join(bin, "root.test"), "."},
-			{"build", "-o", bin, "./cmd/a4serve", "./cmd/a4load"},
-		} {
-			if _, err := command(ctx, dir, "go", build...); err != nil {
-				return err
-			}
+		if _, err := command(ctx, dir, "go", "build", "-o", ".bench_build/", "./cmd/a4serve", "./cmd/a4load"); err != nil {
+			return err
 		}
 	}
 	res, err := pairs(func(side int, _ string, _ int) (result, error) {
-		return gateSide(ctx, filepath.Join(dirs[side], ".bench_build"))
+		return gateSide(ctx, dirs[side])
 	}, "gate", gatePairs)
 	if err != nil {
 		return err
@@ -56,15 +50,14 @@ func gate(ctx context.Context, dirs [2]string) error {
 	fmt.Println("| metric | parent | change | bound | verdict |")
 	fmt.Println("|---|---|---|---|---|")
 	var failed []string
-	for _, name := range gateMetrics {
-		p, c := summarize(values(res[0], name)), summarize(values(res[1], name))
-		bound, ok := gateBound(name, p.med, c.med)
+	for _, b := range gateBounds {
+		p, c := summarize(values(res[0], b.metric)), summarize(values(res[1], b.metric))
 		status := "pass"
-		if !ok {
+		if !b.ok(p.med, c.med) {
 			status = "FAIL"
-			failed = append(failed, name)
+			failed = append(failed, b.metric)
 		}
-		fmt.Printf("| %s | %v | %v | %s | %s |\n", name, p, c, bound, status)
+		fmt.Printf("| %s | %v | %v | %s | %s |\n", b.metric, p, c, b.bound, status)
 	}
 	if len(failed) > 0 {
 		return fmt.Errorf("gate failed on %s", strings.Join(failed, ", "))
@@ -72,38 +65,29 @@ func gate(ctx context.Context, dirs [2]string) error {
 	return nil
 }
 
-// gateBound states a metric's bound and whether the change's median meets
-// it.
-func gateBound(name string, parent, change float64) (string, bool) {
-	switch name {
-	case "scenario_second_ms":
-		return fmt.Sprintf("≤ %g× parent", maxScenarioRatio), change <= maxScenarioRatio*parent
-	case "sweep_fork_speedup":
-		return fmt.Sprintf("≥ %g", minForkSpeedup), change >= minForkSpeedup
-	case "sampled_speedup":
-		return fmt.Sprintf("≥ %g", minSampledSpeedup), change >= minSampledSpeedup
-	}
-	return fmt.Sprintf("≥ %g× parent", minSustainedRatio), change >= minSustainedRatio*parent
-}
+var (
+	benchLine     = regexp.MustCompile(`(?m)^(Benchmark\S+?)(-\d+)?\s+\d+\s+(\S+) ns/op`)
+	sustainedLine = regexp.MustCompile(`(?m)^loadgen_sustained_rps=(\S+)$`)
+)
 
-// gateSide runs one side's gate pass with the binaries in bin.
-func gateSide(ctx context.Context, bin string) (result, error) {
-	rps, err := sustainedRPS(ctx, bin)
+// gateSide runs one side's gate pass in its worktree dir.
+func gateSide(ctx context.Context, dir string) (result, error) {
+	rps, err := sustainedRPS(ctx, filepath.Join(dir, ".bench_build"))
 	if err != nil {
 		return result{}, err
 	}
-	test := filepath.Join(bin, "root.test")
-	dir := filepath.Dir(bin)
 	ns := map[string]float64{}
 	for _, b := range [][2]string{
 		{"^(BenchmarkScenarioSecond|BenchmarkSweepFork)$", "1x"},
 		{"^BenchmarkScenarioSecondSampled$", "4x"},
 	} {
-		out, err := command(ctx, dir, test, "-test.run=^$", "-test.bench="+b[0], "-test.benchtime="+b[1], "-test.timeout=30m")
+		out, err := command(ctx, dir, "go", "test", "-run=^$", "-bench="+b[0], "-benchtime="+b[1], "-timeout=30m", ".")
 		if err != nil {
 			return result{}, err
 		}
-		parseBench(out, ns)
+		for _, m := range benchLine.FindAllStringSubmatch(string(out), -1) {
+			ns[m[1]], _ = strconv.ParseFloat(m[3], 64)
+		}
 	}
 	m := map[string]float64{
 		"scenario_second_ms": ns["BenchmarkScenarioSecond"] / 1e6,
@@ -117,18 +101,6 @@ func gateSide(ctx context.Context, bin string) (result, error) {
 	}
 	m["loadgen_sustained_rps"] = rps
 	return result{metrics: m}, nil
-}
-
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(-\d+)?\s+\d+\s+([0-9.e+]+) ns/op`)
-
-// parseBench adds each benchmark's ns/op from go test output to ns.
-func parseBench(out []byte, ns map[string]float64) {
-	sc := bufio.NewScanner(bytes.NewReader(out))
-	for sc.Scan() {
-		if m := benchLine.FindStringSubmatch(sc.Text()); m != nil {
-			ns[m[1]], _ = strconv.ParseFloat(m[3], 64)
-		}
-	}
 }
 
 // sustainedRPS starts a4serve on a free loopback port, runs a4load's
@@ -149,26 +121,23 @@ func sustainedRPS(ctx context.Context, bin string) (float64, error) {
 		srv.Process.Kill()
 		srv.Wait()
 	}()
-	url := "http://" + addr
 	for i := 0; ; i++ {
-		resp, err := http.Get(url + "/healthz")
+		resp, err := http.Get("http://" + addr + "/healthz")
 		if err == nil {
 			resp.Body.Close()
 			break
 		}
 		if i == 50 {
-			return 0, fmt.Errorf("a4serve on %s never answered /healthz: %w", addr, err)
+			return 0, fmt.Errorf("a4serve never answered /healthz: %w", err)
 		}
 		time.Sleep(200 * time.Millisecond)
 	}
 	// a4load exits 1 but still prints a rate of 0 when even -min-rate
 	// misses the SLO; that is a measurement, not a failed run.
-	out, err := command(ctx, bin, filepath.Join(bin, "a4load"), "-url", url, "-search",
+	out, err := command(ctx, bin, filepath.Join(bin, "a4load"), "-url", "http://"+addr, "-search",
 		"-slo-p99-ms", "100", "-seed", "1", "-min-rate", "8", "-max-rate", "1024", "-probe", "3s", "-tol", "0.25")
-	for _, line := range strings.Split(string(out), "\n") {
-		if v, ok := strings.CutPrefix(line, "loadgen_sustained_rps="); ok {
-			return strconv.ParseFloat(v, 64)
-		}
+	if m := sustainedLine.FindSubmatch(out); m != nil {
+		return strconv.ParseFloat(string(m[1]), 64)
 	}
 	if err == nil {
 		err = errors.New("a4load printed no loadgen_sustained_rps")

@@ -80,21 +80,17 @@ type result struct {
 type runFunc func(side int, workload string, seed int) (result, error)
 
 func main() {
-	os.Exit(run(os.Args[1:]))
-}
-
-func run(args []string) int {
-	if len(args) < 1 || strings.HasPrefix(args[0], "-") {
+	if len(os.Args) < 2 || strings.HasPrefix(os.Args[1], "-") {
 		fmt.Fprintln(os.Stderr, "usage: a4pair <base-rev> [workload…]")
-		return 2
+		os.Exit(2)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := compare(ctx, args[0], args[1:]); err != nil {
+	err := compare(ctx, os.Args[1], os.Args[2:])
+	stop()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "a4pair:", err)
-		return 1
+		os.Exit(1)
 	}
-	return 0
 }
 
 func compare(ctx context.Context, base string, workloads []string) error {
@@ -106,17 +102,9 @@ func compare(ctx context.Context, base string, workloads []string) error {
 	if err := json.Unmarshal(data, &def); err != nil {
 		return fmt.Errorf("BENCHMARK.json: %w", err)
 	}
-	declared := map[string]bool{"gate": true}
-	all := len(workloads) == 0
-	for _, w := range def.Workloads {
-		declared[w.Name] = true
-		if all {
+	if len(workloads) == 0 {
+		for _, w := range def.Workloads {
 			workloads = append(workloads, w.Name)
-		}
-	}
-	for _, w := range workloads {
-		if !declared[w] {
-			return fmt.Errorf("unknown workload %q", w)
 		}
 	}
 	dirs, err := checkout(ctx, base)
@@ -124,7 +112,7 @@ func compare(ctx context.Context, base string, workloads []string) error {
 	if err != nil {
 		return err
 	}
-	var rows, counts strings.Builder
+	var rows strings.Builder
 	for _, w := range workloads {
 		if w == "gate" {
 			if err := gate(ctx, dirs); err != nil {
@@ -139,13 +127,20 @@ func compare(ctx context.Context, base string, workloads []string) error {
 		for _, m := range def.EndToEnd {
 			rows.WriteString(row(w, m, values(res[0], m.Name), values(res[1], m.Name)))
 		}
-		fmt.Fprintf(&counts, "%s: parent failed %d of %d attempted; change failed %d of %d attempted\n",
-			w, failures(res[0]), attempts(res[0]), failures(res[1]), attempts(res[1]))
+		var failed [2]string
+		for side, rs := range res {
+			var f, a int
+			for _, r := range rs {
+				f, a = f+r.failed, a+r.attempted
+			}
+			failed[side] = fmt.Sprintf("%d of %d", f, a)
+		}
+		fmt.Fprintf(&rows, "| %s | failed of attempted | %s | %s | | | |\n", w, failed[0], failed[1])
 	}
 	if rows.Len() > 0 {
 		fmt.Println("| workload | metric | parent | change | wins | p | verdict |")
 		fmt.Println("|---|---|---|---|---|---|---|")
-		fmt.Print(rows.String(), "\n", counts.String())
+		fmt.Print(rows.String())
 	}
 	return nil
 }
@@ -220,8 +215,8 @@ func command(ctx context.Context, dir, name string, args ...string) ([]byte, err
 	return out, nil
 }
 
-// checkout adds the base and HEAD worktrees, replacing any a killed run
-// left behind, and returns their absolute paths.
+// checkout adds the base and HEAD worktrees, replacing any that a killed
+// run left behind, and returns their absolute paths.
 func checkout(ctx context.Context, base string) ([2]string, error) {
 	removeWorktrees()
 	var dirs [2]string
@@ -238,10 +233,9 @@ func checkout(ctx context.Context, base string) ([2]string, error) {
 	return dirs, nil
 }
 
+// removeWorktrees deletes the worktrees and prunes their records; it is
+// best effort, as the next run repeats it.
 func removeWorktrees() {
-	for _, side := range sideNames {
-		exec.Command("git", "worktree", "remove", "--force", filepath.Join(pairDir, side)).Run()
-	}
 	os.RemoveAll(pairDir)
 	exec.Command("git", "worktree", "prune").Run()
 }
@@ -252,18 +246,4 @@ func values(rs []result, metric string) []float64 {
 		out[i] = r.metrics[metric]
 	}
 	return out
-}
-
-func attempts(rs []result) (n int) {
-	for _, r := range rs {
-		n += r.attempted
-	}
-	return n
-}
-
-func failures(rs []result) (n int) {
-	for _, r := range rs {
-		n += r.failed
-	}
-	return n
 }

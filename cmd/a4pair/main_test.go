@@ -161,27 +161,29 @@ func TestPairsAlternateAndStopOnError(t *testing.T) {
 	}
 }
 
-func TestParseBench(t *testing.T) {
+func TestBenchLine(t *testing.T) {
 	out := "goos: linux\n" +
 		"BenchmarkScenarioSecond-2   \t       1\t 512345678 ns/op\n" +
 		"BenchmarkSweepFork/fresh-2  \t       1\t2.5e+10 ns/op\t 6.000 points\n" +
 		"BenchmarkSweepFork/forked   \t       1\t9000000000 ns/op\n" +
 		"PASS\n"
-	ns := map[string]float64{}
-	parseBench([]byte(out), ns)
-	want := map[string]float64{
-		"BenchmarkScenarioSecond":   512345678,
-		"BenchmarkSweepFork/fresh":  2.5e10,
-		"BenchmarkSweepFork/forked": 9e9,
+	got := map[string]string{}
+	for _, m := range benchLine.FindAllStringSubmatch(out, -1) {
+		got[m[1]] = m[3]
 	}
-	if !reflect.DeepEqual(ns, want) {
-		t.Fatalf("parseBench = %v, want %v", ns, want)
+	want := map[string]string{
+		"BenchmarkScenarioSecond":   "512345678",
+		"BenchmarkSweepFork/fresh":  "2.5e+10",
+		"BenchmarkSweepFork/forked": "9000000000",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("benchLine matched %v, want %v", got, want)
 	}
 }
 
 func TestGateBounds(t *testing.T) {
 	for _, c := range []struct {
-		name           string
+		metric         string
 		parent, change float64
 		ok             bool
 	}{
@@ -193,9 +195,12 @@ func TestGateBounds(t *testing.T) {
 		{"sampled_speedup", 0, 1.79, false},
 		{"loadgen_sustained_rps", 100, 75, true},
 		{"loadgen_sustained_rps", 100, 74, false},
+		{"loadgen_sustained_rps", 0, 0, true},
 	} {
-		if _, ok := gateBound(c.name, c.parent, c.change); ok != c.ok {
-			t.Errorf("%s parent %g change %g: pass %v, want %v", c.name, c.parent, c.change, ok, c.ok)
+		for _, b := range gateBounds {
+			if b.metric == c.metric && b.ok(c.parent, c.change) != c.ok {
+				t.Errorf("%s parent %g change %g: pass %v, want %v", c.metric, c.parent, c.change, !c.ok, c.ok)
+			}
 		}
 	}
 }

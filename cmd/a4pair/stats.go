@@ -12,33 +12,20 @@ type spread struct{ p25, med, p75 float64 }
 func summarize(xs []float64) spread {
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
-	return spread{quantile(s, 0.25), quantile(s, 0.5), quantile(s, 0.75)}
-}
-
-// quantile is the nearest-rank q-quantile of sorted values.
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
+	q := func(q float64) float64 {
+		if len(s) == 0 {
+			return 0
+		}
+		return s[max(int(math.Ceil(q*float64(len(s))))-1, 0)]
 	}
-	i := int(math.Ceil(q*float64(len(sorted)))) - 1
-	return sorted[min(max(i, 0), len(sorted)-1)]
+	return spread{q(0.25), q(0.5), q(0.75)}
 }
 
 func (s spread) iqr() float64 { return s.p75 - s.p25 }
 
-// relIQR is the IQR relative to the median.
-func (s spread) relIQR() float64 {
-	if s.iqr() == 0 {
-		return 0
-	}
-	return s.iqr() / math.Abs(s.med)
-}
+func (s spread) String() string { return fmt.Sprintf("%.4g [%.4g–%.4g]", s.med, s.p25, s.p75) }
 
-func (s spread) String() string {
-	return fmt.Sprintf("%.4g [%.4g–%.4g]", s.med, s.p25, s.p75)
-}
-
-// better reports whether a beats b on a metric of the given direction.
+// better reports whether a beats b on metric m.
 func better(m metricDef, a, b float64) bool {
 	if m.Better == "higher" {
 		return a > b
@@ -46,14 +33,13 @@ func better(m metricDef, a, b float64) bool {
 	return a < b
 }
 
-// wins counts the pairs the change wins and the pairs the parent wins;
-// ties count for neither.
+// wins counts the pairs the change wins and those the parent wins; ties
+// count for neither.
 func wins(m metricDef, parent, change []float64) (c, p int) {
 	for i := range parent {
-		switch {
-		case better(m, change[i], parent[i]):
+		if better(m, change[i], parent[i]) {
 			c++
-		case better(m, parent[i], change[i]):
+		} else if better(m, parent[i], change[i]) {
 			p++
 		}
 	}
@@ -64,13 +50,13 @@ func wins(m metricDef, parent, change []float64) (c, p int) {
 func verdict(m metricDef, parent, change []float64) string {
 	ps, cs := summarize(parent), summarize(change)
 	c, _ := wins(m, parent, change)
-	if 10*c >= 9*len(parent) && better(m, cs.med, ps.med) && math.Abs(cs.med-ps.med) > ps.iqr() {
+	diff := math.Abs(cs.med - ps.med)
+	switch {
+	case 10*c >= 9*len(parent) && better(m, cs.med, ps.med) && diff > ps.iqr():
 		return "gain"
-	}
-	if better(m, ps.med, cs.med) && math.Abs(cs.med-ps.med) > m.Bound*math.Abs(ps.med) {
+	case better(m, ps.med, cs.med) && diff > m.Bound*math.Abs(ps.med):
 		return "regressed"
-	}
-	if max(ps.relIQR(), cs.relIQR()) > m.Bound && !separated(m, parent, change) {
+	case (ps.iqr() > m.Bound*math.Abs(ps.med) || cs.iqr() > m.Bound*math.Abs(cs.med)) && !separated(m, parent, change):
 		return "unresolved"
 	}
 	return "flat"
@@ -96,81 +82,51 @@ func row(workload string, m metricDef, parent, change []float64) string {
 		c, p, mannWhitneyP(parent, change), verdict(m, parent, change))
 }
 
-// mannWhitneyP is the two-sided p-value of the Mann–Whitney U test of x
-// against y: exact when no value ties, else the normal approximation with
-// tie correction. Fully tied samples give 1.
+// mannWhitneyP is the exact two-sided p-value of the Mann–Whitney U test
+// of x against y: the share of all ways to split the pooled values into
+// groups of len(x) and len(y) whose U lies at least as far from its mean
+// as the observed one. Ties count a half in U, so fully tied samples give
+// 1. Enumerating C(n, len(x)) splits suits the 5 and 10 pairs run here.
 func mannWhitneyP(x, y []float64) float64 {
-	type obs struct {
-		v     float64
-		fromX bool
-	}
-	var all []obs
-	for _, v := range x {
-		all = append(all, obs{v, true})
-	}
-	for _, v := range y {
-		all = append(all, obs{v, false})
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].v < all[j].v })
-	n1, n2, n := float64(len(x)), float64(len(y)), float64(len(all))
-	var rankX, ties float64 // rank sum of x (mid-ranks), Σ(t³−t) over tie groups
-	for i := 0; i < len(all); {
-		j := i
-		for j < len(all) && all[j].v == all[i].v {
-			j++
-		}
-		for k := i; k < j; k++ {
-			if all[k].fromX {
-				rankX += float64(i+j+1) / 2
+	pooled := append(append([]float64(nil), x...), y...)
+	inX := make([]bool, len(pooled))
+	u := func() (u float64) {
+		for i, a := range pooled {
+			for j, b := range pooled {
+				if inX[i] && !inX[j] {
+					switch {
+					case a > b:
+						u++
+					case a == b:
+						u += 0.5
+					}
+				}
 			}
 		}
-		t := float64(j - i)
-		ties += t*t*t - t
-		i = j
+		return u
 	}
-	u := rankX - n1*(n1+1)/2
-	if ties == 0 {
-		dist := uDist(len(x), len(y))
-		var below, total float64 // P(U ≤ u) and P(U ≥ u) numerators
-		for k, c := range dist {
-			total += c
-			if float64(k) <= u {
-				below += c
+	for i := range x {
+		inX[i] = true
+	}
+	mean := float64(len(x)*len(y)) / 2
+	observed := math.Abs(u() - mean)
+	var splits, extreme float64
+	var choose func(i, k int)
+	choose = func(i, k int) {
+		switch {
+		case k == 0:
+			splits++
+			if math.Abs(u()-mean) >= observed-1e-9 {
+				extreme++
 			}
+		case len(pooled)-i >= k:
+			inX[i] = true
+			choose(i+1, k-1)
+			inX[i] = false
+			choose(i+1, k)
 		}
-		above := total - below + dist[int(u)]
-		return math.Min(1, 2*math.Min(below, above)/total)
 	}
-	variance := n1 * n2 / 12 * ((n + 1) - ties/(n*(n-1)))
-	if variance <= 0 {
-		return 1
-	}
-	z := math.Max(0, math.Abs(u-n1*n2/2)-0.5) / math.Sqrt(variance)
-	return math.Min(1, math.Erfc(z/math.Sqrt2))
-}
-
-// uDist counts, for each U, the orderings of n1 x's and n2 y's whose U
-// statistic (pairs with the x above the y) is U: the coefficients of the
-// Gaussian binomial [n1+n2 choose n1].
-func uDist(n1, n2 int) []float64 {
-	prev := make([][]float64, n2+1) // prev[j]: counts for i−1 x's, j y's
-	for j := range prev {
-		prev[j] = []float64{1}
-	}
-	for i := 1; i <= n1; i++ {
-		cur := make([][]float64, n2+1)
-		cur[0] = []float64{1}
-		for j := 1; j <= n2; j++ {
-			d := make([]float64, i*j+1)
-			for u, c := range prev[j] { // last is an x: above all j y's
-				d[u+j] += c
-			}
-			for u, c := range cur[j-1] { // last is a y
-				d[u] += c
-			}
-			cur[j] = d
-		}
-		prev = cur
-	}
-	return prev[n2]
+	clear(inX)
+	choose(0, len(x))
+	return extreme / splits
 }

@@ -34,7 +34,8 @@
 // snapshots. Clients cannot tell the difference.
 //
 // The a4load command drives a running daemon or coordinator with open-loop
-// load; cmd/a4pair compares serving throughput between revisions.
+// load. cmd/a4pair's gate runs a4load's saturation search against a fresh
+// a4serve built from each of the two revisions it compares.
 package main
 
 import (
