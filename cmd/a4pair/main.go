@@ -102,6 +102,9 @@ func compare(ctx context.Context, base string, workloads []string) error {
 	if err := json.Unmarshal(data, &def); err != nil {
 		return fmt.Errorf("BENCHMARK.json: %w", err)
 	}
+	if len(def.Command) == 0 || def.RunSeconds <= 0 {
+		return errors.New("BENCHMARK.json declares no command or run_seconds")
+	}
 	if len(workloads) == 0 {
 		for _, w := range def.Workloads {
 			workloads = append(workloads, w.Name)
