@@ -41,26 +41,14 @@ func gate(ctx context.Context, dirs [2]string) error {
 			return err
 		}
 	}
-	// Every saturation search runs before any benchmark: on a shared VM,
-	// minutes of pinned compute depress the serving rate measured right
-	// after them (96 rps on a quiet machine, 0 straight after the compute).
-	serving, err := pairs(func(side int, _ string, _ int) (result, error) {
+	res, err := gateRuns(func(side int, _ string, _ int) (result, error) {
 		rps, err := sustainedRPS(ctx, filepath.Join(dirs[side], ".bench_build"))
 		return result{metrics: map[string]float64{"loadgen_sustained_rps": rps}}, err
-	}, "gate serving", gatePairs)
-	if err != nil {
-		return err
-	}
-	res, err := pairs(func(side int, _ string, _ int) (result, error) {
+	}, func(side int, _ string, _ int) (result, error) {
 		return benchSide(ctx, dirs[side])
-	}, "gate compute", gatePairs)
+	})
 	if err != nil {
 		return err
-	}
-	for side := range res {
-		for i, r := range res[side] {
-			r.metrics["loadgen_sustained_rps"] = serving[side][i].metrics["loadgen_sustained_rps"]
-		}
 	}
 	fmt.Println("| metric | parent | change | bound | verdict |")
 	fmt.Println("|---|---|---|---|---|")
@@ -78,6 +66,29 @@ func gate(ctx context.Context, dirs [2]string) error {
 		return fmt.Errorf("gate failed on %s", strings.Join(failed, ", "))
 	}
 	return nil
+}
+
+// gateRuns runs the serving pass of every pair, then the compute pass of
+// every pair, and returns each run's metrics of both passes together. Every
+// saturation search runs before any benchmark: on a shared VM, minutes of
+// pinned compute depress the serving rate measured right after them.
+func gateRuns(serve, bench runFunc) ([2][]result, error) {
+	serving, err := pairs(serve, "gate serving", gatePairs)
+	if err != nil {
+		return serving, err
+	}
+	res, err := pairs(bench, "gate compute", gatePairs)
+	if err != nil {
+		return res, err
+	}
+	for side := range res {
+		for i, r := range res[side] {
+			for name, v := range serving[side][i].metrics {
+				r.metrics[name] = v
+			}
+		}
+	}
+	return res, nil
 }
 
 var (

@@ -161,6 +161,37 @@ func TestPairsAlternateAndStopOnError(t *testing.T) {
 	}
 }
 
+func TestGateRunsServingFirst(t *testing.T) {
+	var order []string
+	fake := func(pass string) runFunc {
+		return func(side int, _ string, seed int) (result, error) {
+			order = append(order, pass)
+			return result{metrics: map[string]float64{pass: float64(10*side + seed)}}, nil
+		}
+	}
+	res, err := gateRuns(fake("serve"), fake("bench"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, pass := range order {
+		want := "bench"
+		if i < 2*gatePairs {
+			want = "serve"
+		}
+		if pass != want {
+			t.Fatalf("run %d was %s, want every serve run before any bench run: %v", i, pass, order)
+		}
+	}
+	for side := range res {
+		for i, r := range res[side] {
+			want := float64(10*side + firstSeed + i)
+			if r.metrics["serve"] != want || r.metrics["bench"] != want {
+				t.Fatalf("%s pair %d metrics %v, want serve and bench both %g", sideNames[side], i, r.metrics, want)
+			}
+		}
+	}
+}
+
 func TestBenchLine(t *testing.T) {
 	out := "goos: linux\n" +
 		"BenchmarkScenarioSecond-2   \t       1\t 512345678 ns/op\n" +
