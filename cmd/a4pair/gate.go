@@ -71,7 +71,7 @@ func gate(ctx context.Context, dirs [2]string) error {
 // gateRuns runs the serving pass of every pair, then the compute pass of
 // every pair, and returns each run's metrics of both passes together. Every
 // saturation search runs before any benchmark: on a shared VM, minutes of
-// pinned compute depress the serving rate measured right after them.
+// pinned compute can depress the serving rate measured right after them.
 func gateRuns(serve, bench runFunc) ([2][]result, error) {
 	serving, err := pairs(serve, "gate serving", gatePairs)
 	if err != nil {
