@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -129,7 +130,7 @@ func TestClusterEndpointMatchesSingleNode(t *testing.T) {
 	// Error taxonomy round-trips through the coordinator: a bad spec is the
 	// same 422 APIError a single node answers.
 	var ae *service.APIError
-	if _, err := client.RunBytes([]byte(`{"manager": "bogus", "workloads": [{"kind": "xmem", "cores": [0]}]}`)); !errors.As(err, &ae) || ae.Status != http.StatusUnprocessableEntity {
+	if _, err := client.RunBytes(context.Background(), []byte(`{"manager": "bogus", "workloads": [{"kind": "xmem", "cores": [0]}]}`)); !errors.As(err, &ae) || ae.Status != http.StatusUnprocessableEntity {
 		t.Errorf("coordinator bad-spec /run err = %v, want APIError status 422", err)
 	}
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -47,7 +48,7 @@ func TestRunEndpointCachesSecondPost(t *testing.T) {
 
 	client := service.NewClient(srv.URL, nil)
 	post := func() service.Result {
-		res, err := client.RunBytes(body)
+		res, err := client.RunBytes(context.Background(), body)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,10 +96,10 @@ func TestRunEndpointRejectsBadSpecs(t *testing.T) {
 	// malformed body is a 400 APIError, an invalid spec a 422, an unknown
 	// content address the ErrUnknownHash sentinel.
 	var ae *service.APIError
-	if _, err := client.RunBytes([]byte("{not json")); !errors.As(err, &ae) || ae.Status != http.StatusBadRequest {
+	if _, err := client.RunBytes(context.Background(), []byte("{not json")); !errors.As(err, &ae) || ae.Status != http.StatusBadRequest {
 		t.Errorf("malformed JSON: err = %v, want APIError status 400", err)
 	}
-	if _, err := client.RunBytes([]byte(`{"manager": "bogus", "workloads": [{"kind": "xmem", "cores": [0]}]}`)); !errors.As(err, &ae) || ae.Status != http.StatusUnprocessableEntity {
+	if _, err := client.RunBytes(context.Background(), []byte(`{"manager": "bogus", "workloads": [{"kind": "xmem", "cores": [0]}]}`)); !errors.As(err, &ae) || ae.Status != http.StatusUnprocessableEntity {
 		t.Errorf("invalid spec: err = %v, want APIError status 422", err)
 	}
 	if _, err := client.Result("unknownhash"); !errors.Is(err, service.ErrUnknownHash) {

@@ -13,6 +13,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -115,7 +116,7 @@ func remote(url, hash string, last int) int {
 // shows last is exactly what GET /series serves), or an error for aborted
 // ones. Returns non-zero if the stream ends without a terminal event.
 func follow(url, hash string, last, every int) int {
-	body, err := service.NewClient(url, nil).SeriesStream(hash)
+	body, err := service.NewClient(url, nil).SeriesStream(context.Background(), hash)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "a4top: stream %s: %v\n", hash, err)
 		return 1

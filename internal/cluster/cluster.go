@@ -8,23 +8,23 @@
 // sent: each goes to its rendezvous home unless that would push the home
 // past an even share of the sweep's simulated seconds (consistent hashing
 // with bounded loads), so one backend never runs most of a sweep while
-// another idles. Requests by content hash (/extend, /result, /series) try
-// the backend that last served the run's prefix first. Because execution
-// is deterministic and content-addressed, any backend produces
-// byte-identical results for a given spec; routing is therefore purely a
-// performance policy, and losing a backend mid-sweep is handled by
-// re-sending its points to the next backend in rendezvous order
+// another idles. Requests by content hash (/extend, /result, /series,
+// /trace/events, series streams) try the backend that last served the
+// run's prefix first. Every request to a backend goes through
+// service.Client, the same typed client the daemon's other callers use.
+// Because execution is deterministic and content-addressed, any backend
+// produces byte-identical results for a given spec; routing is therefore
+// purely a performance policy, and losing a backend mid-sweep is handled
+// by re-sending its points to the next backend in rendezvous order
 // (idempotent: a re-executed point cannot differ).
 package cluster
 
 import (
-	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -43,42 +43,44 @@ import (
 type Config struct {
 	// Backends are the base URLs of the a4serve daemons to shard over.
 	Backends []string
-	// QueueDepth bounds the coordinator's in-flight requests per backend;
-	// further points for that backend wait their turn instead of piling up
-	// as unbounded goroutine state. 0 means 32.
-	QueueDepth int
 	// ReviveAfter is how long a lost backend stays out of the routing order
 	// before the coordinator probes its /healthz again. 0 means 15s.
 	ReviveAfter time.Duration
-	// Client executes /run, /extend, and /result requests. Nil gets a
-	// client with a 15-minute timeout (runs may legitimately simulate for
-	// minutes; the backend's CheckBudget bounds them) over a keep-alive
-	// transport whose per-host connection pool matches QueueDepth — the
-	// per-backend in-flight cap — so routed traffic reuses sockets instead
-	// of churning through dials.
-	Client *http.Client
-	// RouteEntries caps the content-hash → routing-key index used to send
-	// /extend and /result/<hash> requests to the backend that owns the run.
-	// Unknown hashes fall back to probing backends in a deterministic
-	// order, so eviction costs latency, never correctness. 0 means 16384.
-	RouteEntries int
 }
+
+const (
+	// queueDepth bounds the coordinator's in-flight requests per backend;
+	// further points for that backend wait their turn instead of piling up
+	// as unbounded goroutine state. The shared transport's per-host
+	// connection pool is sized to match, so routed traffic reuses sockets
+	// instead of churning through dials.
+	queueDepth = 32
+	// routeEntries caps the content-hash → routing-key index that sends
+	// /extend and by-hash reads to the backend owning the run, and the
+	// routing-key → owner index beside it. Unknown hashes fall back to
+	// probing backends in a deterministic order, so eviction costs latency,
+	// never correctness.
+	routeEntries = 16384
+	// runTimeout bounds a run, extend, or by-hash hop: runs may
+	// legitimately simulate for minutes (the backend's CheckBudget bounds
+	// them). Streams clear it.
+	runTimeout = 15 * time.Minute
+	// probeTimeout bounds health, stats, trace, and snapshot requests, so a
+	// dead backend cannot stall the submission path for long.
+	probeTimeout = 10 * time.Second
+)
 
 // Coordinator shards a service.Runner over remote backends.
 type Coordinator struct {
 	backends    []*backend
-	client      *http.Client // run/extend/result traffic
-	probe       *http.Client // healthz and stats traffic, short timeout
-	stream      *http.Client // /series/<hash>/stream proxying: no timeout, streams run for the window's length
-	traces      *obs.Ring    // finished request traces, served merged with backend spans
+	traces      *obs.Ring // finished request traces, served merged with backend spans
 	reviveAfter time.Duration
 
 	// mu guards only the two routing maps; the counters below are atomics
 	// so the submission hot path never takes the coordinator lock.
-	mu       sync.Mutex
-	routes   map[string]string // content hash -> routing key
-	owners   map[string]string // routing key (prefix hash) -> backend URL last serving it
-	routeCap int
+	mu     sync.Mutex
+	routes map[string]string // content hash -> routing key
+	owners map[string]string // routing key (prefix hash) -> backend URL last serving it
 
 	reroutes    atomic.Uint64 // points re-sent after losing a backend
 	softRetries atomic.Uint64 // same-backend retries after a transient transport error
@@ -86,9 +88,13 @@ type Coordinator struct {
 	rejected    atomic.Uint64 // submissions refused before any routing
 }
 
+// backend is one a4serve daemon. Every request to it goes through one of
+// its two service.Clients, which share the coordinator's transport.
 type backend struct {
 	url   string
-	slots chan struct{} // bounded per-backend queue: one token per in-flight request
+	run   *service.Client // runs, extends, by-hash reads and stream proxying
+	probe *service.Client // healthz, stats, traces and snapshot shipping
+	slots chan struct{}   // bounded per-backend queue: one token per in-flight run or extend
 
 	// Health state is atomic: routable runs per submission per backend, and
 	// a mutex here would serialize the whole fleet's dispatch on one node's
@@ -104,35 +110,21 @@ func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, errors.New("cluster: no backends configured")
 	}
-	depth := cfg.QueueDepth
-	if depth <= 0 {
-		depth = 32
-	}
 	revive := cfg.ReviveAfter
 	if revive <= 0 {
 		revive = 15 * time.Second
 	}
-	// One keep-alive transport for all three clients: run/extend traffic,
-	// health/stats probes, and stream proxying pool their connections
-	// per-backend, capped at the per-backend in-flight depth.
-	transport := service.NewTransport(depth)
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Timeout: 15 * time.Minute, Transport: transport}
-	}
-	routeCap := cfg.RouteEntries
-	if routeCap <= 0 {
-		routeCap = 16384
-	}
+	// One keep-alive transport for every client: run/extend traffic,
+	// probes, and stream proxying pool their connections per backend,
+	// capped at the per-backend in-flight depth.
+	transport := service.NewTransport(queueDepth)
+	runHC := &http.Client{Timeout: runTimeout, Transport: transport}
+	probeHC := &http.Client{Timeout: probeTimeout, Transport: transport}
 	c := &Coordinator{
-		client:      client,
-		probe:       &http.Client{Timeout: 10 * time.Second, Transport: transport},
-		stream:      &http.Client{Transport: transport},
 		traces:      obs.NewRing(0),
 		reviveAfter: revive,
 		routes:      make(map[string]string),
 		owners:      make(map[string]string),
-		routeCap:    routeCap,
 	}
 	seen := map[string]bool{}
 	for _, raw := range cfg.Backends {
@@ -144,7 +136,12 @@ func New(cfg Config) (*Coordinator, error) {
 			return nil, fmt.Errorf("cluster: duplicate backend %s", u)
 		}
 		seen[u] = true
-		c.backends = append(c.backends, &backend{url: u, slots: make(chan struct{}, depth)})
+		c.backends = append(c.backends, &backend{
+			url:   u,
+			run:   service.NewClient(u, runHC),
+			probe: service.NewClient(u, probeHC),
+			slots: make(chan struct{}, queueDepth),
+		})
 	}
 	return c, nil
 }
@@ -200,22 +197,12 @@ func (c *Coordinator) routable(b *backend) bool {
 	if time.Since(time.Unix(0, b.downSince.Load())) < c.reviveAfter {
 		return false
 	}
-	if c.healthy(b.url) {
+	if b.probe.Healthz() == nil {
 		b.setDown(false)
 		return true
 	}
 	b.setDown(true) // restart the revive clock
 	return false
-}
-
-func (c *Coordinator) healthy(url string) bool {
-	resp, err := c.probe.Get(url + "/healthz")
-	if err != nil {
-		return false
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
 }
 
 func (b *backend) setDown(down bool) {
@@ -239,83 +226,54 @@ const (
 	callBusy               // backend alive but queue-full: reroute without marking down
 )
 
-// wireResult mirrors the /run and /extend response body.
-type wireResult struct {
-	Hash   string          `json:"hash"`
-	Cached bool            `json:"cached"`
-	Report json.RawMessage `json:"report"`
+// classify maps a service.Client error to its routing class. 429 is busy.
+// A transport or read failure, an undecodable 200 (a half-written answer
+// from a dying backend; re-executing elsewhere is safe because runs are
+// deterministic), 502, 504, and 503 (a closing backend: its queued work
+// still completes, but new points belong elsewhere) are lost. An oversized
+// answer is terminal: the same run reproduces it on every backend, so
+// treating it as lost would down-mark the whole fleet one reroute at a
+// time. Every other status is a deterministic rejection or run failure.
+func classify(err error) callClass {
+	var ae *service.APIError
+	var re *service.RunError
+	switch {
+	case err == nil:
+		return callOK
+	case errors.Is(err, service.ErrBusy):
+		return callBusy
+	case errors.Is(err, service.ErrUnavailable):
+		return callLost
+	case errors.As(err, &ae):
+		if ae.Status == http.StatusBadGateway || ae.Status == http.StatusGatewayTimeout {
+			return callLost
+		}
+		return callTerminal
+	case errors.Is(err, service.ErrTooLarge), errors.Is(err, service.ErrUnknownHash), errors.As(err, &re):
+		return callTerminal
+	default:
+		return callLost
+	}
 }
 
-// maxResponseBytes bounds a single backend response read; a /run report is
-// a few KB, so the cap only guards against a misbehaving peer.
-const maxResponseBytes = 16 << 20
-
-// call POSTs body to one backend and classifies the outcome. The bounded
-// per-backend queue is held for the duration of the request. When tr is
-// non-nil the backend joins the request's trace: the trace ID travels in
-// the X-A4-Trace header, and the hop itself is recorded as a backend_call
-// span labeled with the backend URL.
-func (c *Coordinator) call(b *backend, path string, body []byte, tr *obs.Trace) (service.Result, callClass, error) {
+// call sends one run or extend hop to b through its run client, holding
+// b's bounded queue for the duration, and classifies the outcome. The hop
+// is a backend_call span labeled with the backend URL, and the trace ctx
+// carries travels to the backend, whose spans join it. The hop ignores
+// ctx's cancellation, so a client hanging up is never read as a lost
+// backend. A backend's non-2xx answer comes back as the service error
+// taxonomy (service.ErrFromStatus), so the coordinator's own HTTP layer
+// round-trips the status to its client unchanged.
+func (c *Coordinator) call(ctx context.Context, b *backend, hop func(context.Context, *service.Client) (service.Result, error)) (service.Result, callClass, error) {
 	b.slots <- struct{}{}
 	defer func() { <-b.slots }()
-	req, err := http.NewRequest(http.MethodPost, b.url+path, bytes.NewReader(body))
-	if err != nil {
-		return service.Result{}, callTerminal, fmt.Errorf("cluster: backend %s: %w", b.url, err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if tr != nil {
-		req.Header.Set(obs.TraceHeader, tr.ID())
-	}
-	span := tr.Begin("backend_call").Annotate(b.url)
-	resp, err := c.client.Do(req)
+	span := obs.TraceFrom(ctx).Begin("backend_call").Annotate(b.url)
+	res, err := hop(context.WithoutCancel(ctx), b.run)
 	span.End()
 	if err != nil {
-		return service.Result{}, callLost, fmt.Errorf("cluster: backend %s: %w", b.url, err)
+		return service.Result{}, classify(err), fmt.Errorf("cluster: backend %s: %w", b.url, err)
 	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes+1))
-	if err != nil {
-		return service.Result{}, callLost, fmt.Errorf("cluster: backend %s: reading response: %w", b.url, err)
-	}
-	if len(data) > maxResponseBytes {
-		// Deterministic runs reproduce the same oversized answer on every
-		// backend, so treating this as a lost node would down-mark the whole
-		// fleet one reroute at a time; it is the request's fault, not the
-		// backend's.
-		return service.Result{}, callTerminal, fmt.Errorf("cluster: backend %s: response exceeds %d bytes", b.url, maxResponseBytes)
-	}
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusBadGateway, http.StatusGatewayTimeout:
-		return service.Result{}, callLost, translateStatus(b.url, resp.StatusCode, data)
-	case http.StatusServiceUnavailable:
-		// The backend is closing; its queued work still completes, but new
-		// points belong elsewhere.
-		return service.Result{}, callLost, translateStatus(b.url, resp.StatusCode, data)
-	case http.StatusTooManyRequests:
-		return service.Result{}, callBusy, translateStatus(b.url, resp.StatusCode, data)
-	default:
-		return service.Result{}, callTerminal, translateStatus(b.url, resp.StatusCode, data)
-	}
-	var wr wireResult
-	if err := json.Unmarshal(data, &wr); err != nil {
-		// A half-written 200 from a dying backend. Re-executing the point
-		// elsewhere is safe: runs are deterministic, so a retry cannot
-		// produce different bytes.
-		return service.Result{}, callLost, fmt.Errorf("cluster: backend %s: bad response: %w", b.url, err)
-	}
-	// The backend's body already is the canonical response envelope, so the
-	// coordinator's HTTP layer forwards it verbatim instead of re-encoding.
-	return service.Result{Hash: wr.Hash, Cached: wr.Cached, Report: wr.Report, Envelope: data}, callOK, nil
-}
-
-// translateStatus converts a backend's non-2xx answer back into the service
-// error taxonomy via the shared inverse mapping (service.ErrFromStatus), so
-// the coordinator's own HTTP layer (service.StatusForErr) round-trips the
-// status to its client unchanged — 404, 429, 503, 500, and the 4xx family
-// all survive the hop exactly.
-func translateStatus(url string, status int, body []byte) error {
-	return fmt.Errorf("cluster: backend %s: %w", url, service.ErrFromStatus(status, body))
+	return res, callOK, nil
 }
 
 // failover returns key's rendezvous order with head moved to the front: the
@@ -346,7 +304,9 @@ func (c *Coordinator) failover(key string, head *backend) []*backend {
 // key, the previous owner's warm snapshot is shipped over first, so
 // reroutes and revivals continue from warm state instead of re-simulating
 // the prefix.
-func (c *Coordinator) submitKey(key string, head *backend, path string, body []byte, tr *obs.Trace) (service.Result, error) {
+func (c *Coordinator) submitKey(ctx context.Context, key string, head *backend, body []byte) (service.Result, error) {
+	tr := obs.TraceFrom(ctx)
+	run := func(ctx context.Context, cl *service.Client) (service.Result, error) { return cl.RunBytes(ctx, body) }
 	var lastErr, lastBusy error
 	sawLost := false
 	for _, b := range c.failover(key, head) {
@@ -354,13 +314,13 @@ func (c *Coordinator) submitKey(key string, head *backend, path string, body []b
 			continue
 		}
 		c.maybeHandoff(key, b, tr)
-		res, class, err := c.call(b, path, body, tr)
+		res, class, err := c.call(ctx, b, run)
 		if class == callLost {
 			c.softRetries.Add(1)
 			// Jittered backoff so a fleet of coordinator goroutines does not
 			// re-hit a briefly-choking backend in lockstep.
 			time.Sleep(time.Duration(50+rand.Intn(100)) * time.Millisecond)
-			res, class, err = c.call(b, path, body, tr)
+			res, class, err = c.call(ctx, b, run)
 		}
 		switch class {
 		case callOK:
@@ -389,43 +349,23 @@ func (c *Coordinator) submitKey(key string, head *backend, path string, body []b
 	return service.Result{}, fmt.Errorf("cluster: %w: %v", service.ErrUnavailable, lastErr)
 }
 
-// maxSnapshotWireBytes bounds a shipped snapshot body, mirroring the
-// backend's own POST /snapshot cap.
-const maxSnapshotWireBytes = 64 << 20
-
 // maybeHandoff ships the warm snapshot for routing key (a prefix hash)
 // from the backend that last served it to target, the backend about to
 // serve it now — the reroute/revival path that moves warm state instead of
 // re-warming. Strictly best-effort and fully validated on the receiving
 // side: any failure (previous owner gone, no snapshot, corrupt bytes,
 // target rejecting) just means target re-executes from scratch, which is
-// always correct. The short-timeout probe client bounds how long a dead
+// always correct. The short-timeout probe clients bound how long a dead
 // owner can stall the submission path.
 func (c *Coordinator) maybeHandoff(key string, target *backend, tr *obs.Trace) {
-	c.mu.Lock()
-	owner := c.owners[key]
-	c.mu.Unlock()
-	if owner == "" || owner == target.url {
+	owner := c.ownerOf(key)
+	if owner == nil || owner == target {
 		return
 	}
 	span := tr.Begin("snapshot_handoff").Annotate(target.url)
 	defer span.End()
-	resp, err := c.probe.Get(owner + "/snapshot/" + key)
-	if err != nil {
-		return
-	}
-	data, rerr := io.ReadAll(io.LimitReader(resp.Body, maxSnapshotWireBytes+1))
-	resp.Body.Close()
-	if rerr != nil || resp.StatusCode != http.StatusOK || len(data) > maxSnapshotWireBytes {
-		return
-	}
-	post, err := c.probe.Post(target.url+"/snapshot/"+key, "application/octet-stream", bytes.NewReader(data))
-	if err != nil {
-		return
-	}
-	io.Copy(io.Discard, post.Body)
-	post.Body.Close()
-	if post.StatusCode == http.StatusOK {
+	data, err := owner.probe.Snapshot(key)
+	if err == nil && target.probe.InstallSnapshot(key, data) == nil {
 		c.handoffs.Add(1)
 	}
 }
@@ -441,7 +381,7 @@ func (c *Coordinator) recordOwner(key, url string) {
 		}
 		return
 	}
-	if len(c.owners) >= c.routeCap {
+	if len(c.owners) >= routeEntries {
 		for k := range c.owners {
 			delete(c.owners, k)
 			break
@@ -456,6 +396,11 @@ func (c *Coordinator) ownerOf(key string) *backend {
 	c.mu.Lock()
 	url := c.owners[key]
 	c.mu.Unlock()
+	return c.backendAt(url)
+}
+
+// backendAt returns the backend with base URL url, or nil.
+func (c *Coordinator) backendAt(url string) *backend {
 	for _, b := range c.backends {
 		if b.url == url {
 			return b
@@ -467,21 +412,16 @@ func (c *Coordinator) ownerOf(key string) *backend {
 // Submit routes one spec to the backend owning its prefix hash. Using the
 // prefix (not the full content hash) as the routing key is what gives
 // same-prefix submissions — a /run, its /extend, the measure_sec rows of a
-// sweep — affinity to one backend's warm-snapshot LRU.
-func (c *Coordinator) Submit(sp *scenario.Spec) (service.Result, error) {
-	return c.submit(sp, nil, nil)
-}
-
-// SubmitTraced is Submit with the request's trace threaded through routing:
-// handoffs, reroutes, and the backend hop itself all land in tr, and the
-// trace ID is forwarded so the owning backend's spans join the same trace.
-func (c *Coordinator) SubmitTraced(sp *scenario.Spec, tr *obs.Trace) (service.Result, error) {
-	return c.submit(sp, nil, tr)
+// sweep — affinity to one backend's warm-snapshot LRU. The trace ctx
+// carries records the routing (handoffs, reroutes, the backend hop itself)
+// and travels to the owning backend, whose spans join it.
+func (c *Coordinator) Submit(ctx context.Context, sp *scenario.Spec) (service.Result, error) {
+	return c.submit(ctx, sp, nil)
 }
 
 // submit sends sp down its prefix's failover order headed by head (nil for
 // the rendezvous home).
-func (c *Coordinator) submit(sp *scenario.Spec, head *backend, tr *obs.Trace) (service.Result, error) {
+func (c *Coordinator) submit(ctx context.Context, sp *scenario.Spec, head *backend) (service.Result, error) {
 	canon, _, prefix, err := sp.Digest()
 	if err == nil {
 		// Mirror the local serving policy before spending a network hop:
@@ -492,7 +432,7 @@ func (c *Coordinator) submit(sp *scenario.Spec, head *backend, tr *obs.Trace) (s
 		c.rejected.Add(1)
 		return service.Result{}, err
 	}
-	res, err := c.submitKey(prefix, head, "/run", canon, tr)
+	res, err := c.submitKey(ctx, prefix, head, canon)
 	if err == nil {
 		c.recordRoute(res.Hash, prefix)
 	}
@@ -505,36 +445,24 @@ func (c *Coordinator) submit(sp *scenario.Spec, head *backend, tr *obs.Trace) (s
 // backend holding the run's indexed spec and warm snapshot — even when a
 // sweep placed the prefix off its rendezvous home. Unknown or evicted
 // hashes fall back to probing the fleet in deterministic order, and only
-// when every backend answers 404 does the client see ErrUnknownHash.
-func (c *Coordinator) Extend(hash string, measureSec float64) (service.Result, error) {
-	return c.extend(hash, measureSec, nil)
-}
-
-// ExtendTraced is Extend carrying the request's trace through the fleet
-// probe, mirroring SubmitTraced.
-func (c *Coordinator) ExtendTraced(hash string, measureSec float64, tr *obs.Trace) (service.Result, error) {
-	return c.extend(hash, measureSec, tr)
-}
-
-func (c *Coordinator) extend(hash string, measureSec float64, tr *obs.Trace) (service.Result, error) {
-	body, err := json.Marshal(service.ExtendRequest{Hash: hash, MeasureSec: measureSec})
-	if err != nil {
-		return service.Result{}, err
+// when every backend answers 404 does the client see ErrUnknownHash. The
+// trace travels as for Submit.
+func (c *Coordinator) Extend(ctx context.Context, hash string, measureSec float64) (service.Result, error) {
+	tr := obs.TraceFrom(ctx)
+	extend := func(ctx context.Context, cl *service.Client) (service.Result, error) {
+		return cl.Extend(ctx, hash, measureSec)
 	}
-	key, known := c.routeOf(hash)
-	if !known {
-		key = hash
-	}
+	key, order := c.hashOrder(hash)
 	var lastErr error
 	sawUnknown, incomplete := false, false
-	for _, b := range c.failover(key, c.ownerOf(key)) {
+	for _, b := range order {
 		if !c.routable(b) {
 			// A skipped backend might hold the run; its silence must not be
 			// read as a 404.
 			incomplete = true
 			continue
 		}
-		res, class, err := c.call(b, "/extend", body, tr)
+		res, class, err := c.call(ctx, b, extend)
 		switch class {
 		case callOK:
 			// The extended run shares the original's prefix, so it lives
@@ -584,7 +512,7 @@ func (c *Coordinator) extend(hash string, measureSec float64, tr *obs.Trace) (se
 // order. Results assemble by grid index, so the response is byte-identical
 // to a single-node (or serial) run of the same request — backend count and
 // placement, like worker count, never reorder points.
-func (c *Coordinator) Sweep(req *service.SweepRequest) ([]service.SweepPoint, error) {
+func (c *Coordinator) Sweep(ctx context.Context, req *service.SweepRequest) ([]service.SweepPoint, error) {
 	specs, grids, err := service.ExpandSweep(req)
 	if err != nil {
 		return nil, err
@@ -610,7 +538,7 @@ func (c *Coordinator) Sweep(req *service.SweepRequest) ([]service.SweepPoint, er
 		go func(idxs []int, head *backend) {
 			defer wg.Done()
 			for _, i := range idxs {
-				res, err := c.submit(specs[i], head, nil)
+				res, err := c.submit(ctx, specs[i], head)
 				if err != nil {
 					errs[i] = err
 					continue
@@ -707,50 +635,63 @@ func placeGroups(keys []string, costs []float64, up []*backend) []*backend {
 	return out
 }
 
-// Lookup fetches a cached report by content address from the backend that
-// last served its prefix (via the route and owner indexes), probing the
-// rest of the fleet in rendezvous order if needed.
+// Lookup fetches a cached report by content address, routed by byHash.
 func (c *Coordinator) Lookup(hash string) ([]byte, bool) {
-	return c.fetchByHash("/result/", hash)
+	return c.fetchByHash(hash, func(cl *service.Client) ([]byte, error) { return cl.Result(hash) })
 }
 
 // Series fetches a cached run's per-second telemetry by content address,
-// routed exactly like Lookup: series live beside reports in the executing
-// backend's cache, and unknown hashes fall back to probing the fleet in
-// rendezvous order.
+// routed like Lookup: series live beside reports in the executing
+// backend's cache.
 func (c *Coordinator) Series(hash string) ([]byte, bool) {
-	return c.fetchByHash("/series/", hash)
+	return c.fetchByHash(hash, func(cl *service.Client) ([]byte, error) { return cl.Series(hash) })
 }
 
-// fetchByHash GETs path+hash from the backend that last served the hash's
-// routing key, then from the rest of the fleet in deterministic rendezvous
-// order.
-func (c *Coordinator) fetchByHash(path, hash string) ([]byte, bool) {
+// hashOrder returns the routing key of the run served under hash (the hash
+// itself when unrecorded) and the backends to try for it: the one that last
+// served the key first, then the rest in the key's rendezvous order.
+func (c *Coordinator) hashOrder(hash string) (string, []*backend) {
 	key, known := c.routeOf(hash)
 	if !known {
 		key = hash
 	}
-	for _, b := range c.failover(key, c.ownerOf(key)) {
+	return key, c.failover(key, c.ownerOf(key))
+}
+
+// byHash is the one by-hash read loop (/result, /series, /trace/events, the
+// series stream): read runs against the run client of each routable backend
+// in hash's order until one answers. A lost backend is marked down, so later requests skip
+// it without paying a timeout; a 404 or other refusal moves on, since after
+// a failover the run may live on any node. An oversized answer ends the
+// walk as a miss: the same content address yields the same answer
+// everywhere.
+func (c *Coordinator) byHash(hash string, read func(*service.Client) error) bool {
+	_, order := c.hashOrder(hash)
+	for _, b := range order {
 		if !c.routable(b) {
 			continue
 		}
-		resp, err := c.client.Get(b.url + path + hash)
-		if err != nil {
+		err := read(b.run)
+		switch {
+		case err == nil:
+			return true
+		case errors.Is(err, service.ErrTooLarge):
+			return false
+		case classify(err) == callLost:
 			b.setDown(true)
-			continue
-		}
-		data, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes+1))
-		resp.Body.Close()
-		if len(data) > maxResponseBytes {
-			// A miss, not a lost backend: the same content address yields
-			// the same oversized answer everywhere (see call).
-			return nil, false
-		}
-		if err == nil && resp.StatusCode == http.StatusOK {
-			return data, true
 		}
 	}
-	return nil, false
+	return false
+}
+
+// fetchByHash is byHash for a read whose answer is a body.
+func (c *Coordinator) fetchByHash(hash string, get func(*service.Client) ([]byte, error)) ([]byte, bool) {
+	var data []byte
+	ok := c.byHash(hash, func(cl *service.Client) (err error) {
+		data, err = get(cl)
+		return err
+	})
+	return data, ok
 }
 
 func (c *Coordinator) recordRoute(hash, key string) {
@@ -759,7 +700,7 @@ func (c *Coordinator) recordRoute(hash, key string) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.routes[hash]; !ok && len(c.routes) >= c.routeCap {
+	if _, ok := c.routes[hash]; !ok && len(c.routes) >= routeEntries {
 		// Evict one arbitrary entry; a missed route only costs the probing
 		// fallback, never correctness.
 		for k := range c.routes {
@@ -810,7 +751,7 @@ func (c *Coordinator) Stats() Stats {
 		go func(i int, b *backend) {
 			defer wg.Done()
 			bs := BackendStats{URL: b.url, Down: b.isDown()}
-			st, err := c.fetchStats(b.url)
+			st, _, err := b.probe.Stats()
 			if err != nil {
 				bs.Error = err.Error()
 			} else {
@@ -845,18 +786,4 @@ func (c *Coordinator) Stats() Stats {
 	out.SnapshotHandoffs = c.handoffs.Load()
 	out.Rejected = c.rejected.Load()
 	return out
-}
-
-func (c *Coordinator) fetchStats(url string) (service.Stats, error) {
-	var st service.Stats
-	resp, err := c.probe.Get(url + "/stats")
-	if err != nil {
-		return st, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return st, fmt.Errorf("stats: status %d", resp.StatusCode)
-	}
-	err = json.NewDecoder(resp.Body).Decode(&st)
-	return st, err
 }

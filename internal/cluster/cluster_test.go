@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -86,14 +87,14 @@ func sweepReq() *service.SweepRequest {
 // agree on every byte of every point.
 func TestClusterSweepByteIdenticalToSerial(t *testing.T) {
 	coord := newCoordinator(t, newBackend(t).URL, newBackend(t).URL, newBackend(t).URL)
-	got, err := coord.Sweep(sweepReq())
+	got, err := coord.Sweep(context.Background(), sweepReq())
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	serial := service.New(service.Config{Workers: 1})
 	defer serial.Close()
-	want, err := serial.Sweep(sweepReq())
+	want, err := serial.Sweep(context.Background(), sweepReq())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,14 +197,14 @@ func TestClusterReroutesLostBackendMidSweep(t *testing.T) {
 		}
 	}
 
-	got, err := coord.Sweep(req)
+	got, err := coord.Sweep(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	serial := service.New(service.Config{Workers: 1})
 	defer serial.Close()
-	want, err := serial.Sweep(req)
+	want, err := serial.Sweep(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,11 +231,11 @@ func TestClusterReroutesLostBackendMidSweep(t *testing.T) {
 func TestClusterExtendRoutesToOwner(t *testing.T) {
 	coord := newCoordinator(t, newBackend(t).URL, newBackend(t).URL)
 
-	res, err := coord.Submit(testSpec(7))
+	res, err := coord.Submit(context.Background(), testSpec(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext, err := coord.Extend(res.Hash, 3)
+	ext, err := coord.Extend(context.Background(), res.Hash, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +267,7 @@ func TestClusterExtendRoutesToOwner(t *testing.T) {
 		t.Error("Lookup did not serve the extended report by content address")
 	}
 
-	if _, err := coord.Extend("feedfacefeedface", 2); !errors.Is(err, service.ErrUnknownHash) {
+	if _, err := coord.Extend(context.Background(), "feedfacefeedface", 2); !errors.Is(err, service.ErrUnknownHash) {
 		t.Errorf("unknown hash: got %v, want ErrUnknownHash", err)
 	}
 }
@@ -301,7 +302,7 @@ func TestRunSpecsOverCluster(t *testing.T) {
 
 func TestClusterSweepRejectsBadGridBeforeExecuting(t *testing.T) {
 	coord := newCoordinator(t, newBackend(t).URL)
-	_, err := coord.Sweep(&service.SweepRequest{
+	_, err := coord.Sweep(context.Background(), &service.SweepRequest{
 		Spec: *testSpec(1),
 		Axes: []service.Axis{{Param: "manager", Managers: []string{"default", "bogus"}}},
 	})
@@ -318,7 +319,7 @@ func TestClusterUnavailableWhenFleetIsGone(t *testing.T) {
 	url := srv.URL
 	srv.Close()
 	coord := newCoordinator(t, url)
-	if _, err := coord.Submit(testSpec(1)); !errors.Is(err, service.ErrUnavailable) {
+	if _, err := coord.Submit(context.Background(), testSpec(1)); !errors.Is(err, service.ErrUnavailable) {
 		t.Fatalf("got %v, want ErrUnavailable", err)
 	}
 }
@@ -390,7 +391,7 @@ func TestSoftRetrySurvivesTransientDrop(t *testing.T) {
 	t.Cleanup(srv.Close)
 
 	coord := newCoordinator(t, srv.URL)
-	res, err := coord.Submit(testSpec(21))
+	res, err := coord.Submit(context.Background(), testSpec(21))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +467,7 @@ func TestSnapshotHandoffOnRevival(t *testing.T) {
 	}
 
 	// Warm the home backend, then kill it.
-	if _, err := coord.Submit(sp); err != nil {
+	if _, err := coord.Submit(context.Background(), sp); err != nil {
 		t.Fatal(err)
 	}
 	homeToggle.dead.Store(true)
@@ -476,7 +477,7 @@ func TestSnapshotHandoffOnRevival(t *testing.T) {
 	// not failure) and becomes the recorded owner.
 	mid := testSpec(22)
 	mid.MeasureSec = 2
-	if _, err := coord.Submit(mid); err != nil {
+	if _, err := coord.Submit(context.Background(), mid); err != nil {
 		t.Fatal(err)
 	}
 	if st := coord.Stats(); st.SnapshotHandoffs != 0 {
@@ -489,7 +490,7 @@ func TestSnapshotHandoffOnRevival(t *testing.T) {
 	time.Sleep(150 * time.Millisecond)
 	long := testSpec(22)
 	long.MeasureSec = 3
-	res, err := coord.Submit(long)
+	res, err := coord.Submit(context.Background(), long)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -557,7 +558,7 @@ func TestHandoffRejectsCorruptSnapshot(t *testing.T) {
 	t.Cleanup(owner.Close)
 
 	sp := testSpec(23)
-	if _, err := ownerSvc.Submit(sp); err != nil {
+	if _, err := ownerSvc.Submit(context.Background(), sp); err != nil {
 		t.Fatal(err)
 	}
 	_, _, prefix, err := sp.Digest()
@@ -573,7 +574,7 @@ func TestHandoffRejectsCorruptSnapshot(t *testing.T) {
 
 	long := testSpec(23)
 	long.MeasureSec = 2
-	res, err := coord.Submit(long)
+	res, err := coord.Submit(context.Background(), long)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"sort"
@@ -11,9 +9,8 @@ import (
 	"a4sim/internal/service"
 )
 
-// The coordinator's observability surface: the same optional interfaces the
-// mux probes on a local service (Tracer, EventsSource, MetricsWriter,
-// SeriesStreamer), implemented by delegation. Traces merge the coordinator's
+// The coordinator's observability surface: the same Runner methods the
+// local service implements, by delegation. Traces merge the coordinator's
 // routing spans with the owning backend's execution spans (joined over the
 // wire by the X-A4-Trace header); events and streams proxy to the backend
 // that ran the request; metrics expose the fleet sum next to a per-backend
@@ -37,22 +34,28 @@ func (c *Coordinator) TraceJSON(id string) ([]byte, bool) {
 	spans := t.Snapshot()
 	// One fetch per distinct backend this request touched, in first-contact
 	// order.
-	var urls []string
+	var hops []*backend
 	seen := map[string]bool{}
 	for _, sp := range spans {
-		if sp.Name == "backend_call" && sp.Backend != "" && !seen[sp.Backend] {
+		if sp.Name == "backend_call" && !seen[sp.Backend] {
 			seen[sp.Backend] = true
-			urls = append(urls, sp.Backend)
+			if b := c.backendAt(sp.Backend); b != nil {
+				hops = append(hops, b)
+			}
 		}
 	}
-	for _, url := range urls {
-		remote, ok := c.fetchTrace(url, id)
-		if !ok {
+	for _, b := range hops {
+		data, err := b.probe.Trace(id)
+		if err != nil {
+			continue
+		}
+		_, remote, err := obs.DecodeTrace(data)
+		if err != nil {
 			continue
 		}
 		for i := range remote {
 			if remote[i].Backend == "" {
-				remote[i].Backend = url
+				remote[i].Backend = b.url
 			}
 		}
 		spans = append(spans, remote...)
@@ -61,67 +64,31 @@ func (c *Coordinator) TraceJSON(id string) ([]byte, bool) {
 	return obs.EncodeTrace(id, spans), true
 }
 
-func (c *Coordinator) fetchTrace(url, id string) ([]obs.Span, bool) {
-	resp, err := c.probe.Get(url + "/trace/" + id)
-	if err != nil {
-		return nil, false
-	}
-	data, rerr := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
-	resp.Body.Close()
-	if rerr != nil || resp.StatusCode != http.StatusOK {
-		return nil, false
-	}
-	_, spans, err := obs.DecodeTrace(data)
-	if err != nil {
-		return nil, false
-	}
-	return spans, true
-}
-
 // TraceEvents proxies a cached run's simulator event log from the backend
-// that executed it, routed exactly like Series.
+// that executed it, routed on the bare hash like Series.
 func (c *Coordinator) TraceEvents(hash string, n int) ([]byte, bool) {
-	path := "/trace/events/"
-	if n > 0 {
-		return c.fetchByHash(path, fmt.Sprintf("%s?n=%d", hash, n))
-	}
-	return c.fetchByHash(path, hash)
+	return c.fetchByHash(hash, func(cl *service.Client) ([]byte, error) { return cl.TraceEvents(hash, n) })
 }
 
 // ServeSeriesStream proxies the live (or replayed) series stream from the
-// backend owning hash. The proxy request is bound to the client's context,
-// so a subscriber disconnecting tears down the backend leg too, and every
-// read is flushed through immediately to preserve the 1 Hz cadence. A 404
-// falls through to the next backend in rendezvous order, mirroring Series.
-func (c *Coordinator) ServeSeriesStream(w http.ResponseWriter, req *http.Request, hash string) {
-	key, known := c.routeOf(hash)
-	if !known {
-		key = hash
-	}
-	for _, b := range c.rendezvous(key) {
-		if !c.routable(b) {
-			continue
-		}
-		preq, err := http.NewRequestWithContext(req.Context(), http.MethodGet, b.url+"/series/"+hash+"/stream", nil)
+// backend owning hash, routed like /series. The proxy request is bound to
+// the subscriber's context, so a subscriber disconnecting tears down the
+// backend leg too, and every read is flushed through immediately to
+// preserve the 1 Hz cadence.
+func (c *Coordinator) ServeSeriesStream(w http.ResponseWriter, req *http.Request, hash string) bool {
+	ctx := req.Context()
+	return c.byHash(hash, func(cl *service.Client) error {
+		body, err := cl.SeriesStream(ctx, hash)
 		if err != nil {
-			continue
+			if ctx.Err() != nil {
+				return nil // the subscriber left: nobody waits on another backend
+			}
+			return err
 		}
-		resp, err := c.stream.Do(preq)
-		if err != nil {
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			io.Copy(io.Discard, io.LimitReader(resp.Body, maxResponseBytes))
-			resp.Body.Close()
-			continue
-		}
-		defer resp.Body.Close()
-		copyStream(w, resp.Body)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusNotFound)
-	json.NewEncoder(w).Encode(map[string]string{"error": "no series for " + hash + " on any backend"})
+		defer body.Close()
+		copyStream(w, body)
+		return nil
+	})
 }
 
 // copyStream relays SSE bytes, flushing after every read so frames are not

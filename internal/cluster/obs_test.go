@@ -3,6 +3,7 @@ package cluster
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -187,7 +188,7 @@ func TestCoordinatorTraceJoinAcrossReroute(t *testing.T) {
 func TestCoordinatorMetricsExposition(t *testing.T) {
 	b1, b2 := newBackend(t), newBackend(t)
 	coord := newCoordinator(t, b1.URL, b2.URL)
-	if _, err := coord.Submit(testSpec(6)); err != nil {
+	if _, err := coord.Submit(context.Background(), testSpec(6)); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -213,7 +214,7 @@ func TestCoordinatorTraceEventsProxy(t *testing.T) {
 	coord := newCoordinator(t, newBackend(t).URL, newBackend(t).URL)
 	sp := testSpec(7)
 	sp.MeasureSec = 8 // long enough for controller decisions to land
-	res, err := coord.Submit(sp)
+	res, err := coord.Submit(context.Background(), sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,5 +243,27 @@ func TestCoordinatorTraceEventsProxy(t *testing.T) {
 	}
 	if _, ok := coord.TraceEvents("0000000000000000", 0); ok {
 		t.Error("unknown hash served an event log")
+	}
+}
+
+// TestCoordinatorStreamUnknownHash404s: a hash no backend can stream gets
+// the same error envelope a single node sends.
+func TestCoordinatorStreamUnknownHash404s(t *testing.T) {
+	coord := newCoordinator(t, newBackend(t).URL, newBackend(t).URL)
+	front := httptest.NewServer(service.NewMux(coord, func() any { return coord.Stats() }, nil))
+	t.Cleanup(front.Close)
+	const hash = "deadbeef"
+	resp, err := http.Get(front.URL + "/series/" + hash + "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("status %d, want 404", resp.StatusCode)
+	}
+	var eb service.ErrorBody
+	if err := json.Unmarshal(body, &eb); err != nil || eb.Status != http.StatusNotFound || eb.Hash != hash || eb.Error == "" {
+		t.Errorf("envelope %s (err %v), want status 404 and hash %s", body, err, hash)
 	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -9,6 +10,10 @@ import (
 
 	"a4sim/internal/service"
 )
+
+// maxResponseBytes is the service.Client read cap on one backend answer,
+// which the coordinator inherits.
+const maxResponseBytes = 16 << 20
 
 // TestBackendOutcomeClasses pins what each kind of backend answer means
 // for routing, through one Submit against a single stub backend: the
@@ -58,7 +63,7 @@ func TestBackendOutcomeClasses(t *testing.T) {
 			stub := httptest.NewServer(tc.handler)
 			t.Cleanup(stub.Close)
 			coord := newCoordinator(t, stub.URL)
-			res, err := coord.Submit(testSpec(1))
+			res, err := coord.Submit(context.Background(), testSpec(1))
 			got := http.StatusOK
 			if err != nil {
 				got = service.StatusForErr(err)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -253,11 +254,11 @@ func TestExtendRoutesToPlacedOwner(t *testing.T) {
 	}
 	owner := placed[1]
 
-	points, err := coord.Sweep(req)
+	points, err := coord.Sweep(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext, err := coord.Extend(points[1].Hash, 2)
+	ext, err := coord.Extend(context.Background(), points[1].Hash, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"a4sim/internal/scenario"
@@ -27,11 +28,11 @@ func TestClusterSeriesByteIdenticalToSingleNode(t *testing.T) {
 	defer local.Close()
 
 	for _, seed := range []uint64{1, 2, 3, 4} {
-		res, err := coord.Submit(seriesSpec(seed, 2))
+		res, err := coord.Submit(context.Background(), seriesSpec(seed, 2))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := local.Submit(seriesSpec(seed, 2))
+		want, err := local.Submit(context.Background(), seriesSpec(seed, 2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,17 +62,17 @@ func TestClusterSeriesByteIdenticalToSingleNode(t *testing.T) {
 func TestClusterExtendAppendsSeries(t *testing.T) {
 	coord := newCoordinator(t, newBackend(t).URL, newBackend(t).URL)
 
-	first, err := coord.Submit(seriesSpec(7, 1))
+	first, err := coord.Submit(context.Background(), seriesSpec(7, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext, err := coord.Extend(first.Hash, 3)
+	ext, err := coord.Extend(context.Background(), first.Hash, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	local := service.New(service.Config{Workers: 1, SnapshotEntries: -1})
 	defer local.Close()
-	fresh, err := local.Submit(seriesSpec(7, 3))
+	fresh, err := local.Submit(context.Background(), seriesSpec(7, 3))
 	if err != nil {
 		t.Fatal(err)
 	}

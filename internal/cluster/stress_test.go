@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -21,7 +22,7 @@ func TestCoordinatorStressRace(t *testing.T) {
 	// with two backends they may land on either (or both on one).
 	refs := make([]primedRun, 2)
 	for i := range refs {
-		res, err := c.Submit(testSpec(uint64(600 + i)))
+		res, err := c.Submit(context.Background(), testSpec(uint64(600+i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +44,7 @@ func TestCoordinatorStressRace(t *testing.T) {
 				case 3:
 					// Same extension from every client: one execution on the
 					// owning backend, the rest cache hits or dedups.
-					res, err := c.Extend(ref.hash, 2)
+					res, err := c.Extend(context.Background(), ref.hash, 2)
 					if err != nil {
 						errs <- fmt.Errorf("client %d extend: %w", cl, err)
 						return
@@ -55,7 +56,7 @@ func TestCoordinatorStressRace(t *testing.T) {
 						return
 					}
 				default:
-					res, err := c.Submit(testSpec(uint64(600 + i%len(refs))))
+					res, err := c.Submit(context.Background(), testSpec(uint64(600+i%len(refs))))
 					if err != nil {
 						errs <- fmt.Errorf("client %d submit: %w", cl, err)
 						return

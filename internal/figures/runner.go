@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -115,7 +116,7 @@ func RunSpecs(o Options, r service.Runner, specs []*scenario.Spec) ([]*scenario.
 	groups := service.GroupSpecsByPrefix(specs)
 	forEachPoint(o, len(groups), func(g int) {
 		for _, i := range groups[g] {
-			res, err := r.Submit(specs[i])
+			res, err := r.Submit(context.Background(), specs[i])
 			if err != nil {
 				errs[i] = err
 				continue

@@ -10,6 +10,7 @@
 package obs
 
 import (
+	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
@@ -75,6 +76,26 @@ type Trace struct {
 
 	mu    sync.Mutex
 	spans []Span
+}
+
+// traceKey is the context key WithTrace stores a request's trace under.
+type traceKey struct{}
+
+// WithTrace returns ctx carrying tr, the one way a request's trace travels
+// from the HTTP mux through a Runner to the backend hop. A nil tr returns
+// ctx unchanged, so the untraced path allocates nothing.
+func WithTrace(ctx context.Context, tr *Trace) context.Context {
+	if tr == nil {
+		return ctx
+	}
+	return context.WithValue(ctx, traceKey{}, tr)
+}
+
+// TraceFrom returns the trace ctx carries, or nil (itself a valid, no-op
+// trace) when it carries none.
+func TraceFrom(ctx context.Context) *Trace {
+	tr, _ := ctx.Value(traceKey{}).(*Trace)
+	return tr
 }
 
 // NewTrace starts an empty trace anchored at now.

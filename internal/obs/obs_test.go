@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -63,6 +64,22 @@ func TestTraceNilSafe(t *testing.T) {
 	h.Annotate("y").End() // must not panic
 	tr.Mark("m", "")
 	tr.Add(Span{Name: "s"})
+}
+
+// TestTraceContext: a context carries the trace it was given, an untraced
+// one yields nil, and WithTrace of nil leaves the context as it was.
+func TestTraceContext(t *testing.T) {
+	ctx := context.Background()
+	if TraceFrom(ctx) != nil {
+		t.Error("empty context yielded a trace")
+	}
+	if WithTrace(ctx, nil) != ctx {
+		t.Error("WithTrace(nil) wrapped the context")
+	}
+	tr := NewTrace("ctx-trace")
+	if got := TraceFrom(WithTrace(ctx, tr)); got != tr {
+		t.Errorf("TraceFrom = %v, want the stored trace", got)
+	}
 }
 
 // TestTraceConcurrent records from many goroutines at once; run under -race

@@ -2,24 +2,26 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
-	"a4sim/internal/scenario"
+	"a4sim/internal/obs"
 )
 
 // Client is the typed Go client for the a4serve HTTP API — the one place
 // request encoding, response decoding, and status-to-error translation
-// live, so cmd/a4top, the load generators, and the test suites all talk to
-// a daemon (or coordinator: the API is identical) through the same surface
-// instead of four hand-rolled HTTP snippets. Every non-2xx answer comes
-// back through ErrFromStatus, the inverse of StatusForErr, so a remote
-// failure is the same Go error the local Service would have returned.
+// live. cmd/a4top, the load generator, the test suites, and the cluster
+// coordinator's hops to its backends all talk to a daemon (or coordinator:
+// the API is identical) through it. Every non-2xx answer comes back through
+// ErrFromStatus, the inverse of StatusForErr, so a remote failure is the
+// same Go error the local Service would have returned.
 type Client struct {
 	base string
 	hc   *http.Client
@@ -54,51 +56,28 @@ func NewClient(base string, hc *http.Client) *Client {
 	return &Client{base: strings.TrimRight(base, "/"), hc: hc}
 }
 
-// URL returns the client's base URL, normalized (no trailing slash).
-func (c *Client) URL() string { return c.base }
-
-// Run submits one spec and returns the served result.
-func (c *Client) Run(sp *scenario.Spec) (Result, error) {
-	body, err := json.Marshal(sp)
-	if err != nil {
-		return Result{}, err
-	}
-	return c.RunBytes(body)
-}
-
-// RunBytes submits a pre-encoded spec body — the hot path for load
-// generators that marshal their request population once.
-func (c *Client) RunBytes(body []byte) (Result, error) {
-	return c.postResult("/run", body)
+// RunBytes submits a pre-encoded spec body (POST /run). The trace ctx
+// carries, if any, travels in the X-A4-Trace header, so the daemon's spans
+// join it. The Result's Envelope holds the response body verbatim.
+func (c *Client) RunBytes(ctx context.Context, body []byte) (Result, error) {
+	return c.postResult(ctx, "/run", body)
 }
 
 // Extend re-runs the spec served under hash with a different measurement
-// window (POST /extend). Unknown hashes return ErrUnknownHash.
-func (c *Client) Extend(hash string, measureSec float64) (Result, error) {
+// window (POST /extend), forwarding ctx's trace like RunBytes. Unknown
+// hashes return ErrUnknownHash.
+func (c *Client) Extend(ctx context.Context, hash string, measureSec float64) (Result, error) {
 	body, err := json.Marshal(ExtendRequest{Hash: hash, MeasureSec: measureSec})
 	if err != nil {
 		return Result{}, err
 	}
-	return c.postResult("/extend", body)
+	return c.postResult(ctx, "/extend", body)
 }
 
-// ExtendBytes posts a pre-encoded extend body (see RunBytes).
-func (c *Client) ExtendBytes(body []byte) (Result, error) {
-	return c.postResult("/extend", body)
-}
-
-// Sweep posts one sweep request and decodes the grid points in order.
-func (c *Client) Sweep(req *SweepRequest) ([]SweepPoint, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	return c.SweepBytes(body)
-}
-
-// SweepBytes posts a pre-encoded sweep body (see RunBytes).
+// SweepBytes posts a pre-encoded sweep body and decodes the grid points in
+// order.
 func (c *Client) SweepBytes(body []byte) ([]SweepPoint, error) {
-	data, err := c.do(http.MethodPost, "/sweep", body)
+	data, err := c.do(context.Background(), http.MethodPost, "/sweep", jsonType, body, maxClientResponseBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -122,26 +101,55 @@ func (c *Client) SweepBytes(body []byte) ([]SweepPoint, error) {
 
 // Result fetches a cached report by content address (GET /result/<hash>).
 func (c *Client) Result(hash string) ([]byte, error) {
-	return c.do(http.MethodGet, "/result/"+hash, nil)
+	return c.get("/result/" + hash)
 }
 
 // Series fetches a run's per-second telemetry by content address
 // (GET /series/<hash>). Runs without a series block return ErrUnknownHash,
 // exactly as the server reports them.
 func (c *Client) Series(hash string) ([]byte, error) {
-	return c.do(http.MethodGet, "/series/"+hash, nil)
+	return c.get("/series/" + hash)
+}
+
+// TraceEvents fetches a cached run's controller event log
+// (GET /trace/events/<hash>), trimmed to the last n events when n > 0.
+func (c *Client) TraceEvents(hash string, n int) ([]byte, error) {
+	path := "/trace/events/" + hash
+	if n > 0 {
+		path += "?n=" + strconv.Itoa(n)
+	}
+	return c.get(path)
+}
+
+// Trace fetches a retained request trace's canonical body (GET /trace/<id>).
+func (c *Client) Trace(id string) ([]byte, error) {
+	return c.get("/trace/" + id)
+}
+
+// Snapshot fetches the wrapped warm snapshot for a prefix hash
+// (GET /snapshot/<prefix>), read up to the same cap the daemon puts on an
+// installed one.
+func (c *Client) Snapshot(prefix string) ([]byte, error) {
+	return c.do(context.Background(), http.MethodGet, "/snapshot/"+prefix, "", nil, maxSnapshotBytes)
+}
+
+// InstallSnapshot ships a wrapped warm snapshot to the daemon
+// (POST /snapshot/<prefix>), which validates it before importing.
+func (c *Client) InstallSnapshot(prefix string, data []byte) error {
+	_, err := c.do(context.Background(), http.MethodPost, "/snapshot/"+prefix, "application/octet-stream", data, maxClientResponseBytes)
+	return err
 }
 
 // SeriesStream opens the run's live SSE stream (GET /series/<hash>/stream)
-// and hands the caller the raw body to scan. The stream outlives any
-// sensible request timeout, so it uses a copy of the caller's client with
-// only the overall timeout cleared — transport, redirect policy, and
-// cookie jar all survive the clone (copying just the Transport used to
-// silently drop them).
-func (c *Client) SeriesStream(hash string) (io.ReadCloser, error) {
+// and hands the caller the raw body to scan. The request is bound to ctx,
+// so cancelling it tears the stream down, and ctx's trace is forwarded.
+// The stream outlives any sensible request timeout, so it uses a copy of
+// the caller's client with only the overall timeout cleared — transport,
+// redirect policy, and cookie jar all survive the clone.
+func (c *Client) SeriesStream(ctx context.Context, hash string) (io.ReadCloser, error) {
 	sc := *c.hc
 	sc.Timeout = 0
-	resp, err := sc.Get(c.base + "/series/" + hash + "/stream")
+	resp, err := c.send(ctx, &sc, http.MethodGet, "/series/"+hash+"/stream", "", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -164,7 +172,7 @@ type ClientStats struct {
 // Stats fetches the daemon's counters. The second return is the backend
 // count: zero for a single node, len(backends) for a coordinator.
 func (c *Client) Stats() (Stats, int, error) {
-	data, err := c.do(http.MethodGet, "/stats", nil)
+	data, err := c.get("/stats")
 	if err != nil {
 		return Stats{}, 0, err
 	}
@@ -177,7 +185,7 @@ func (c *Client) Stats() (Stats, int, error) {
 
 // Healthz probes liveness; a draining or dead daemon returns an error.
 func (c *Client) Healthz() error {
-	_, err := c.do(http.MethodGet, "/healthz", nil)
+	_, err := c.get("/healthz")
 	return err
 }
 
@@ -187,18 +195,7 @@ func (c *Client) Healthz() error {
 // the server under test. Non-2xx answers go through ErrFromStatus exactly
 // like the typed methods, so callers classify failures identically.
 func (c *Client) Issue(method, path string, body []byte) error {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequest(method, c.base+path, rd)
-	if err != nil {
-		return err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := c.hc.Do(req)
+	resp, err := c.send(context.Background(), c.hc, method, path, jsonType, body)
 	if err != nil {
 		return err
 	}
@@ -213,9 +210,10 @@ func (c *Client) Issue(method, path string, body []byte) error {
 }
 
 // postResult posts body and decodes the {hash, cached, report} envelope
-// shared by /run and /extend.
-func (c *Client) postResult(path string, body []byte) (Result, error) {
-	data, err := c.do(http.MethodPost, path, body)
+// shared by /run and /extend, keeping the body itself as the Envelope so a
+// coordinator forwards it byte for byte.
+func (c *Client) postResult(ctx context.Context, path string, body []byte) (Result, error) {
+	data, err := c.do(ctx, http.MethodPost, path, jsonType, body, maxClientResponseBytes)
 	if err != nil {
 		return Result{}, err
 	}
@@ -227,41 +225,63 @@ func (c *Client) postResult(path string, body []byte) (Result, error) {
 	if err := json.Unmarshal(data, &wr); err != nil {
 		return Result{}, fmt.Errorf("service: client: decode %s response: %w", path, err)
 	}
-	return Result{Hash: wr.Hash, Cached: wr.Cached, Report: wr.Report}, nil
+	return Result{Hash: wr.Hash, Cached: wr.Cached, Report: wr.Report, Envelope: data}, nil
 }
 
-// maxClientResponseBytes bounds one response read, mirroring the cluster
-// coordinator's own cap on backend answers.
+// maxClientResponseBytes bounds one response read; a /run report is a few
+// KB, so the cap only guards against a misbehaving peer.
 const maxClientResponseBytes = 16 << 20
 
-func (c *Client) do(method, path string, body []byte) ([]byte, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequest(method, c.base+path, rd)
-	if err != nil {
-		return nil, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := c.hc.Do(req)
+const jsonType = "application/json"
+
+// ErrTooLarge is returned for an answer longer than the client reads. It is
+// never truncated into a success: a content-addressed answer that is too
+// large from one daemon is too large from every daemon.
+var ErrTooLarge = errors.New("service: client: response too large")
+
+func (c *Client) get(path string) ([]byte, error) {
+	return c.do(context.Background(), http.MethodGet, path, "", nil, maxClientResponseBytes)
+}
+
+// do sends one request and returns the 200 answer's body, read whole up to
+// limit bytes.
+func (c *Client) do(ctx context.Context, method, path, ctype string, body []byte, limit int) ([]byte, error) {
+	resp, err := c.send(ctx, c.hc, method, path, ctype, body)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxClientResponseBytes+1))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, int64(limit)+1))
 	if err != nil {
 		return nil, fmt.Errorf("service: client: reading %s response: %w", path, err)
 	}
-	if len(data) > maxClientResponseBytes {
-		return nil, fmt.Errorf("service: client: %s response exceeds %d bytes", path, maxClientResponseBytes)
+	if len(data) > limit {
+		return nil, fmt.Errorf("%w: %s answer exceeds %d bytes", ErrTooLarge, path, limit)
 	}
 	if resp.StatusCode != http.StatusOK {
 		return nil, ErrFromStatus(resp.StatusCode, data)
 	}
 	return data, nil
+}
+
+// send issues one request over hc; a non-nil body goes out as ctype, and
+// the trace ctx carries, if any, in the X-A4-Trace header.
+func (c *Client) send(ctx context.Context, hc *http.Client, method, path, ctype string, body []byte) (*http.Response, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
+	if err != nil {
+		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", ctype)
+	}
+	if tr := obs.TraceFrom(ctx); tr != nil {
+		req.Header.Set(obs.TraceHeader, tr.ID())
+	}
+	return hc.Do(req)
 }
 
 // ErrorBody is the JSON error envelope every a4serve endpoint emits for

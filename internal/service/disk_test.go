@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -39,7 +40,7 @@ func TestRestartServesPreCrashResults(t *testing.T) {
 	dir := t.TempDir()
 
 	svc1 := New(Config{Workers: 2, Store: openStore(t, dir)})
-	r1, err := svc1.Submit(diskSpec(11))
+	r1, err := svc1.Submit(context.Background(), diskSpec(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestRestartServesPreCrashResults(t *testing.T) {
 	}
 
 	// A re-submission of the same spec is a store-backed cache hit too.
-	r2, err := svc2.Submit(diskSpec(11))
+	r2, err := svc2.Submit(context.Background(), diskSpec(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestRestartExtendsPreCrashSnapshot(t *testing.T) {
 	dir := t.TempDir()
 
 	svc1 := New(Config{Workers: 2, Store: openStore(t, dir)})
-	r1, err := svc1.Submit(diskSpec(12))
+	r1, err := svc1.Submit(context.Background(), diskSpec(12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestRestartExtendsPreCrashSnapshot(t *testing.T) {
 
 	svc2 := New(Config{Workers: 2, Store: openStore(t, dir)})
 	defer svc2.Close()
-	ext, err := svc2.Extend(r1.Hash, 2)
+	ext, err := svc2.Extend(context.Background(), r1.Hash, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestRestartExtendsPreCrashSnapshot(t *testing.T) {
 	longer.MeasureSec = 2
 	fresh := New(Config{Workers: 1})
 	defer fresh.Close()
-	want, err := fresh.Submit(longer)
+	want, err := fresh.Submit(context.Background(), longer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func corruptOneObject(t *testing.T, dir, kind string) string {
 func TestCorruptObjectsQuarantinedAndReExecuted(t *testing.T) {
 	dir := t.TempDir()
 	svc1 := New(Config{Workers: 2, Store: openStore(t, dir)})
-	r1, err := svc1.Submit(diskSpec(13))
+	r1, err := svc1.Submit(context.Background(), diskSpec(13))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestCorruptObjectsQuarantinedAndReExecuted(t *testing.T) {
 
 	// The corrupt report must not be served; the resubmission re-executes
 	// and lands on identical bytes.
-	r2, err := svc2.Submit(diskSpec(13))
+	r2, err := svc2.Submit(context.Background(), diskSpec(13))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestCorruptObjectsQuarantinedAndReExecuted(t *testing.T) {
 	// The flipped snapshot was quarantined by the read above (the execute
 	// path probed it before running fresh); the rewritten warm state
 	// deposited by the re-execution extends correctly.
-	ext, err := svc2.Extend(r2.Hash, 2)
+	ext, err := svc2.Extend(context.Background(), r2.Hash, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +201,7 @@ func TestCorruptObjectsQuarantinedAndReExecuted(t *testing.T) {
 	longer.MeasureSec = 2
 	fresh := New(Config{Workers: 1})
 	defer fresh.Close()
-	want, err := fresh.Submit(longer)
+	want, err := fresh.Submit(context.Background(), longer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestInstallSnapshotRejectsBadBytes(t *testing.T) {
 	svc := New(Config{Workers: 2})
 	defer svc.Close()
 	sp := diskSpec(14)
-	if _, err := svc.Submit(sp); err != nil {
+	if _, err := svc.Submit(context.Background(), sp); err != nil {
 		t.Fatal(err)
 	}
 	prefix, err := sp.PrefixHash()
@@ -252,7 +253,7 @@ func TestInstallSnapshotRejectsBadBytes(t *testing.T) {
 	}
 	longer := diskSpec(14)
 	longer.MeasureSec = 2
-	res, err := dst.Submit(longer)
+	res, err := dst.Submit(context.Background(), longer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +265,7 @@ func TestInstallSnapshotRejectsBadBytes(t *testing.T) {
 	// And the continued run matches a from-scratch execution byte for byte.
 	fresh := New(Config{Workers: 1})
 	defer fresh.Close()
-	want, err := fresh.Submit(longer)
+	want, err := fresh.Submit(context.Background(), longer)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,16 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"a4sim/internal/obs"
 	"a4sim/internal/scenario"
 )
 
@@ -16,11 +19,24 @@ import (
 // through the real mux.
 type errRunner struct{ err error }
 
-func (r *errRunner) Submit(*scenario.Spec) (Result, error)     { return Result{}, r.err }
-func (r *errRunner) Extend(string, float64) (Result, error)    { return Result{}, r.err }
-func (r *errRunner) Sweep(*SweepRequest) ([]SweepPoint, error) { return nil, r.err }
-func (r *errRunner) Lookup(string) ([]byte, bool)              { return nil, false }
-func (r *errRunner) Series(string) ([]byte, bool)              { return nil, false }
+func (r *errRunner) Submit(context.Context, *scenario.Spec) (Result, error) {
+	return Result{}, r.err
+}
+func (r *errRunner) Extend(context.Context, string, float64) (Result, error) {
+	return Result{}, r.err
+}
+func (r *errRunner) Sweep(context.Context, *SweepRequest) ([]SweepPoint, error) {
+	return nil, r.err
+}
+func (r *errRunner) Lookup(string) ([]byte, bool)           { return nil, false }
+func (r *errRunner) Series(string) ([]byte, bool)           { return nil, false }
+func (r *errRunner) TraceEvents(string, int) ([]byte, bool) { return nil, false }
+func (r *errRunner) TraceRing() *obs.Ring                   { return obs.NewRing(1) }
+func (r *errRunner) TraceJSON(string) ([]byte, bool)        { return nil, false }
+func (r *errRunner) WriteMetrics(io.Writer)                 {}
+func (r *errRunner) ServeSeriesStream(http.ResponseWriter, *http.Request, string) bool {
+	return false
+}
 
 func validSpecBody(t *testing.T) []byte {
 	t.Helper()

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -39,11 +40,11 @@ func TestExtendContinuesFromSnapshot(t *testing.T) {
 	svc := New(Config{Workers: 2})
 	defer svc.Close()
 
-	first, err := svc.Submit(extendSpec(11, 1))
+	first, err := svc.Submit(context.Background(), extendSpec(11, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext, err := svc.Extend(first.Hash, 3)
+	ext, err := svc.Extend(context.Background(), first.Hash, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestExtendContinuesFromSnapshot(t *testing.T) {
 		t.Fatalf("extended report differs from fresh serial run:\n%s\nvs\n%s", ext.Report, want)
 	}
 	// Extending the extension continues from the newer snapshot.
-	ext2, err := svc.Extend(ext.Hash, 5)
+	ext2, err := svc.Extend(context.Background(), ext.Hash, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,10 +70,10 @@ func TestExtendContinuesFromSnapshot(t *testing.T) {
 		t.Fatal("second extension diverged from fresh serial run")
 	}
 
-	if _, err := svc.Extend("no-such-hash", 2); !errors.Is(err, ErrUnknownHash) {
+	if _, err := svc.Extend(context.Background(), "no-such-hash", 2); !errors.Is(err, ErrUnknownHash) {
 		t.Errorf("unknown hash: got %v, want ErrUnknownHash", err)
 	}
-	if _, err := svc.Extend(first.Hash, -1); err == nil {
+	if _, err := svc.Extend(context.Background(), first.Hash, -1); err == nil {
 		t.Error("negative measure_sec must be rejected")
 	}
 }
@@ -85,10 +86,10 @@ func TestSubmitReusesPrefixSnapshots(t *testing.T) {
 	svc := New(Config{Workers: 2})
 	defer svc.Close()
 
-	if _, err := svc.Submit(extendSpec(12, 2)); err != nil {
+	if _, err := svc.Submit(context.Background(), extendSpec(12, 2)); err != nil {
 		t.Fatal(err)
 	}
-	longer, err := svc.Submit(extendSpec(12, 4))
+	longer, err := svc.Submit(context.Background(), extendSpec(12, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestSubmitReusesPrefixSnapshots(t *testing.T) {
 		t.Fatal("snapshot-forked run differs from fresh serial run")
 	}
 	// Shorter than the resident snapshot: must run fresh, not reuse.
-	shorter, err := svc.Submit(extendSpec(12, 1))
+	shorter, err := svc.Submit(context.Background(), extendSpec(12, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +117,11 @@ func TestSubmitReusesPrefixSnapshots(t *testing.T) {
 func TestSnapshotsDisabled(t *testing.T) {
 	svc := New(Config{Workers: 1, SnapshotEntries: -1})
 	defer svc.Close()
-	first, err := svc.Submit(extendSpec(13, 1))
+	first, err := svc.Submit(context.Background(), extendSpec(13, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext, err := svc.Extend(first.Hash, 2)
+	ext, err := svc.Extend(context.Background(), first.Hash, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestSweepChainsPrefixRows(t *testing.T) {
 		Spec: *extendSpec(14, 0),
 		Axes: []Axis{{Param: "measure_sec", Values: []float64{1, 2, 3}}},
 	}
-	points, err := svc.Sweep(req)
+	points, err := svc.Sweep(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestConcurrentExtendsAreConsistent(t *testing.T) {
 		wg.Add(1)
 		go func(i int, m float64) {
 			defer wg.Done()
-			res, err := svc.Submit(extendSpec(15, m))
+			res, err := svc.Submit(context.Background(), extendSpec(15, m))
 			reports[i], errs[i] = res.Report, err
 		}(i, m)
 	}

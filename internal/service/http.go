@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -32,43 +33,6 @@ type SnapshotStore interface {
 // at the Skylake geometry; the cap only has to stop memory exhaustion.
 const maxSnapshotBytes = 64 << 20
 
-// Tracer is the optional per-request tracing surface a Runner may
-// implement (both the local Service and the cluster Coordinator do). When
-// present, every /run and /extend is traced — the ID minted here or
-// accepted from the request's X-A4-Trace header, so a coordinator's hop to
-// a backend joins one trace — and the mux serves GET /trace/<id> and
-// GET /traces?n=K from the ring.
-type Tracer interface {
-	SubmitTraced(*scenario.Spec, *obs.Trace) (Result, error)
-	ExtendTraced(string, float64, *obs.Trace) (Result, error)
-	TraceRing() *obs.Ring
-	// TraceJSON serves a retained trace's canonical body; a coordinator
-	// merges in the spans of every backend the trace touched.
-	TraceJSON(id string) ([]byte, bool)
-}
-
-// EventsSource is the optional controller-event surface: the canonical
-// event-log JSON recorded when a cached run executed, for
-// GET /trace/events/<hash>.
-type EventsSource interface {
-	TraceEvents(hash string, n int) ([]byte, bool)
-}
-
-// MetricsWriter is the optional Prometheus exposition surface for
-// GET /metrics; the mux appends its own per-endpoint request-duration
-// histograms after the Runner's families.
-type MetricsWriter interface {
-	WriteMetrics(w io.Writer)
-}
-
-// SeriesStreamer is the optional live-series surface for
-// GET /series/<hash>/stream: SSE rows while the run executes, stored-series
-// replay afterwards. A coordinator implements it by proxying the owning
-// backend's stream.
-type SeriesStreamer interface {
-	ServeSeriesStream(w http.ResponseWriter, req *http.Request, hash string)
-}
-
 // BodyRunner is the optional repeat-body fast path a Runner may implement
 // (the local Service does): RunCachedBody serves a /run whose exact body
 // bytes were seen before and whose result is resident, skipping spec
@@ -83,31 +47,28 @@ type BodyRunner interface {
 // payload: a Stats for a local service, a merged cluster view for a
 // coordinator. healthy, when non-nil, gates /healthz: a false return serves
 // 503, which is how a draining daemon tells probes and coordinators to
-// route elsewhere before its listener closes.
+// route elsewhere before its listener closes. Every /run and /extend is
+// traced: the mux joins the request's X-A4-Trace ID (or mints one), hands
+// the trace to r through the request context, and records it in r's ring,
+// so a coordinator's hop to a backend joins one trace. The two optional
+// surfaces, SnapshotStore and BodyRunner, are used when r implements them.
 func NewMux(r Runner, stats func() any, healthy func() bool) *http.ServeMux {
 	mux := http.NewServeMux()
-	tc, _ := r.(Tracer)
 	// Per-endpoint request-duration histograms, exposed by /metrics.
 	hm := obs.NewHTTPMetrics()
-	// beginTrace starts a request's trace (joining the inbound header's ID
-	// when valid) and echoes the ID so clients can fetch the trace back;
-	// endTrace records it in the ring, errors included — a failed request's
-	// timing is exactly what traces are for.
-	beginTrace := func(w http.ResponseWriter, req *http.Request) *obs.Trace {
-		if tc == nil {
-			return nil
-		}
+	// traced starts a request's trace (joining the inbound header's ID when
+	// valid), echoes the ID so clients can fetch the trace back, and returns
+	// the request context carrying it. The caller records the trace in the
+	// ring when done, errors included — a failed request's timing is
+	// exactly what traces are for.
+	traced := func(w http.ResponseWriter, req *http.Request) (context.Context, *obs.Trace) {
 		id := req.Header.Get(obs.TraceHeader)
 		if !obs.ValidID(id) {
 			id = obs.NewID()
 		}
 		w.Header().Set(obs.TraceHeader, id)
-		return obs.NewTrace(id)
-	}
-	endTrace := func(tr *obs.Trace) {
-		if tr != nil {
-			tc.TraceRing().Add(tr)
-		}
+		tr := obs.NewTrace(id)
+		return obs.WithTrace(req.Context(), tr), tr
 	}
 	br, _ := r.(BodyRunner)
 	mux.HandleFunc("POST /run", hm.Timed("run", func(w http.ResponseWriter, req *http.Request) {
@@ -119,8 +80,8 @@ func NewMux(r Runner, stats func() any, healthy func() bool) *http.ServeMux {
 		// Repeat-body fast path: a body seen before whose result is still
 		// cached skips parse+hash entirely. The trace begins first so the
 		// fast path's cache_hit mark lands in the ring like any other hit.
-		tr := beginTrace(w, req)
-		defer endTrace(tr)
+		ctx, tr := traced(w, req)
+		defer r.TraceRing().Add(tr)
 		if br != nil {
 			if res, ok := br.RunCachedBody(body, tr); ok {
 				writeResult(w, res)
@@ -134,12 +95,7 @@ func NewMux(r Runner, stats func() any, healthy func() bool) *http.ServeMux {
 		}
 		// No explicit Validate here: Submit's hashing validates the spec
 		// and StatusForErr maps the rejection to 422.
-		var res Result
-		if tc != nil {
-			res, err = tc.SubmitTraced(sp, tr)
-		} else {
-			res, err = r.Submit(sp)
-		}
+		res, err := r.Submit(ctx, sp)
 		if err != nil {
 			httpError(w, StatusForErr(err), err.Error())
 			return
@@ -160,14 +116,9 @@ func NewMux(r Runner, stats func() any, healthy func() bool) *http.ServeMux {
 			httpError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		tr := beginTrace(w, req)
-		defer endTrace(tr)
-		var res Result
-		if tc != nil {
-			res, err = tc.ExtendTraced(er.Hash, er.MeasureSec, tr)
-		} else {
-			res, err = r.Extend(er.Hash, er.MeasureSec)
-		}
+		ctx, tr := traced(w, req)
+		defer r.TraceRing().Add(tr)
+		res, err := r.Extend(ctx, er.Hash, er.MeasureSec)
 		if err != nil {
 			httpError(w, StatusForErr(err), err.Error())
 			return
@@ -185,7 +136,7 @@ func NewMux(r Runner, stats func() any, healthy func() bool) *http.ServeMux {
 			httpError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		points, err := r.Sweep(&sr)
+		points, err := r.Sweep(req.Context(), &sr)
 		if err != nil {
 			httpError(w, StatusForErr(err), err.Error())
 			return
@@ -233,57 +184,52 @@ func NewMux(r Runner, stats func() any, healthy func() bool) *http.ServeMux {
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if mw, ok := r.(MetricsWriter); ok {
-			mw.WriteMetrics(w)
-		}
+		r.WriteMetrics(w)
 		hm.WriteProm(w)
 	})
-	if sr, ok := r.(SeriesStreamer); ok {
-		// Go 1.22 mux: the /stream suffix pattern is more specific than
-		// GET /series/{hash}, so both routes coexist.
-		mux.HandleFunc("GET /series/{hash}/stream", func(w http.ResponseWriter, req *http.Request) {
-			sr.ServeSeriesStream(w, req, req.PathValue("hash"))
-		})
-	}
-	if es, ok := r.(EventsSource); ok {
-		mux.HandleFunc("GET /trace/events/{hash}", func(w http.ResponseWriter, req *http.Request) {
-			hash := req.PathValue("hash")
-			n, _ := strconv.Atoi(req.URL.Query().Get("n"))
-			data, ok := es.TraceEvents(hash, n)
-			if !ok {
-				httpErrorHash(w, http.StatusNotFound, "no event log for "+hash+" (unknown hash, evicted, or rehydrated from disk)", hash)
-				return
-			}
-			w.Header().Set("Content-Type", "application/json")
-			w.Write(data)
-		})
-	}
-	if tc != nil {
-		mux.HandleFunc("GET /trace/{id}", func(w http.ResponseWriter, req *http.Request) {
-			data, ok := tc.TraceJSON(req.PathValue("id"))
-			if !ok {
-				httpError(w, http.StatusNotFound, "no retained trace "+req.PathValue("id"))
-				return
-			}
-			w.Header().Set("Content-Type", "application/json")
-			w.Write(data)
-		})
-		mux.HandleFunc("GET /traces", func(w http.ResponseWriter, req *http.Request) {
-			n, _ := strconv.Atoi(req.URL.Query().Get("n"))
-			if n <= 0 {
-				n = 16
-			}
-			if n > 128 {
-				n = 128
-			}
-			recent := tc.TraceRing().Recent(n)
-			bodies := make([]json.RawMessage, len(recent))
-			for i, t := range recent {
-				bodies[i] = t.JSON()
-			}
-			writeJSON(w, map[string]any{"traces": bodies})
-		})
-	}
+	// Go 1.22 mux: the /stream suffix pattern is more specific than
+	// GET /series/{hash}, so both routes coexist.
+	mux.HandleFunc("GET /series/{hash}/stream", func(w http.ResponseWriter, req *http.Request) {
+		hash := req.PathValue("hash")
+		if !r.ServeSeriesStream(w, req, hash) {
+			httpErrorHash(w, http.StatusNotFound, "no series for "+hash+" (unknown hash, evicted, or run without a series block)", hash)
+		}
+	})
+	mux.HandleFunc("GET /trace/events/{hash}", func(w http.ResponseWriter, req *http.Request) {
+		hash := req.PathValue("hash")
+		n, _ := strconv.Atoi(req.URL.Query().Get("n"))
+		data, ok := r.TraceEvents(hash, n)
+		if !ok {
+			httpErrorHash(w, http.StatusNotFound, "no event log for "+hash+" (unknown hash, evicted, or rehydrated from disk)", hash)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(data)
+	})
+	mux.HandleFunc("GET /trace/{id}", func(w http.ResponseWriter, req *http.Request) {
+		data, ok := r.TraceJSON(req.PathValue("id"))
+		if !ok {
+			httpError(w, http.StatusNotFound, "no retained trace "+req.PathValue("id"))
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(data)
+	})
+	mux.HandleFunc("GET /traces", func(w http.ResponseWriter, req *http.Request) {
+		n, _ := strconv.Atoi(req.URL.Query().Get("n"))
+		if n <= 0 {
+			n = 16
+		}
+		if n > 128 {
+			n = 128
+		}
+		recent := r.TraceRing().Recent(n)
+		bodies := make([]json.RawMessage, len(recent))
+		for i, t := range recent {
+			bodies[i] = t.JSON()
+		}
+		writeJSON(w, map[string]any{"traces": bodies})
+	})
 	if ss, ok := r.(SnapshotStore); ok {
 		mux.HandleFunc("GET /snapshot/{prefix}", func(w http.ResponseWriter, req *http.Request) {
 			data, ok := ss.SnapshotBytes(req.PathValue("prefix"))

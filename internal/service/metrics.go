@@ -57,7 +57,7 @@ func WriteStatsProm(w io.Writer, rows []LabeledStats) {
 	}
 }
 
-// WriteMetrics implements the MetricsWriter surface for the local service:
+// WriteMetrics writes the local service's Prometheus families:
 // every /stats counter, the queue-wait histogram, and the trace ring's
 // occupancy. The mux appends its own per-endpoint request histograms.
 func (s *Service) WriteMetrics(w io.Writer) {

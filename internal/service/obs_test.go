@@ -3,6 +3,7 @@ package service
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -202,17 +203,22 @@ func fetchOK(url string) ([]byte, error) {
 	return data, err
 }
 
-// TestStreamUnknownHash404s mirrors the plain series endpoint.
+// TestStreamUnknownHash404s mirrors the plain series endpoint, envelope
+// included: the body names the status and the hash.
 func TestStreamUnknownHash404s(t *testing.T) {
 	_, srv := obsServer(t)
 	resp, err := http.Get(srv.URL + "/series/deadbeef/stream")
 	if err != nil {
 		t.Fatal(err)
 	}
-	io.Copy(io.Discard, resp.Body)
+	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("status %d, want 404", resp.StatusCode)
+	}
+	var eb ErrorBody
+	if err := json.Unmarshal(body, &eb); err != nil || eb.Status != http.StatusNotFound || eb.Hash != "deadbeef" || eb.Error == "" {
+		t.Errorf("envelope %s (err %v), want status 404 and hash deadbeef", body, err)
 	}
 }
 
@@ -343,7 +349,7 @@ func TestTraceEventsServedPerRun(t *testing.T) {
 	// warm snapshot logs just its own seconds).
 	sp := testSpec(73)
 	sp.MeasureSec = 8
-	res, err := svc.Submit(sp)
+	res, err := svc.Submit(context.Background(), sp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"a4sim/internal/scenario"
@@ -22,7 +23,7 @@ func TestSeriesStoredBesideReport(t *testing.T) {
 	svc := New(Config{Workers: 2})
 	defer svc.Close()
 
-	res, err := svc.Submit(seriesSpec(21, 2))
+	res, err := svc.Submit(context.Background(), seriesSpec(21, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestSeriesStoredBesideReport(t *testing.T) {
 		t.Error("stored series differs from the report's embedded series")
 	}
 
-	plain, err := svc.Submit(testSpec(22))
+	plain, err := svc.Submit(context.Background(), testSpec(22))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +105,11 @@ func TestExtendAppendsSeries(t *testing.T) {
 	svc := New(Config{Workers: 2})
 	defer svc.Close()
 
-	first, err := svc.Submit(seriesSpec(31, 1))
+	first, err := svc.Submit(context.Background(), seriesSpec(31, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext, err := svc.Extend(first.Hash, 4)
+	ext, err := svc.Extend(context.Background(), first.Hash, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestExtendAppendsSeries(t *testing.T) {
 
 	cold := New(Config{Workers: 1, SnapshotEntries: -1})
 	defer cold.Close()
-	fresh, err := cold.Submit(seriesSpec(31, 4))
+	fresh, err := cold.Submit(context.Background(), seriesSpec(31, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestSweepSeriesDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers, snapshots int) []SweepPoint {
 		svc := New(Config{Workers: workers, SnapshotEntries: snapshots})
 		defer svc.Close()
-		points, err := svc.Sweep(req())
+		points, err := svc.Sweep(context.Background(), req())
 		if err != nil {
 			t.Fatal(err)
 		}

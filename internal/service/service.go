@@ -17,6 +17,7 @@ package service
 
 import (
 	"container/list"
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -58,9 +59,6 @@ type Config struct {
 	// restarted service rehydrates from it. Nil means memory-only serving,
 	// exactly as before the store existed.
 	Store *store.Store
-	// TraceEntries caps the finished-request trace ring served by
-	// GET /trace/<id> and /traces. 0 means 256.
-	TraceEntries int
 }
 
 // Stats are the service's monotonic counters, served by /stats.
@@ -216,7 +214,7 @@ func New(cfg Config) *Service {
 		memo:      newBodyMemo(),
 		disk:      cfg.Store,
 		queueWait: stats.NewShardedHistogram(),
-		traces:    obs.NewRing(cfg.TraceEntries),
+		traces:    obs.NewRing(0),
 		streams:   obs.NewSeriesHub(),
 	}
 	if cfg.SnapshotEntries >= 0 {
@@ -294,17 +292,12 @@ func (e *RunError) Error() string {
 func (e *RunError) Unwrap() error { return e.Err }
 
 // Submit runs one spec, serving from the cache or an in-flight duplicate
-// when possible. It blocks until the report is available.
-func (s *Service) Submit(sp *scenario.Spec) (Result, error) {
-	return s.submit(sp, nil)
-}
-
-// SubmitTraced is Submit with per-request span recording: the serving
+// when possible. It blocks until the report is available. The serving
 // path's seams (queue wait, warm, measure, store reads and writes,
-// snapshot forks) are timed into tr. A nil trace costs one nil check per
-// seam, so Submit simply passes nil.
-func (s *Service) SubmitTraced(sp *scenario.Spec, tr *obs.Trace) (Result, error) {
-	return s.submit(sp, tr)
+// snapshot forks) are timed into the trace ctx carries; an untraced ctx
+// costs one nil check per seam.
+func (s *Service) Submit(ctx context.Context, sp *scenario.Spec) (Result, error) {
+	return s.submit(sp, obs.TraceFrom(ctx))
 }
 
 // TraceRing exposes the finished-request trace ring to the HTTP layer.
@@ -662,16 +655,8 @@ var ErrUnknownHash = errors.New("service: unknown run hash")
 // path, so it dedups, caches, and — when the warm snapshot of the original
 // run is still resident — forks and simulates only the additional seconds.
 // The result is byte-identical to running the extended spec from scratch.
-func (s *Service) Extend(hash string, measureSec float64) (Result, error) {
-	return s.extend(hash, measureSec, nil)
-}
-
-// ExtendTraced is Extend with per-request span recording.
-func (s *Service) ExtendTraced(hash string, measureSec float64, tr *obs.Trace) (Result, error) {
-	return s.extend(hash, measureSec, tr)
-}
-
-func (s *Service) extend(hash string, measureSec float64, tr *obs.Trace) (Result, error) {
+// Spans land in the trace ctx carries, as for Submit.
+func (s *Service) Extend(ctx context.Context, hash string, measureSec float64) (Result, error) {
 	if measureSec <= 0 {
 		return Result{}, fmt.Errorf("service: extend needs a positive measure_sec, got %g", measureSec)
 	}
@@ -694,7 +679,7 @@ func (s *Service) extend(hash string, measureSec float64, tr *obs.Trace) (Result
 		return Result{}, fmt.Errorf("service: corrupt indexed spec for %.12s: %w", hash, err)
 	}
 	sp.MeasureSec = measureSec
-	return s.submit(sp, tr)
+	return s.submit(sp, obs.TraceFrom(ctx))
 }
 
 // TraceEvents serves the controller event log recorded when a cached run

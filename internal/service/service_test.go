@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -28,14 +29,14 @@ func TestSubmitCachesByHash(t *testing.T) {
 	svc := New(Config{Workers: 2})
 	defer svc.Close()
 
-	r1, err := svc.Submit(testSpec(1))
+	r1, err := svc.Submit(context.Background(), testSpec(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1.Cached {
 		t.Error("first submission reported cached")
 	}
-	r2, err := svc.Submit(testSpec(1))
+	r2, err := svc.Submit(context.Background(), testSpec(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +68,11 @@ func TestCachedReportByteIdenticalToFreshSerialRun(t *testing.T) {
 	svc := New(Config{Workers: 4})
 	defer svc.Close()
 
-	res, err := svc.Submit(testSpec(3))
+	res, err := svc.Submit(context.Background(), testSpec(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached, err := svc.Submit(testSpec(3))
+	cached, err := svc.Submit(context.Background(), testSpec(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestConcurrentIdenticalSubmissionsExecuteOnce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = svc.Submit(testSpec(2))
+			results[i], errs[i] = svc.Submit(context.Background(), testSpec(2))
 		}(i)
 	}
 	wg.Wait()
@@ -145,7 +146,7 @@ func TestSweepDeterministicAtAnyWorkerCount(t *testing.T) {
 	run := func(workers int) []SweepPoint {
 		svc := New(Config{Workers: workers})
 		defer svc.Close()
-		points, err := svc.Sweep(req())
+		points, err := svc.Sweep(context.Background(), req())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,10 +186,10 @@ func TestSweepSharesCacheAcrossPoints(t *testing.T) {
 		Spec: *testSpec(1),
 		Axes: []Axis{{Param: "manager", Managers: []string{"default", "a4-d"}}},
 	}
-	if _, err := svc.Sweep(req); err != nil {
+	if _, err := svc.Sweep(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
-	points, err := svc.Sweep(req)
+	points, err := svc.Sweep(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,16 +207,16 @@ func TestSweepRejectsBadGrid(t *testing.T) {
 	svc := New(Config{Workers: 1})
 	defer svc.Close()
 
-	if _, err := svc.Sweep(&SweepRequest{Spec: *testSpec(1)}); err == nil {
+	if _, err := svc.Sweep(context.Background(), &SweepRequest{Spec: *testSpec(1)}); err == nil {
 		t.Error("sweep with no axes accepted")
 	}
-	if _, err := svc.Sweep(&SweepRequest{
+	if _, err := svc.Sweep(context.Background(), &SweepRequest{
 		Spec: *testSpec(1),
 		Axes: []Axis{{Param: "voltage", Values: []float64{1}}},
 	}); err == nil {
 		t.Error("sweep with unknown param accepted")
 	}
-	if _, err := svc.Sweep(&SweepRequest{
+	if _, err := svc.Sweep(context.Background(), &SweepRequest{
 		Spec: *testSpec(1),
 		Axes: []Axis{
 			{Param: "seed", Values: []float64{1, 2}},
@@ -225,7 +226,7 @@ func TestSweepRejectsBadGrid(t *testing.T) {
 		t.Error("sweep with duplicate axis param accepted")
 	}
 	// Value 0 would silently run the default under a lying grid label.
-	if _, err := svc.Sweep(&SweepRequest{
+	if _, err := svc.Sweep(context.Background(), &SweepRequest{
 		Spec: *testSpec(1),
 		Axes: []Axis{{Param: "warmup_sec", Values: []float64{0, 1}}},
 	}); err == nil {
@@ -236,7 +237,7 @@ func TestSweepRejectsBadGrid(t *testing.T) {
 	for i := range wide {
 		wide[i] = float64(i + 1)
 	}
-	if _, err := svc.Sweep(&SweepRequest{
+	if _, err := svc.Sweep(context.Background(), &SweepRequest{
 		Spec: *testSpec(1),
 		Axes: []Axis{
 			{Param: "seed", Values: wide},
@@ -251,7 +252,7 @@ func TestSweepRejectsBadGrid(t *testing.T) {
 		Spec: *testSpec(1),
 		Axes: []Axis{{Param: "manager", Managers: []string{"default", "bogus"}}},
 	}
-	if _, err := svc.Sweep(bad); err == nil {
+	if _, err := svc.Sweep(context.Background(), bad); err == nil {
 		t.Error("sweep with invalid manager point accepted")
 	}
 	if st := svc.Stats(); st.Executions != 0 {
@@ -264,7 +265,7 @@ func TestSubmitInvalidSpecFails(t *testing.T) {
 	defer svc.Close()
 	sp := testSpec(1)
 	sp.Manager = "bogus"
-	if _, err := svc.Submit(sp); err == nil {
+	if _, err := svc.Submit(context.Background(), sp); err == nil {
 		t.Fatal("invalid spec accepted")
 	}
 	// A valid but over-budget spec is a serving-policy rejection.
@@ -274,7 +275,7 @@ func TestSubmitInvalidSpecFails(t *testing.T) {
 	if err := over.Validate(); err != nil {
 		t.Fatalf("over-budget spec should be valid: %v", err)
 	}
-	if _, err := svc.Submit(over); err == nil {
+	if _, err := svc.Submit(context.Background(), over); err == nil {
 		t.Fatal("over-budget spec accepted")
 	}
 	if st := svc.Stats(); st.Errors != 2 || st.Executions != 0 {
@@ -288,7 +289,7 @@ func TestLRUEviction(t *testing.T) {
 
 	hashes := make([]string, 3)
 	for i := range hashes {
-		res, err := svc.Submit(testSpec(uint64(10 + i)))
+		res, err := svc.Submit(context.Background(), testSpec(uint64(10+i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,7 +302,7 @@ func TestLRUEviction(t *testing.T) {
 		t.Error("newest entry evicted")
 	}
 	// Evicted specs re-execute and re-enter the cache.
-	res, err := svc.Submit(testSpec(10))
+	res, err := svc.Submit(context.Background(), testSpec(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +353,7 @@ func TestSubmitBackpressure(t *testing.T) {
 	svc.queue = append(svc.queue, func() {})
 	svc.qmu.Unlock()
 
-	if _, err := svc.Submit(testSpec(1)); err != ErrBusy {
+	if _, err := svc.Submit(context.Background(), testSpec(1)); err != ErrBusy {
 		t.Fatalf("got %v, want ErrBusy", err)
 	}
 	st := svc.Stats()
@@ -365,7 +366,7 @@ func TestClosedServiceRejectsSubmissions(t *testing.T) {
 	svc := New(Config{Workers: 1})
 	svc.Close()
 	svc.Close() // idempotent
-	if _, err := svc.Submit(testSpec(1)); err != ErrClosed {
+	if _, err := svc.Submit(context.Background(), testSpec(1)); err != ErrClosed {
 		t.Fatalf("got %v, want ErrClosed", err)
 	}
 }
@@ -374,12 +375,12 @@ func BenchmarkSubmitCached(b *testing.B) {
 	svc := New(Config{Workers: 2})
 	defer svc.Close()
 	sp := testSpec(1)
-	if _, err := svc.Submit(sp); err != nil {
+	if _, err := svc.Submit(context.Background(), sp); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := svc.Submit(sp)
+		res, err := svc.Submit(context.Background(), sp)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -24,24 +24,23 @@ import (
 // serves, so a client can verify the rows it streamed against the stored
 // encoding bit for bit.
 
-// ServeSeriesStream implements the SeriesStreamer surface for the local
-// service: live runs stream from the hub, finished runs replay the stored
-// series, and everything else is the same 404 the plain series endpoint
-// gives.
-func (s *Service) ServeSeriesStream(w http.ResponseWriter, req *http.Request, hash string) {
+// ServeSeriesStream serves the local stream: live runs stream from the
+// hub, finished runs replay the stored series, and everything else reports
+// false, so the mux gives the same 404 the plain series endpoint gives.
+func (s *Service) ServeSeriesStream(w http.ResponseWriter, req *http.Request, hash string) bool {
 	if sub, ok := s.streams.Attach(hash); ok {
 		defer sub.Close()
 		streamLive(w, req, sub)
-		return
+		return true
 	}
 	// A run finishing between the hub check and here is safe: Finish runs
 	// after the cache put, so a missed live attach always finds the stored
 	// series.
-	if data, ok := s.Series(hash); ok {
+	data, ok := s.Series(hash)
+	if ok {
 		streamStored(w, req, data)
-		return
 	}
-	httpError(w, http.StatusNotFound, "no series for "+hash+" (unknown hash, evicted, or run without a series block)")
+	return ok
 }
 
 func streamLive(w http.ResponseWriter, req *http.Request, sub *obs.SeriesSub) {

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -19,7 +20,7 @@ import (
 func TestEncodeResultEnvelopeMatchesJSON(t *testing.T) {
 	svc := New(Config{Workers: 1})
 	defer svc.Close()
-	res, err := svc.Submit(testSpec(77))
+	res, err := svc.Submit(context.Background(), testSpec(77))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestServiceStressRace(t *testing.T) {
 	defer svc.Close()
 
 	// Prime the popular spec so its report bytes are the reference.
-	ref, err := svc.Submit(testSpec(500))
+	ref, err := svc.Submit(context.Background(), testSpec(500))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,13 +72,13 @@ func TestServiceStressRace(t *testing.T) {
 				switch i % 8 {
 				case 6:
 					// A spec unique to this (client, iteration): always a miss.
-					res, err = svc.Submit(testSpec(uint64(1000 + c*iters + i)))
+					res, err = svc.Submit(context.Background(), testSpec(uint64(1000+c*iters+i)))
 				case 7:
 					// All clients extend the same run to the same window: one
 					// execution, the rest dedups or hits.
-					res, err = svc.Extend(ref.Hash, 2)
+					res, err = svc.Extend(context.Background(), ref.Hash, 2)
 				default:
-					res, err = svc.Submit(testSpec(500))
+					res, err = svc.Submit(context.Background(), testSpec(500))
 					if err == nil && !bytes.Equal(res.Report, ref.Report) {
 						errs <- fmt.Errorf("client %d: cached report differs from reference", c)
 						return

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -170,7 +171,7 @@ func expand(req *SweepRequest) ([]*scenario.Spec, []map[string]any, error) {
 // returning results in grid order. Points whose hash is already cached (or
 // duplicated within the grid) are served without re-execution; each point's
 // report is byte-identical at any worker count.
-func (s *Service) Sweep(req *SweepRequest) ([]SweepPoint, error) {
+func (s *Service) Sweep(ctx context.Context, req *SweepRequest) ([]SweepPoint, error) {
 	specs, grids, err := expand(req)
 	if err != nil {
 		return nil, err
@@ -209,7 +210,7 @@ func (s *Service) Sweep(req *SweepRequest) ([]SweepPoint, error) {
 		go func(idxs []int) {
 			defer wg.Done()
 			for _, i := range idxs {
-				res, err := s.Submit(specs[i])
+				res, err := s.Submit(ctx, specs[i])
 				if err != nil {
 					errs[i] = err
 					continue
