@@ -190,11 +190,14 @@ func TestPlaceExcludesDownBackends(t *testing.T) {
 	}
 }
 
-// requestCounter counts requests per path prefix on the way to a backend.
+// requestCounter counts requests per path prefix on the way to a backend:
+// extends, /result reads, and every by-hash read (/result, /series,
+// /trace/events and the series stream).
 type requestCounter struct {
 	inner   http.Handler
 	extends atomic.Int64
 	results atomic.Int64
+	reads   atomic.Int64
 }
 
 func (rc *requestCounter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -203,6 +206,11 @@ func (rc *requestCounter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		rc.extends.Add(1)
 	case strings.HasPrefix(r.URL.Path, "/result/"):
 		rc.results.Add(1)
+	}
+	for _, p := range []string{"/result/", "/series/", "/trace/events/"} {
+		if strings.HasPrefix(r.URL.Path, p) {
+			rc.reads.Add(1)
+		}
 	}
 	rc.inner.ServeHTTP(w, r)
 }

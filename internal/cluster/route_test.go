@@ -5,28 +5,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"a4sim/internal/scenario"
 	"a4sim/internal/service"
 )
-
-// readCounter counts the by-hash reads (/result, /series, /trace/events and
-// the series stream) that reach one backend.
-type readCounter struct {
-	inner http.Handler
-	reads atomic.Int64
-}
-
-func (rc *readCounter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	for _, p := range []string{"/result/", "/series/", "/trace/events/"} {
-		if strings.HasPrefix(r.URL.Path, p) {
-			rc.reads.Add(1)
-		}
-	}
-	rc.inner.ServeHTTP(w, r)
-}
 
 // TestByHashReadsGoOwnerFirst pins the one by-hash routing loop: after a
 // sweep places a run's prefix group off its rendezvous home, every read of
@@ -35,12 +18,12 @@ func (rc *readCounter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // but the owner would show: the run's prefix and its decorated tail key
 // ("<hash>?n=1") both hash home first.
 func TestByHashReadsGoOwnerFirst(t *testing.T) {
-	counters := map[string]*readCounter{}
+	counters := map[string]*requestCounter{}
 	var urls []string
 	for i := 0; i < 2; i++ {
 		svc := service.New(service.Config{Workers: 2, CacheEntries: 64})
 		t.Cleanup(svc.Close)
-		rc := &readCounter{inner: service.NewMux(svc, func() any { return svc.Stats() }, nil)}
+		rc := &requestCounter{inner: service.NewMux(svc, func() any { return svc.Stats() }, nil)}
 		srv := httptest.NewServer(rc)
 		t.Cleanup(srv.Close)
 		counters[srv.URL] = rc

@@ -116,7 +116,7 @@ func RunSpecs(o Options, r service.Runner, specs []*scenario.Spec) ([]*scenario.
 	groups := service.GroupSpecsByPrefix(specs)
 	forEachPoint(o, len(groups), func(g int) {
 		for _, i := range groups[g] {
-			res, err := r.Submit(context.Background(), specs[i])
+			res, err := r.Submit(context.TODO(), specs[i])
 			if err != nil {
 				errs[i] = err
 				continue

@@ -77,7 +77,7 @@ func (c *Client) Extend(ctx context.Context, hash string, measureSec float64) (R
 // SweepBytes posts a pre-encoded sweep body and decodes the grid points in
 // order.
 func (c *Client) SweepBytes(body []byte) ([]SweepPoint, error) {
-	data, err := c.do(context.Background(), http.MethodPost, "/sweep", jsonType, body, maxClientResponseBytes)
+	data, err := c.do(context.TODO(), http.MethodPost, "/sweep", jsonType, body, maxClientResponseBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -130,13 +130,13 @@ func (c *Client) Trace(id string) ([]byte, error) {
 // (GET /snapshot/<prefix>), read up to the same cap the daemon puts on an
 // installed one.
 func (c *Client) Snapshot(prefix string) ([]byte, error) {
-	return c.do(context.Background(), http.MethodGet, "/snapshot/"+prefix, "", nil, maxSnapshotBytes)
+	return c.do(context.TODO(), http.MethodGet, "/snapshot/"+prefix, "", nil, maxSnapshotBytes)
 }
 
 // InstallSnapshot ships a wrapped warm snapshot to the daemon
 // (POST /snapshot/<prefix>), which validates it before importing.
 func (c *Client) InstallSnapshot(prefix string, data []byte) error {
-	_, err := c.do(context.Background(), http.MethodPost, "/snapshot/"+prefix, "application/octet-stream", data, maxClientResponseBytes)
+	_, err := c.do(context.TODO(), http.MethodPost, "/snapshot/"+prefix, "application/octet-stream", data, maxClientResponseBytes)
 	return err
 }
 
@@ -195,7 +195,7 @@ func (c *Client) Healthz() error {
 // the server under test. Non-2xx answers go through ErrFromStatus exactly
 // like the typed methods, so callers classify failures identically.
 func (c *Client) Issue(method, path string, body []byte) error {
-	resp, err := c.send(context.Background(), c.hc, method, path, jsonType, body)
+	resp, err := c.send(context.TODO(), c.hc, method, path, jsonType, body)
 	if err != nil {
 		return err
 	}
@@ -240,7 +240,7 @@ const jsonType = "application/json"
 var ErrTooLarge = errors.New("service: client: response too large")
 
 func (c *Client) get(path string) ([]byte, error) {
-	return c.do(context.Background(), http.MethodGet, path, "", nil, maxClientResponseBytes)
+	return c.do(context.TODO(), http.MethodGet, path, "", nil, maxClientResponseBytes)
 }
 
 // do sends one request and returns the 200 answer's body, read whole up to
