@@ -6,6 +6,7 @@
 //	a4bench -fig all           # every figure (slow)
 //	a4bench -fig 13a -quick    # trimmed sweep for a fast look
 //	a4bench -list              # available figure IDs
+//	a4bench -fig 3a -quick -sampled  # sampled windows, rounded to whole seconds
 //
 // Output is a text table per figure with one row per x position and one
 // column per series, mirroring the lines/bars of the paper's plots.
@@ -19,7 +20,6 @@ import (
 	"time"
 
 	"a4sim/internal/figures"
-	"a4sim/internal/harness"
 	"a4sim/internal/scenario"
 )
 
@@ -36,18 +36,15 @@ func main() {
 	if *list || *fig == "" {
 		fmt.Println("available figures:", strings.Join(figures.IDs(), " "))
 		fmt.Println("available ablations:", strings.Join(figures.AblationIDs(), " "))
-		if *fig == "" {
-			os.Exit(2)
+		if !*list {
+			os.Exit(2) // no figure asked for: a usage error
 		}
 		return
 	}
 
 	opts := figures.Options{Quick: *quick, Verbose: *verbose, Workers: *workers}
 	if *sampled {
-		opts.Params.Sample = harness.SampleSpec{
-			DetailUs: scenario.DefaultSampleDetailUs,
-			PeriodUs: scenario.DefaultSamplePeriodUs,
-		}
+		opts.Sampling = &scenario.SamplingSpec{} // the default schedule
 	}
 	ids := []string{*fig}
 	switch *fig {

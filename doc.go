@@ -19,8 +19,9 @@
 //
 // Experiments are declarative: internal/scenario describes a scenario as a
 // JSON spec with a workload-constructor registry, canonical encoding, and a
-// stable content hash, and every binary and example builds its scenarios
-// through specs (builtin mixes ship embedded in the package). On top of
+// stable content hash, and every binary, example and figure builds its
+// scenarios through specs (builtin mixes ship embedded in the package),
+// CAT way ranges, DCA switches and the ablation knobs included. On top of
 // that, internal/service and cmd/a4serve serve scenario runs over HTTP with
 // a worker pool, singleflight deduplication, and an LRU result cache keyed
 // by spec hash — determinism makes cache hits byte-identical to fresh runs.

@@ -3,8 +3,8 @@
 // scan; as the storage block size grows, DMA leak floods the DCA ways and
 // network latency climbs. Selectively disabling DCA for the SSD port — the
 // hidden perfctrlsts_0 knob — restores network latency without costing the
-// storage workload anything. The scenario comes from a declarative spec;
-// the per-port DCA and CAT programming stay manual.
+// storage workload anything. Each run is a declarative spec: "ways" pin
+// the workloads with CAT and params.dca "ssd-off" flips the hidden knob.
 //
 // Run with:
 //
@@ -14,14 +14,7 @@ package main
 import (
 	"fmt"
 
-	"a4sim/internal/cache"
-	"a4sim/internal/harness"
 	"a4sim/internal/scenario"
-)
-
-var (
-	dpdkCores = []int{0, 1, 2, 3}
-	fioCores  = []int{4, 5, 6, 7}
 )
 
 func run(blockKB int, ssdDCA bool) (netUs, storageGBps float64) {
@@ -29,35 +22,20 @@ func run(blockKB int, ssdDCA bool) (netUs, storageGBps float64) {
 		Name:    "storagenoise",
 		Manager: "default",
 		Workloads: []scenario.WorkloadSpec{
-			{Kind: "dpdk", Name: "dpdk-t", Cores: dpdkCores, Priority: "hpw", Touch: true},
-			{Kind: "fio", Name: "fio", Cores: fioCores, Priority: "lpw", BlockKB: blockKB, QueueDepth: 32},
+			{Kind: "dpdk", Name: "dpdk-t", Cores: []int{0, 1, 2, 3}, Priority: "hpw", Touch: true, Ways: []int{4, 5}},
+			{Kind: "fio", Name: "fio", Cores: []int{4, 5, 6, 7}, Priority: "lpw", BlockKB: blockKB, QueueDepth: 32, Ways: []int{2, 3}},
 		},
+		WarmupSec:  2,
+		MeasureSec: 3,
 	}
-	s, err := sp.Start()
+	if !ssdDCA {
+		sp.Params.DCA = scenario.DCASSDOff
+	}
+	rep, err := sp.Run()
 	if err != nil {
 		panic(err)
 	}
-
-	// The hidden knob: per-port DCA disable (perfctrlsts_0).
-	s.H.PCIe().SetPortDCA(harness.SSDPort, ssdDCA)
-
-	must(s.H.CAT().SetMask(1, cache.MaskRange(2, 3)))
-	for _, c := range fioCores {
-		must(s.H.CAT().Associate(c, 1))
-	}
-	must(s.H.CAT().SetMask(2, cache.MaskRange(4, 5)))
-	for _, c := range dpdkCores {
-		must(s.H.CAT().Associate(c, 2))
-	}
-
-	res := s.Run(2, 3)
-	return res.W("dpdk-t").AvgLatUs, res.W("fio").IOReadGBps
-}
-
-func must(err error) {
-	if err != nil {
-		panic(err)
-	}
+	return rep.W("dpdk-t").AvgLatUs, rep.W("fio").IOReadGBps
 }
 
 func main() {

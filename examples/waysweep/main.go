@@ -2,9 +2,9 @@
 // It slides a cache-sensitive workload's two CAT ways across the LLC while
 // a DPDK-style packet processor holds way[5:6], revealing the three
 // contention regions: DCA ways (latent contention), the DPDK ways (DMA
-// bloat), and the inclusive ways (hidden directory contention). The
-// scenario comes from a declarative spec; the CAT programming stays manual,
-// exactly like intel-cmt-cat on the real box.
+// bloat), and the inclusive ways (hidden directory contention). Each point
+// is a declarative spec whose per-workload "ways" program CAT at start,
+// the way intel-cmt-cat does on the real box.
 //
 // Run with:
 //
@@ -14,13 +14,7 @@ package main
 import (
 	"fmt"
 
-	"a4sim/internal/cache"
 	"a4sim/internal/scenario"
-)
-
-var (
-	dpdkCores = []int{0, 1, 2, 3}
-	xmemCores = []int{4, 5}
 )
 
 func sweepPoint(lo int, touch bool) float64 {
@@ -28,33 +22,17 @@ func sweepPoint(lo int, touch bool) float64 {
 		Name:    "waysweep",
 		Manager: "default",
 		Workloads: []scenario.WorkloadSpec{
-			{Kind: "dpdk", Name: "dpdk", Cores: dpdkCores, Priority: "hpw", Touch: touch},
-			{Kind: "xmem", Name: "xmem", Cores: xmemCores, Priority: "hpw", WSKB: 4 << 10, Pattern: "sequential"},
+			{Kind: "dpdk", Name: "dpdk", Cores: []int{0, 1, 2, 3}, Priority: "hpw", Touch: touch, Ways: []int{5, 6}},
+			{Kind: "xmem", Name: "xmem", Cores: []int{4, 5}, Priority: "hpw", WSKB: 4 << 10, Pattern: "sequential", Ways: []int{lo, lo + 1}},
 		},
+		WarmupSec:  2,
+		MeasureSec: 3,
 	}
-	s, err := sp.Start()
+	rep, err := sp.Run()
 	if err != nil {
 		panic(err)
 	}
-
-	// Manual CAT programming, exactly like intel-cmt-cat on the real box.
-	must(s.H.CAT().SetMask(1, cache.MaskRange(5, 6)))
-	for _, c := range dpdkCores {
-		must(s.H.CAT().Associate(c, 1))
-	}
-	must(s.H.CAT().SetMask(2, cache.MaskRange(lo, lo+1)))
-	for _, c := range xmemCores {
-		must(s.H.CAT().Associate(c, 2))
-	}
-
-	res := s.Run(2, 3)
-	return res.W("xmem").LLCMissRate
-}
-
-func must(err error) {
-	if err != nil {
-		panic(err)
-	}
+	return rep.W("xmem").LLCMissRate
 }
 
 func main() {

@@ -3,17 +3,15 @@ package figures
 import (
 	"fmt"
 
-	"a4sim/internal/harness"
-	"a4sim/internal/sim"
-	"a4sim/internal/workload"
+	"a4sim/internal/scenario"
 )
 
 // Ablations probe the modeling decisions documented in DESIGN.md §4: the
 // migration race split, the imperfect-LRU approximation, NIC burst shaping,
 // and the SSD parallelism window. Each reruns a motivation experiment under
 // variants of one knob so reviewers can see which reproduced effects depend
-// on which assumption. Like the figures, every ablation point is an
-// independent scenario and runs on the sweep worker pool.
+// on which assumption. Like the figures, every ablation point is a
+// scenario.Spec and runs on the sweep worker pool.
 
 // AblationRegistry maps ablation IDs to generators, mirroring Registry.
 var AblationRegistry = map[string]func(Options) *Report{
@@ -28,28 +26,27 @@ func AblationIDs() []string {
 	return []string{"ab-migration", "ab-plru", "ab-burst", "ab-ssdpar"}
 }
 
-// ablationFig3Point reruns one Fig. 3b point (DPDK-T at way[5:6], X-Mem at
-// way[xlo:xlo+1]) under the given parameters.
-func ablationFig3Point(p harness.Params, xlo int, warm, meas float64) *harness.Result {
-	s := harness.NewScenario(p)
-	d := s.AddDPDK("dpdk-t", []int{0, 1, 2, 3}, true, workload.HPW)
-	x := s.AddXMem("xmem", []int{4, 5}, defaultXMemWS, workload.Sequential, false, workload.HPW)
-	s.Start(harness.Default())
-	pin(s, 1, d.Cores(), 5, 6)
-	pin(s, 2, x.Cores(), xlo, xlo+1)
-	return s.Run(warm, meas)
-}
-
-// ablationFig3Sweep runs the (knob value, X-Mem position) grid used by the
-// migration and PLRU ablations: for each knob index the scenario params are
-// customized by prep, and both probe positions are measured.
-func ablationFig3Sweep(o Options, n int, prep func(i int) harness.Params, positions [2]int, warm, meas float64) [][2]*harness.Result {
-	out := make([][2]*harness.Result, n)
-	forEachPoint(o, n*2, func(j int) {
-		i, side := j/2, j%2
-		out[i][side] = ablationFig3Point(prep(i), positions[side], warm, meas)
-	})
-	return out
+// ablationFig3 reruns Fig. 3b's point with X-Mem at each of two positions
+// (DPDK-T at way[5:6], X-Mem at way[lo:lo+1]) under each labeled value of
+// one knob, which set writes into the params. It emits one X-Mem miss-rate
+// series per position.
+func ablationFig3(o Options, rep *Report, labels []string, positions [2]int, set func(p *scenario.ParamSpec, i int)) *Report {
+	var pts []point
+	for i := range labels {
+		for _, lo := range positions {
+			sp := o.spec(2, 3, dpdk("dpdk-t", true, 5, 6), xmem(defaultXMemKB, lo, lo+1))
+			set(&sp.Params, i)
+			pts = append(pts, point{start: sp})
+		}
+	}
+	results := run(o, pts, nil)
+	for k, lo := range positions {
+		s := rep.AddSeries("xmem-miss@" + wayLabel(lo, lo+1))
+		for i, lbl := range labels {
+			s.Add(lbl, float64(i), results[2*i+k].W("xmem").LLCMissRate)
+		}
+	}
+	return rep
 }
 
 // AblationMigrationRace sweeps MigrationStickPct: at 100 every consumed DMA
@@ -60,21 +57,14 @@ func AblationMigrationRace(o Options) *Report {
 		ID:    "ab-migration",
 		Title: "Ablation: migration race split vs. the two §3.1 contentions",
 	}
-	bloat := rep.AddSeries("xmem-miss@[5:6]")
-	dir := rep.AddSeries("xmem-miss@[9:10]")
-	warm, meas := o.windows(2, 3)
 	sticks := []int{0, 50, 100}
-	results := ablationFig3Sweep(o, len(sticks), func(i int) harness.Params {
-		p := microParams(o)
-		p.Hierarchy.MigrationStickPct = sticks[i]
-		return p
-	}, [2]int{5, 9}, warm, meas)
+	labels := make([]string, len(sticks))
 	for i, stick := range sticks {
-		lbl := fmt.Sprintf("stick=%d%%", stick)
-		bloat.Add(lbl, float64(i), results[i][0].W("xmem").LLCMissRate)
-		dir.Add(lbl, float64(i), results[i][1].W("xmem").LLCMissRate)
+		labels[i] = fmt.Sprintf("stick=%d%%", stick)
 	}
-	return rep
+	return ablationFig3(o, rep, labels, [2]int{5, 9}, func(p *scenario.ParamSpec, i int) {
+		p.MigrationStickPct = &sticks[i]
+	})
 }
 
 // AblationVictimRandomness sweeps the QLRU-noise percentage. With perfect
@@ -85,21 +75,14 @@ func AblationVictimRandomness(o Options) *Report {
 		ID:    "ab-plru",
 		Title: "Ablation: imperfect-LRU percentage vs. latent contention",
 	}
-	latent := rep.AddSeries("xmem-miss@[0:1]")
-	clean := rep.AddSeries("xmem-miss@[3:4]")
-	warm, meas := o.windows(2, 3)
 	pcts := []int{0, 10, 25}
-	results := ablationFig3Sweep(o, len(pcts), func(i int) harness.Params {
-		p := microParams(o)
-		p.Hierarchy.LLCVictimRandPct = pcts[i]
-		return p
-	}, [2]int{0, 3}, warm, meas)
+	labels := make([]string, len(pcts))
 	for i, pct := range pcts {
-		lbl := fmt.Sprintf("rand=%d%%", pct)
-		latent.Add(lbl, float64(i), results[i][0].W("xmem").LLCMissRate)
-		clean.Add(lbl, float64(i), results[i][1].W("xmem").LLCMissRate)
+		labels[i] = fmt.Sprintf("rand=%d%%", pct)
 	}
-	return rep
+	return ablationFig3(o, rep, labels, [2]int{0, 3}, func(p *scenario.ParamSpec, i int) {
+		p.LLCVictimRandPct = &pcts[i]
+	})
 }
 
 // AblationBurstShaping compares bursty vs. smooth packet arrivals. Smooth
@@ -112,26 +95,13 @@ func AblationBurstShaping(o Options) *Report {
 	}
 	al := rep.AddSeries("net-avg-us")
 	tl := rep.AddSeries("net-p99-us")
-	warm, meas := o.windows(2, 3)
-	cases := []struct {
-		label  string
-		period sim.Tick
-	}{
-		{"bursty", 0 /* default shaping */},
-		{"smooth", -1 /* explicit smooth */},
-	}
-	results := runPoints(o, len(cases), func(i int) *harness.Result {
-		p := microParams(o)
-		p.NICBurstPeriod = cases[i].period
-		s := harness.NewScenario(p)
-		d := s.AddDPDK("dpdk-t", []int{0, 1, 2, 3}, true, workload.HPW)
-		s.Start(harness.Default())
-		pin(s, 1, d.Cores(), 4, 5)
-		return s.Run(warm, meas)
-	})
-	for i, c := range cases {
-		al.Add(c.label, float64(i), results[i].W("dpdk-t").AvgLatUs)
-		tl.Add(c.label, float64(i), results[i].W("dpdk-t").P99LatUs)
+	bursty := o.spec(2, 3, dpdk("dpdk-t", true, 4, 5))
+	smooth := bursty.Clone()
+	smooth.Params.SmoothNIC = true
+	results := run(o, []point{{start: bursty}, {start: smooth}}, nil)
+	for i, label := range []string{"bursty", "smooth"} {
+		al.Add(label, float64(i), results[i].W("dpdk-t").AvgLatUs)
+		tl.Add(label, float64(i), results[i].W("dpdk-t").P99LatUs)
 	}
 	return rep
 }
@@ -145,19 +115,18 @@ func AblationSSDParallelism(o Options) *Report {
 	}
 	leak128 := rep.AddSeries("leak-rate@128KB")
 	leak512 := rep.AddSeries("leak-rate@512KB")
-	warm, meas := o.windows(2, 3)
 	pars := []int{8, 64}
 	kbs := []int{128, 512}
 	// Point order: (par, kb) grid, kb-minor.
-	results := runPoints(o, len(pars)*len(kbs), func(i int) *harness.Result {
-		p := microParams(o)
-		p.SSDParallelism = pars[i/len(kbs)]
-		s := harness.NewScenario(p)
-		f := s.AddFIO("fio", []int{0, 1, 2, 3}, kbs[i%len(kbs)]<<10, 32, workload.LPW)
-		s.Start(harness.Default())
-		pin(s, 1, f.Cores(), 2, 3)
-		return s.Run(warm, meas)
-	})
+	var pts []point
+	for i := range pars {
+		for _, kb := range kbs {
+			sp := o.spec(2, 3, fio(fioLow, kb, 2, 3))
+			sp.Params.SSDParallelism = &pars[i]
+			pts = append(pts, point{start: sp})
+		}
+	}
+	results := run(o, pts, nil)
 	for i, par := range pars {
 		lbl := fmt.Sprintf("par=%d", par)
 		leak128.Add(lbl, float64(i), results[i*len(kbs)].W("fio").LeakRate)

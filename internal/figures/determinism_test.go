@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"testing"
 
-	"a4sim/internal/harness"
 	"a4sim/internal/scenario"
 )
 
@@ -13,9 +12,7 @@ import (
 // high rate scale keeps per-point simulation cheap while still exercising
 // every scenario-construction and report-assembly path.
 func detOpts(workers int) Options {
-	p := harness.DefaultParams()
-	p.RateScale = 4096
-	return Options{Params: p, Quick: true, Warmup: 1, Measure: 1, Workers: workers}
+	return Options{RateScale: 4096, Quick: true, Warmup: 1, Measure: 1, Workers: workers}
 }
 
 // reportDigests pins the SHA-256 of every serial detOpts report. Serial ≡
@@ -98,13 +95,7 @@ func TestParallelAblationDeterminism(t *testing.T) {
 // window override must run, and serially ≡ in parallel.
 func TestSampledQuickFigure(t *testing.T) {
 	opts := func(workers int) Options {
-		p := harness.DefaultParams()
-		p.RateScale = 4096
-		p.Sample = harness.SampleSpec{
-			DetailUs: scenario.DefaultSampleDetailUs,
-			PeriodUs: scenario.DefaultSamplePeriodUs,
-		}
-		return Options{Params: p, Quick: true, Workers: workers}
+		return Options{RateScale: 4096, Sampling: &scenario.SamplingSpec{}, Quick: true, Workers: workers}
 	}
 	serial := Fig3a(opts(1)).String()
 	if parallel := Fig3a(opts(2)).String(); parallel != serial {

@@ -4,41 +4,38 @@ import (
 	"fmt"
 	"math"
 
-	"a4sim/internal/core"
 	"a4sim/internal/harness"
+	"a4sim/internal/scenario"
 	"a4sim/internal/workload"
 )
 
 // evalSchemes returns the manager set of §7: Default, Isolate, and the
 // cumulative A4 variants. Quick mode keeps the endpoints only.
-func evalSchemes(quick bool) []harness.ManagerSpec {
+func evalSchemes(quick bool) []string {
 	if quick {
-		return []harness.ManagerSpec{harness.Default(), harness.Isolate(), harness.A4(core.VariantD)}
+		return []string{"default", "isolate", "a4-d"}
 	}
-	return []harness.ManagerSpec{
-		harness.Default(),
-		harness.Isolate(),
-		harness.A4(core.VariantA),
-		harness.A4(core.VariantB),
-		harness.A4(core.VariantC),
-		harness.A4(core.VariantD),
-	}
+	return []string{"default", "isolate", "a4-a", "a4-b", "a4-c", "a4-d"}
 }
 
-// buildMicroEval constructs the §7.1 scenario: DPDK-T (HPW) + FIO (LPW) +
-// the three X-Mem instances of Table 3.
-func buildMicroEval(p harness.Params, blockKB int) *harness.Scenario {
-	s := harness.NewScenario(p)
-	s.AddDPDK("dpdk-t", []int{0, 1, 2, 3}, true, workload.HPW)
-	s.AddFIO("fio", []int{4, 5, 6, 7}, blockKB<<10, 32, workload.LPW)
-	s.AddXMem("xmem1", []int{8, 9}, 4<<20, workload.Sequential, false, workload.HPW)
-	s.AddXMem("xmem2", []int{10, 11}, 4<<20, workload.Sequential, true, workload.LPW)
-	s.AddXMem("xmem3", []int{12, 13}, 10<<20, workload.Random, false, workload.LPW)
-	return s
+// microEval is the §7.1 scenario: DPDK-T (HPW) + FIO (LPW) + the three
+// X-Mem instances of Table 3. Figures set FIO's block size (workload 1).
+var microEval = []scenario.WorkloadSpec{
+	dpdk("dpdk-t", true),
+	fio(fioHigh, 0),
+	{Kind: "xmem", Name: "xmem1", Cores: []int{8, 9}, Priority: "hpw", WSKB: 4 << 10, Pattern: "sequential"},
+	{Kind: "xmem", Name: "xmem2", Cores: []int{10, 11}, Priority: "lpw", WSKB: 4 << 10, Pattern: "sequential", Write: true},
+	{Kind: "xmem", Name: "xmem3", Cores: []int{12, 13}, Priority: "lpw", WSKB: 10 << 10, Pattern: "random"},
 }
 
-// microEvalNames lists the §7.1 workloads.
-var microEvalNames = []string{"dpdk-t", "fio", "xmem1", "xmem2", "xmem3"}
+// microEvalPoint is the §7.1 scenario under manager with the given packet
+// and storage block sizes.
+func microEvalPoint(o Options, manager string, pkt, blockKB int) point {
+	sp := withManager(o.spec(18, 4, microEval...), manager)
+	sp.Params.PacketBytes = pkt
+	sp.Workloads[1].BlockKB = blockKB
+	return point{start: sp}
+}
 
 // Fig11 reproduces Fig. 11: X-Mem IPC (normalized to the Default model at
 // the smallest packet size) and LLC hit rates across network packet sizes,
@@ -48,53 +45,35 @@ func Fig11(o Options) *Report {
 		ID:    "11",
 		Title: "X-Mem IPC and LLC hit rate vs. packet size (Default / Isolate / A4)",
 	}
-	warm, meas := o.windows(18, 4)
 	pkts := []int{64, 128, 256, 512, 1024, 1514}
 	if o.Quick {
 		pkts = []int{64, 1024}
 	}
 	schemes := evalSchemes(true) // Fig. 11 compares Default, Isolate, A4 only
 	// Point order: scheme-major, packet-minor.
-	results := runPoints(o, len(schemes)*len(pkts), func(i int) *harness.Result {
-		mgr, pkt := schemes[i/len(pkts)], pkts[i%len(pkts)]
-		p := microParams(o)
-		p.PacketBytes = pkt
-		s := buildMicroEval(p, 2048)
-		s.Start(mgr)
-		return s.Run(warm, meas)
-	})
-	// raw[scheme][xmem][pkt] = IPC
-	type key struct {
-		scheme, wl string
-		pkt        int
-	}
-	rawIPC := map[key]float64{}
-	rawHit := map[key]float64{}
-	for i, res := range results {
-		mgr, pkt := schemes[i/len(pkts)], pkts[i%len(pkts)]
-		for _, wl := range []string{"xmem1", "xmem2", "xmem3"} {
-			rawIPC[key{mgr.Name(), wl, pkt}] = res.W(wl).IPC
-			rawHit[key{mgr.Name(), wl, pkt}] = res.W(wl).LLCHitRate
+	var pts []point
+	for _, mgr := range schemes {
+		for _, pkt := range pkts {
+			pts = append(pts, microEvalPoint(o, mgr, pkt, 2048))
 		}
 	}
-	// Normalize IPC to Default at the smallest packet size, per X-Mem.
-	base := map[string]float64{}
-	for _, wl := range []string{"xmem1", "xmem2", "xmem3"} {
-		base[wl] = rawIPC[key{"default", wl, pkts[0]}]
-	}
-	for _, mgr := range schemes {
-		for _, wl := range []string{"xmem1", "xmem2", "xmem3"} {
-			ns := rep.AddSeries(fmt.Sprintf("perf-%s-%s", wl, mgr.Name()))
-			hs := rep.AddSeries(fmt.Sprintf("llchit-%s-%s", wl, mgr.Name()))
-			for _, pkt := range pkts {
-				k := key{mgr.Name(), wl, pkt}
-				v := rawIPC[k]
-				if b := base[wl]; b > 0 {
-					v /= b
+	results := run(o, pts, nil)
+	xmems := []string{"xmem1", "xmem2", "xmem3"}
+	for si, mgr := range schemes {
+		for _, wl := range xmems {
+			ns := rep.AddSeries(fmt.Sprintf("perf-%s-%s", wl, mgr))
+			hs := rep.AddSeries(fmt.Sprintf("llchit-%s-%s", wl, mgr))
+			// Normalize IPC to Default at the smallest packet size.
+			base := results[0].W(wl).IPC
+			for pi, pkt := range pkts {
+				res := results[si*len(pkts)+pi].W(wl)
+				v := res.IPC
+				if base > 0 {
+					v /= base
 				}
 				lbl := fmt.Sprintf("%dB", pkt)
 				ns.Add(lbl, float64(pkt), v)
-				hs.Add(lbl, float64(pkt), rawHit[k])
+				hs.Add(lbl, float64(pkt), res.LLCHitRate)
 			}
 		}
 	}
@@ -108,23 +87,21 @@ func Fig12(o Options) *Report {
 		ID:    "12",
 		Title: "Network latency/throughput vs. storage block size (Default / Isolate / A4)",
 	}
-	warm, meas := o.windows(18, 4)
 	blocks := []int{4, 16, 64, 128, 512, 2048}
 	if o.Quick {
 		blocks = []int{16, 128, 2048}
 	}
 	schemes := evalSchemes(true)
-	results := runPoints(o, len(schemes)*len(blocks), func(i int) *harness.Result {
-		mgr, kb := schemes[i/len(blocks)], blocks[i%len(blocks)]
-		p := microParams(o)
-		p.PacketBytes = 1514
-		s := buildMicroEval(p, kb)
-		s.Start(mgr)
-		return s.Run(warm, meas)
-	})
+	var pts []point
+	for _, mgr := range schemes {
+		for _, kb := range blocks {
+			pts = append(pts, microEvalPoint(o, mgr, 1514, kb))
+		}
+	}
+	results := run(o, pts, nil)
 	for si, mgr := range schemes {
-		tl := rep.AddSeries("net-p99-us-" + mgr.Name())
-		tp := rep.AddSeries("net-read-GBps-" + mgr.Name())
+		tl := rep.AddSeries("net-p99-us-" + mgr)
+		tp := rep.AddSeries("net-read-GBps-" + mgr)
 		for bi, kb := range blocks {
 			res := results[si*len(blocks)+bi]
 			lbl := kbLabel(kb)
@@ -135,64 +112,29 @@ func Fig12(o Options) *Report {
 	return rep
 }
 
-// realWorldMix describes one of the §7.2 co-location scenarios.
-type realWorldMix struct {
-	name  string
-	build func(s *harness.Scenario)
-	hpws  []string
-	lpws  []string
-}
-
-// hpwHeavyMix is Fig. 13a: 7 HPWs + 4 LPWs.
-func hpwHeavyMix() realWorldMix {
-	return realWorldMix{
-		name: "hpw-heavy",
-		build: func(s *harness.Scenario) {
-			s.AddFastclick([]int{0, 1, 2, 3}, workload.HPW)
-			s.AddRedisPair(4, 5, workload.HPW, workload.HPW)
-			s.AddSPEC("x264", 6, workload.HPW)
-			s.AddSPEC("parest", 7, workload.HPW)
-			s.AddSPEC("xalancbmk", 8, workload.HPW)
-			s.AddSPEC("lbm", 9, workload.HPW)
-			s.AddFFSB("ffsb-h", true, []int{10, 11, 12}, workload.LPW)
-			s.AddSPEC("omnetpp", 13, workload.LPW)
-			s.AddSPEC("exchange2", 14, workload.LPW)
-			s.AddSPEC("bwaves", 15, workload.LPW)
-		},
-		hpws: []string{"fastclick", "redis-s", "redis-c", "x264", "parest", "xalancbmk", "lbm"},
-		lpws: []string{"ffsb-h", "omnetpp", "exchange2", "bwaves"},
+// qosNames lists a mix's workload names by QoS class, each in spec order:
+// the order of the §7.2 bars.
+func qosNames(sp *scenario.Spec) (hpws, lpws []string) {
+	n := sp.Clone()
+	if err := n.Normalize(); err != nil {
+		panic(err)
 	}
-}
-
-// lpwHeavyMix is Fig. 13b: 4 HPWs + 8 LPWs.
-func lpwHeavyMix() realWorldMix {
-	return realWorldMix{
-		name: "lpw-heavy",
-		build: func(s *harness.Scenario) {
-			s.AddFastclick([]int{0, 1, 2, 3}, workload.HPW)
-			s.AddFFSB("ffsb-l", false, []int{4}, workload.HPW)
-			s.AddSPEC("mcf", 5, workload.HPW)
-			s.AddSPEC("blender", 6, workload.HPW)
-			s.AddFFSB("ffsb-h", true, []int{7, 8, 9}, workload.LPW)
-			s.AddRedisPair(10, 11, workload.LPW, workload.LPW)
-			s.AddSPEC("x264", 12, workload.LPW)
-			s.AddSPEC("parest", 13, workload.LPW)
-			s.AddSPEC("fotonik3d", 14, workload.LPW)
-			s.AddSPEC("lbm", 15, workload.LPW)
-			s.AddSPEC("bwaves", 16, workload.LPW)
-		},
-		hpws: []string{"fastclick", "ffsb-l", "mcf", "blender"},
-		lpws: []string{"ffsb-h", "redis-s", "redis-c", "x264", "parest", "fotonik3d", "lbm", "bwaves"},
+	add := func(name, prio string) {
+		if prio == "hpw" {
+			hpws = append(hpws, name)
+		} else {
+			lpws = append(lpws, name)
+		}
 	}
-}
-
-// runRealWorld executes one scheme over a mix and returns the result.
-func runRealWorld(o Options, mix realWorldMix, mgr harness.ManagerSpec, warm, meas float64) (*harness.Scenario, *harness.Result) {
-	s := harness.NewScenario(microParams(o))
-	mix.build(s)
-	s.Start(mgr)
-	res := s.Run(warm, meas)
-	return s, res
+	for _, w := range n.Workloads {
+		if w.Kind == "redis" {
+			add("redis-s", w.Priority)
+			add("redis-c", w.ClientPriority)
+			continue
+		}
+		add(w.Name, w.Priority)
+	}
+	return hpws, lpws
 }
 
 // perfMetric extracts the §7.2 performance metric: throughput (inverse of
@@ -203,6 +145,19 @@ func perfMetric(wr *harness.WorkloadResult) float64 {
 		return 1e6 / wr.AvgLatUs
 	}
 	return wr.ProgressRate
+}
+
+// relative returns each named workload's §7.2 performance relative to the
+// baseline run (1 where the baseline made no progress).
+func relative(names []string, res, base *harness.Result) []float64 {
+	out := make([]float64, len(names))
+	for j, wl := range names {
+		out[j] = 1
+		if b := perfMetric(base.W(wl)); b > 0 {
+			out[j] = perfMetric(res.W(wl)) / b
+		}
+	}
+	return out
 }
 
 // geomean returns the geometric mean of vs, ignoring non-positive entries.
@@ -221,79 +176,64 @@ func geomean(vs []float64) float64 {
 	return math.Exp(sum / float64(n))
 }
 
-// schemeRun pairs a scheme's scenario with its measurement window result.
-type schemeRun struct {
-	sc  *harness.Scenario
-	res *harness.Result
-}
-
-// fig13 runs one real-world scenario across all schemes (concurrently; the
-// Default scheme at index 0 provides the normalization baseline).
-func fig13(o Options, mix realWorldMix, id string) *Report {
+// fig13 runs one real-world mix across all schemes; the Default scheme at
+// index 0 provides the normalization baseline.
+func fig13(o Options, mix, id string) *Report {
 	rep := &Report{
 		ID:    id,
-		Title: fmt.Sprintf("Real-world co-location (%s): relative performance vs. Default", mix.name),
+		Title: fmt.Sprintf("Real-world co-location (%s): relative performance vs. Default", mix),
 	}
-	warm, meas := o.windows(20, 5)
-	all := append(append([]string{}, mix.hpws...), mix.lpws...)
+	base := o.mix(mix, 20, 5)
+	hpws, lpws := qosNames(base)
+	all := append(append([]string{}, hpws...), lpws...)
 
 	schemes := evalSchemes(false) // the variant progression is the figure's point
-	runs := runPoints(o, len(schemes), func(i int) schemeRun {
-		sc, res := runRealWorld(o, mix, schemes[i], warm, meas)
-		return schemeRun{sc, res}
-	})
-	baseline := map[string]float64{}
-	for _, wl := range all {
-		baseline[wl] = perfMetric(runs[0].res.W(wl))
-	}
+	pts := make([]point, len(schemes))
 	for i, mgr := range schemes {
-		sc, res := runs[i].sc, runs[i].res
-		ps := rep.AddSeries("perf-" + mgr.Name())
-		var hpv, lpv, allv []float64
-		for j, wl := range all {
-			v := perfMetric(res.W(wl))
-			if b := baseline[wl]; b > 0 {
-				v /= b
-			} else {
-				v = 1
-			}
-			ps.Add(wl, float64(j), v)
-			allv = append(allv, v)
-			if j < len(mix.hpws) {
-				hpv = append(hpv, v)
-			} else {
-				lpv = append(lpv, v)
+		pts[i] = point{start: withManager(base, mgr)}
+	}
+	// Only the a4-d point touches notes, so the pool needs no lock.
+	var notes []string
+	results := run(o, pts, func(i int, s *harness.Scenario) {
+		if schemes[i] != "a4-d" {
+			return
+		}
+		if o.Verbose {
+			notes = append(notes, s.Controller.Events...)
+		}
+		var ants []string
+		for _, w := range s.Workloads {
+			if s.Controller.IsAntagonist(w.ID()) {
+				ants = append(ants, w.Name())
 			}
 		}
-		ps.Add("Avg(HP)", float64(len(all)), geomean(hpv))
-		ps.Add("Avg(LP)", float64(len(all)+1), geomean(lpv))
-		ps.Add("Avg(all)", float64(len(all)+2), geomean(allv))
-
-		if mgr.Kind == harness.ManagerA4 && mgr.A4.Features == core.VariantD {
-			hs := rep.AddSeries("llchit-" + mgr.Name())
+		notes = append(notes, fmt.Sprintf("a4-d antagonists: %v", ants))
+	})
+	for i, mgr := range schemes {
+		ps := rep.AddSeries("perf-" + mgr)
+		rel := relative(all, results[i], results[0])
+		for j, wl := range all {
+			ps.Add(wl, float64(j), rel[j])
+		}
+		ps.Add("Avg(HP)", float64(len(all)), geomean(rel[:len(hpws)]))
+		ps.Add("Avg(LP)", float64(len(all)+1), geomean(rel[len(hpws):]))
+		ps.Add("Avg(all)", float64(len(all)+2), geomean(rel))
+		if mgr == "a4-d" {
+			hs := rep.AddSeries("llchit-" + mgr)
 			for j, wl := range all {
-				hs.Add(wl, float64(j), res.W(wl).LLCHitRate)
+				hs.Add(wl, float64(j), results[i].W(wl).LLCHitRate)
 			}
-			if o.Verbose && sc.Controller != nil {
-				rep.Notes = append(rep.Notes, sc.Controller.Events...)
-			}
-			var ants []string
-			for _, w := range sc.Workloads {
-				if sc.Controller != nil && sc.Controller.IsAntagonist(w.ID()) {
-					ants = append(ants, w.Name())
-				}
-			}
-			rep.Notes = append(rep.Notes, fmt.Sprintf("a4-d antagonists: %v", ants))
 		}
 	}
+	rep.Notes = notes
 	return rep
 }
 
-// Fig13a reproduces Fig. 13a (HPW-heavy scenario).
-func Fig13a(o Options) *Report { return fig13(o, hpwHeavyMix(), "13a") }
+// Fig13a reproduces Fig. 13a (HPW-heavy scenario: 7 HPWs + 4 LPWs).
+func Fig13a(o Options) *Report { return fig13(o, "hpw-heavy", "13a") }
 
-// Fig13b reproduces Fig. 13b (LPW-heavy scenario).
-func Fig13b(o Options) *Report { return fig13(o, lpwHeavyMix(), "13b") }
+// Fig13b reproduces Fig. 13b (LPW-heavy scenario: 4 HPWs + 8 LPWs).
+func Fig13b(o Options) *Report { return fig13(o, "lpw-heavy", "13b") }
 
 // Fig14 reproduces Fig. 14: latency breakdowns and system-wide throughput
 // and memory bandwidth for the HPW-heavy scenario across schemes.
@@ -302,9 +242,6 @@ func Fig14(o Options) *Report {
 		ID:    "14",
 		Title: "I/O latency breakdown and system-wide metrics (HPW-heavy)",
 	}
-	warm, meas := o.windows(20, 5)
-	mix := hpwHeavyMix()
-
 	netWait := rep.AddSeries("fastclick-wait-us")
 	netDesc := rep.AddSeries("fastclick-ptr-us")
 	netProc := rep.AddSeries("fastclick-proc-us")
@@ -315,14 +252,14 @@ func Fig14(o Options) *Report {
 	memRd := rep.AddSeries("mem-read-GBps")
 	memWr := rep.AddSeries("mem-write-GBps")
 
+	base := o.mix("hpw-heavy", 20, 5)
 	schemes := evalSchemes(false)
-	results := runPoints(o, len(schemes), func(i int) *harness.Result {
-		_, res := runRealWorld(o, mix, schemes[i], warm, meas)
-		return res
-	})
+	pts := make([]point, len(schemes))
 	for i, mgr := range schemes {
-		res := results[i]
-		lbl := mgr.Name()
+		pts[i] = point{start: withManager(base, mgr)}
+	}
+	for i, res := range run(o, pts, nil) {
+		lbl := schemes[i]
 		x := float64(i)
 		fc := res.W("fastclick")
 		netWait.Add(lbl, x, fc.WaitUs)
@@ -346,154 +283,82 @@ func Fig14(o Options) *Report {
 	return rep
 }
 
-// mixGeomeans reduces one run of the HPW-heavy mix to (HP, LP, all) geomean
-// performance relative to the Default-model baseline.
-func mixGeomeans(mix realWorldMix, res *harness.Result, baseline map[string]float64) (hp, lp, all float64) {
-	names := append(append([]string{}, mix.hpws...), mix.lpws...)
-	var hpv, lpv, allv []float64
-	for j, wl := range names {
-		v := perfMetric(res.W(wl))
-		if b := baseline[wl]; b > 0 {
-			v /= b
-		} else {
-			v = 1
-		}
-		allv = append(allv, v)
-		if j < len(mix.hpws) {
-			hpv = append(hpv, v)
-		} else {
-			lpv = append(lpv, v)
-		}
-	}
-	return geomean(hpv), geomean(lpv), geomean(allv)
+// a4Point labels one A4 controller configuration of a Fig. 15 sweep.
+type a4Point struct {
+	label string
+	a4    scenario.A4Spec
 }
 
-// fig15Sweep runs the HPW-heavy mix under the Default baseline plus one A4
-// configuration per point, all on the sweep pool, and emits the three
-// geomean series.
-func fig15Sweep(o Options, rep *Report, warm, meas float64, labels []string, cfgs []core.Config) {
+// fig15Sweep runs the HPW-heavy mix under the Default baseline plus a4-d
+// with each configuration, and emits the three geomean series.
+func fig15Sweep(o Options, rep *Report, defWarm, defMeas float64, cfgs []a4Point) *Report {
 	hpS := rep.AddSeries("avg-hp")
 	lpS := rep.AddSeries("avg-lp")
 	allS := rep.AddSeries("avg-all")
-	mix := hpwHeavyMix()
+	base := o.mix("hpw-heavy", defWarm, defMeas)
+	hpws, lpws := qosNames(base)
+	all := append(append([]string{}, hpws...), lpws...)
 	// Point 0 is the Default-model baseline; points 1.. are the A4 configs.
-	results := runPoints(o, len(cfgs)+1, func(i int) *harness.Result {
-		mgr := harness.Default()
-		if i > 0 {
-			mgr = harness.A4With(cfgs[i-1])
-		}
-		_, res := runRealWorld(o, mix, mgr, warm, meas)
-		return res
-	})
-	baseline := map[string]float64{}
-	for _, wl := range append(append([]string{}, mix.hpws...), mix.lpws...) {
-		baseline[wl] = perfMetric(results[0].W(wl))
+	pts := []point{{start: base}}
+	for _, c := range cfgs {
+		sp := withManager(base, "a4-d")
+		sp.A4 = &c.a4
+		pts = append(pts, point{start: sp})
 	}
-	for i, lbl := range labels {
-		hp, lp, all := mixGeomeans(mix, results[i+1], baseline)
-		hpS.Add(lbl, float64(i), hp)
-		lpS.Add(lbl, float64(i), lp)
-		allS.Add(lbl, float64(i), all)
+	results := run(o, pts, nil)
+	for i, c := range cfgs {
+		rel := relative(all, results[i+1], results[0])
+		hpS.Add(c.label, float64(i), geomean(rel[:len(hpws)]))
+		lpS.Add(c.label, float64(i), geomean(rel[len(hpws):]))
+		allS.Add(c.label, float64(i), geomean(rel))
 	}
+	return rep
 }
 
 // Fig15a reproduces Fig. 15a: sensitivity to the partitioning thresholds
 // T1 (HPW LLC hit) and T5 (antagonist miss).
 func Fig15a(o Options) *Report {
-	rep := &Report{ID: "15a", Title: "Sensitivity: partitioning thresholds T1 and T5"}
-	warm, meas := o.windows(20, 5)
-
-	type pt struct {
-		label  string
-		t1, t5 float64
-	}
-	pts := []pt{
-		{"T5=95", 0.20, 0.95}, {"T5=90", 0.20, 0.90}, {"T5=80", 0.20, 0.80},
-		{"T1=30", 0.30, 0.90}, {"T1=20", 0.20, 0.90}, {"T1=10", 0.10, 0.90},
+	pts := []a4Point{
+		{"T5=95", scenario.A4Spec{T1: 0.20, T5: 0.95}}, {"T5=90", scenario.A4Spec{T1: 0.20, T5: 0.90}},
+		{"T5=80", scenario.A4Spec{T1: 0.20, T5: 0.80}}, {"T1=30", scenario.A4Spec{T1: 0.30, T5: 0.90}},
+		{"T1=20", scenario.A4Spec{T1: 0.20, T5: 0.90}}, {"T1=10", scenario.A4Spec{T1: 0.10, T5: 0.90}},
 	}
 	if o.Quick {
-		pts = []pt{{"T5=90", 0.20, 0.90}, {"T1=30", 0.30, 0.90}}
+		pts = []a4Point{pts[1], pts[3]}
 	}
-	labels := make([]string, len(pts))
-	cfgs := make([]core.Config, len(pts))
-	for i, c := range pts {
-		labels[i] = c.label
-		cfg := core.DefaultConfig()
-		cfg.Thresholds.HPWLLCHitThr = c.t1
-		cfg.Thresholds.AntCacheMissThr = c.t5
-		cfgs[i] = cfg
-	}
-	fig15Sweep(o, rep, warm, meas, labels, cfgs)
-	return rep
+	return fig15Sweep(o, &Report{ID: "15a", Title: "Sensitivity: partitioning thresholds T1 and T5"}, 20, 5, pts)
 }
 
 // Fig15b reproduces Fig. 15b: sensitivity to the DMA-leak detection
 // thresholds T2 (DCA miss), T3 (I/O share), T4 (LLC miss). Raising any of
 // them past the workload's operating point stops FFSB-H from being detected.
 func Fig15b(o Options) *Report {
-	rep := &Report{ID: "15b", Title: "Sensitivity: antagonist detection thresholds T2-T4"}
-	warm, meas := o.windows(20, 5)
-
-	type pt struct {
-		label      string
-		t2, t3, t4 float64
-	}
 	// FFSB-H operates at DCA miss ≈ 1.0 and LLC miss ≈ 1.0 with a large
 	// share of inbound PCIe traffic; each non-default row raises exactly one
 	// threshold past that operating point so detection ceases — the
 	// "critical thresholds" the paper marks in red.
-	pts := []pt{
-		{"40/35/40", 0.40, 0.35, 0.40}, // defaults (bold in the paper)
-		{"T2-off", 1.01, 0.35, 0.40},
-		{"T3-off", 0.40, 0.99, 0.40},
-		{"T4-off", 0.40, 0.35, 1.01},
+	pts := []a4Point{
+		{"40/35/40", scenario.A4Spec{T2: 0.40, T3: 0.35, T4: 0.40}}, // defaults (bold in the paper)
+		{"T2-off", scenario.A4Spec{T2: 1.01, T3: 0.35, T4: 0.40}},
+		{"T3-off", scenario.A4Spec{T2: 0.40, T3: 0.99, T4: 0.40}},
+		{"T4-off", scenario.A4Spec{T2: 0.40, T3: 0.35, T4: 1.01}},
 	}
 	if o.Quick {
 		pts = pts[:2]
 	}
-	labels := make([]string, len(pts))
-	cfgs := make([]core.Config, len(pts))
-	for i, c := range pts {
-		labels[i] = c.label
-		cfg := core.DefaultConfig()
-		cfg.Thresholds.DMALkDCAMsThr = c.t2
-		cfg.Thresholds.DMALkIOTpThr = c.t3
-		cfg.Thresholds.DMALkLLCMsThr = c.t4
-		cfgs[i] = cfg
-	}
-	fig15Sweep(o, rep, warm, meas, labels, cfgs)
-	return rep
+	return fig15Sweep(o, &Report{ID: "15b", Title: "Sensitivity: antagonist detection thresholds T2-T4"}, 20, 5, pts)
 }
 
 // Fig15c reproduces Fig. 15c: sensitivity to the stable interval before
 // revert probes, including the oracle (no reverts).
 func Fig15c(o Options) *Report {
-	rep := &Report{ID: "15c", Title: "Sensitivity: stable interval vs. oracle"}
-	warm, meas := o.windows(20, 10)
-
-	type pt struct {
-		label  string
-		stable int
-		oracle bool
-	}
-	pts := []pt{
-		{"1s", 1, false}, {"5s", 5, false}, {"10s", 10, false}, {"20s", 20, false}, {"oracle", 0, true},
+	pts := []a4Point{
+		{"1s", scenario.A4Spec{StableSec: 1}}, {"5s", scenario.A4Spec{StableSec: 5}},
+		{"10s", scenario.A4Spec{StableSec: 10}}, {"20s", scenario.A4Spec{StableSec: 20}},
+		{"oracle", scenario.A4Spec{Oracle: true}},
 	}
 	if o.Quick {
-		pts = []pt{{"1s", 1, false}, {"10s", 10, false}, {"oracle", 0, true}}
+		pts = []a4Point{pts[0], pts[2], pts[4]}
 	}
-	labels := make([]string, len(pts))
-	cfgs := make([]core.Config, len(pts))
-	for i, c := range pts {
-		labels[i] = c.label
-		cfg := core.DefaultConfig()
-		if c.oracle {
-			cfg.Timing.Oracle = true
-		} else {
-			cfg.Timing.StableInterval = c.stable
-		}
-		cfgs[i] = cfg
-	}
-	fig15Sweep(o, rep, warm, meas, labels, cfgs)
-	return rep
+	return fig15Sweep(o, &Report{ID: "15c", Title: "Sensitivity: stable interval vs. oracle"}, 20, 10, pts)
 }

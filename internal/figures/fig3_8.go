@@ -3,16 +3,14 @@ package figures
 import (
 	"fmt"
 
-	"a4sim/internal/harness"
-	"a4sim/internal/workload"
+	"a4sim/internal/scenario"
 )
 
 // fig3Sweep runs the §3.1 way sweep: DPDK (touch or not) pinned to way[5:6]
-// while X-Mem's two ways slide from [0:1] to [9:10]. All points share one
-// scenario prefix — identical construction and warm-up with only the DPDK
-// pin programmed — and the divergent X-Mem mask is programmed on the forked
-// copy at the measurement boundary, the way the paper's scripts program
-// masks on a live system.
+// while X-Mem's two ways slide from [0:1] to [9:10]. All points start from
+// one spec, with only the DPDK pin, and program X-Mem's mask at the
+// measurement boundary, the way the paper's scripts program masks on a
+// live system.
 func fig3Sweep(o Options, touch bool) *Report {
 	id, name := "3a", "DPDK-NT"
 	if touch {
@@ -26,34 +24,18 @@ func fig3Sweep(o Options, touch bool) *Report {
 	dm := rep.AddSeries("dpdk-llc-miss")
 	mr := rep.AddSeries("mem-read-GBps")
 	mw := rep.AddSeries("mem-write-GBps")
-	warm, meas := o.windows(2, 3)
 
 	positions := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
 	if o.Quick {
 		positions = []int{0, 3, 5, 9}
 	}
-	grp := prefixSweep{
-		build: func() *harness.Scenario {
-			s := harness.NewScenario(microParams(o))
-			d := s.AddDPDK(name, []int{0, 1, 2, 3}, touch, workload.HPW)
-			x := s.AddXMem("xmem", []int{4, 5}, defaultXMemWS, workload.Sequential, false, workload.HPW)
-			s.Start(harness.Default())
-			pin(s, 1, d.Cores(), 5, 6)
-			pin(s, 2, x.Cores(), 0, 10) // explicit full mask; points narrow it
-			return s
-		},
-		warm: warm,
-		meas: meas,
-	}
-	for _, lo := range positions {
-		lo := lo
-		grp.diverge = append(grp.diverge, func(s *harness.Scenario) {
-			pin(s, 2, []int{4, 5}, lo, lo+1)
-		})
-	}
-	results := runPrefixSweeps(o, []prefixSweep{grp})[0]
+	start := o.spec(2, 3, dpdk(name, touch, 5, 6), xmem(defaultXMemKB))
+	pts := make([]point, len(positions))
 	for i, lo := range positions {
-		res := results[i]
+		pts[i] = point{start, withWays(start, 1, lo, lo+1)}
+	}
+	for i, res := range run(o, pts, nil) {
+		lo := positions[i]
 		lbl := wayLabel(lo, lo+1)
 		xpos := float64(lo)
 		xm.Add(lbl, xpos, res.W("xmem").LLCMissRate)
@@ -79,7 +61,6 @@ func Fig4(o Options) *Report {
 	}
 	xm := rep.AddSeries("xmem-llc-miss")
 	tl := rep.AddSeries("dpdk-p99-us")
-	warm, meas := o.windows(2, 3)
 
 	type cfg struct {
 		label string
@@ -94,62 +75,24 @@ func Fig4(o Options) *Report {
 	if o.Quick {
 		cases = []cfg{{"on[9:10]", 9, true}, {"off[9:10]", 9, false}}
 	}
-	// Co-located cases share one prefix (DPDK pinned, X-Mem unconstrained,
-	// DCA on); each point programs the X-Mem mask — and flips the DCA switch
-	// for the off-cases — at the measurement boundary. The solo reference is
-	// its own single-point group.
-	var groups []prefixSweep
-	co := prefixSweep{
-		build: func() *harness.Scenario {
-			s := harness.NewScenario(microParams(o))
-			d := s.AddDPDK("dpdk-t", []int{0, 1, 2, 3}, true, workload.HPW)
-			x := s.AddXMem("xmem", []int{4, 5}, defaultXMemWS, workload.Sequential, false, workload.HPW)
-			s.Start(harness.Default())
-			pin(s, 1, d.Cores(), 5, 6)
-			pin(s, 2, x.Cores(), 0, 10)
-			return s
-		},
-		warm: warm,
-		meas: meas,
-	}
-	// caseAt[i] locates case i in the group results.
-	type loc struct{ g, p int }
-	caseAt := make([]loc, len(cases))
+	// Co-located cases start from one spec (DPDK pinned, X-Mem
+	// unconstrained, DCA on); each programs the X-Mem mask, and turns DCA
+	// off for the off-cases, at the measurement boundary.
+	co := o.spec(2, 3, dpdk("dpdk-t", true, 5, 6), xmem(defaultXMemKB))
+	pts := make([]point, len(cases))
 	for i, c := range cases {
 		if c.xlo < 0 {
-			groups = append(groups, prefixSweep{
-				build: func() *harness.Scenario {
-					s := harness.NewScenario(microParams(o))
-					x := s.AddXMem("xmem", []int{4, 5}, defaultXMemWS, workload.Sequential, false, workload.HPW)
-					s.Start(harness.Default())
-					pin(s, 2, x.Cores(), 9, 10)
-					return s
-				},
-				warm:    warm,
-				meas:    meas,
-				diverge: []func(*harness.Scenario){nil},
-			})
-			caseAt[i] = loc{len(groups) - 1, 0}
+			pts[i] = point{start: o.spec(2, 3, xmem(defaultXMemKB, 9, 10))}
 			continue
 		}
-		c := c
-		co.diverge = append(co.diverge, func(s *harness.Scenario) {
-			if !c.dca {
-				s.H.PCIe().SetGlobalDCA(false)
-			}
-			pin(s, 2, []int{4, 5}, c.xlo, c.xlo+1)
-		})
-		caseAt[i] = loc{-1, len(co.diverge) - 1}
-	}
-	groups = append(groups, co)
-	byGroup := runPrefixSweeps(o, groups)
-	for i := range caseAt {
-		if caseAt[i].g < 0 {
-			caseAt[i].g = len(groups) - 1
+		at := withWays(co, 1, c.xlo, c.xlo+1)
+		if !c.dca {
+			at.Params.DCA = scenario.DCAOff
 		}
+		pts[i] = point{co, at}
 	}
-	for i, c := range cases {
-		res := byGroup[caseAt[i].g][caseAt[i].p]
+	for i, res := range run(o, pts, nil) {
+		c := cases[i]
 		xm.Add(c.label, float64(i), res.W("xmem").LLCMissRate)
 		if c.xlo >= 0 {
 			tl.Add(c.label, float64(i), res.W("dpdk-t").P99LatUs)
@@ -173,24 +116,18 @@ func Fig5(o Options) *Report {
 	mrOn := rep.AddSeries("memrd-dcaon")
 	mrOff := rep.AddSeries("memrd-dcaoff")
 	leak := rep.AddSeries("leak-rate-dcaon")
-	warm, meas := o.windows(2, 3)
 
 	blocks := fig5Blocks
 	if o.Quick {
 		blocks = []int{4, 32, 128, 512, 2048}
 	}
 	// Point order: (block, DCA on), (block, DCA off), next block, ...
-	results := runPoints(o, len(blocks)*2, func(i int) *harness.Result {
-		kb, dca := blocks[i/2], i%2 == 0
-		s := harness.NewScenario(microParams(o))
-		f := s.AddFIO("fio", []int{0, 1, 2, 3}, kb<<10, 32, workload.LPW)
-		s.Start(harness.Default())
-		if !dca {
-			s.H.PCIe().SetGlobalDCA(false)
-		}
-		pin(s, 1, f.Cores(), 2, 3)
-		return s.Run(warm, meas)
-	})
+	var pts []point
+	for _, kb := range blocks {
+		on := o.spec(2, 3, fio(fioLow, kb, 2, 3))
+		pts = append(pts, point{start: on}, point{start: withDCA(on, scenario.DCAOff)})
+	}
+	results := run(o, pts, nil)
 	for i, kb := range blocks {
 		lbl := kbLabel(kb)
 		on, off := results[i*2], results[i*2+1]
@@ -214,35 +151,20 @@ func Fig6(o Options) *Report {
 	tlOn := rep.AddSeries("net-p99-us-dcaon")
 	alOff := rep.AddSeries("net-avg-us-dcaoff")
 	tpOn := rep.AddSeries("storage-tp-dcaon")
-	warm, meas := o.windows(2, 3)
 
 	blocks := fig5Blocks
 	if o.Quick {
 		blocks = []int{16, 64, 128, 512, 2048}
 	}
 	// Points: (block, DCA on/off) pairs, then the two Fig. 6b solo runs.
-	n := len(blocks) * 2
-	results := runPoints(o, n+2, func(i int) *harness.Result {
-		s := harness.NewScenario(microParams(o))
-		d := s.AddDPDK("dpdk-t", []int{0, 1, 2, 3}, true, workload.HPW)
-		dca := i%2 == 0
-		if i < n {
-			f := s.AddFIO("fio", []int{4, 5, 6, 7}, blocks[i/2]<<10, 32, workload.LPW)
-			s.Start(harness.Default())
-			if !dca {
-				s.H.PCIe().SetGlobalDCA(false)
-			}
-			pin(s, 1, f.Cores(), 2, 3)
-			pin(s, 2, d.Cores(), 4, 5)
-		} else {
-			s.Start(harness.Default())
-			if !dca {
-				s.H.PCIe().SetGlobalDCA(false)
-			}
-			pin(s, 1, d.Cores(), 4, 5)
-		}
-		return s.Run(warm, meas)
-	})
+	var pts []point
+	for _, kb := range blocks {
+		on := o.spec(2, 3, dpdk("dpdk-t", true, 4, 5), fio(fioHigh, kb, 2, 3))
+		pts = append(pts, point{start: on}, point{start: withDCA(on, scenario.DCAOff)})
+	}
+	solo := o.spec(2, 3, dpdk("dpdk-t", true, 4, 5))
+	pts = append(pts, point{start: solo}, point{start: withDCA(solo, scenario.DCAOff)})
+	results := run(o, pts, nil)
 	for i, kb := range blocks {
 		lbl := kbLabel(kb)
 		on, off := results[i*2], results[i*2+1]
@@ -251,6 +173,7 @@ func Fig6(o Options) *Report {
 		tpOn.Add(lbl, float64(kb), on.W("fio").IOReadGBps)
 		alOff.Add(lbl, float64(kb), off.W("dpdk-t").AvgLatUs)
 	}
+	n := len(blocks) * 2
 	soloOn, soloOff := results[n], results[n+1]
 	alOn.Add("solo", -1, soloOn.W("dpdk-t").AvgLatUs)
 	tlOn.Add("solo", -1, soloOn.W("dpdk-t").P99LatUs)
@@ -269,7 +192,6 @@ func Fig7(o Options) *Report {
 	tl := rep.AddSeries("net-p99-us")
 	mr := rep.AddSeries("mem-read-GBps")
 	mw := rep.AddSeries("mem-write-GBps")
-	warm, meas := o.windows(2, 3)
 
 	type strat struct {
 		label  string
@@ -289,31 +211,19 @@ func Fig7(o Options) *Report {
 			strategies = append(strategies, strat{fmt.Sprintf("%dE", n), ways - 2 - n, ways - 3})
 		}
 	}
-	// All strategies share one warmed prefix (DPDK unconstrained); the
-	// divergent allocation is programmed at the measurement boundary.
-	grp := prefixSweep{
-		build: func() *harness.Scenario {
-			s := harness.NewScenario(microParams(o))
-			s.AddDPDK("dpdk-t", []int{0, 1, 2, 3}, true, workload.HPW)
-			s.Start(harness.Default())
-			return s
-		},
-		warm: warm,
-		meas: meas,
-	}
-	for _, st := range strategies {
-		st := st
-		grp.diverge = append(grp.diverge, func(s *harness.Scenario) {
-			pin(s, 1, []int{0, 1, 2, 3}, st.lo, st.hi)
-		})
-	}
-	results := runPrefixSweeps(o, []prefixSweep{grp})[0]
+	// All strategies start from DPDK unconstrained; the allocation is
+	// programmed at the measurement boundary.
+	start := o.spec(2, 3, dpdk("dpdk-t", true))
+	pts := make([]point, len(strategies))
 	for i, st := range strategies {
-		res := results[i]
-		al.Add(st.label, float64(i), res.W("dpdk-t").AvgLatUs)
-		tl.Add(st.label, float64(i), res.W("dpdk-t").P99LatUs)
-		mr.Add(st.label, float64(i), res.MemReadGBps)
-		mw.Add(st.label, float64(i), res.MemWriteGBps)
+		pts[i] = point{start, withWays(start, 0, st.lo, st.hi)}
+	}
+	for i, res := range run(o, pts, nil) {
+		lbl := strategies[i].label
+		al.Add(lbl, float64(i), res.W("dpdk-t").AvgLatUs)
+		tl.Add(lbl, float64(i), res.W("dpdk-t").P99LatUs)
+		mr.Add(lbl, float64(i), res.MemReadGBps)
+		mw.Add(lbl, float64(i), res.MemWriteGBps)
 	}
 	return rep
 }
@@ -330,41 +240,23 @@ func Fig8a(o Options) *Report {
 	tlOn := rep.AddSeries("net-p99-us-dcaon")
 	tlOff := rep.AddSeries("net-p99-us-ssdoff")
 	tpOff := rep.AddSeries("storage-tp-ssdoff")
-	warm, meas := o.windows(2, 3)
 
 	blocks := []int{16, 32, 64, 128, 256, 512}
 	if o.Quick {
 		blocks = []int{32, 128, 512}
 	}
-	// One prefix per block size: construction, pins, and warm-up (DCA on)
-	// are shared by the on/off pair, and the off-point flips the hidden
-	// per-port knob at the measurement boundary — exactly the runtime flip
-	// the A4 daemon performs.
-	groups := make([]prefixSweep, len(blocks))
-	for i, kb := range blocks {
-		kb := kb
-		groups[i] = prefixSweep{
-			build: func() *harness.Scenario {
-				s := harness.NewScenario(microParams(o))
-				d := s.AddDPDK("dpdk-t", []int{0, 1, 2, 3}, true, workload.HPW)
-				f := s.AddFIO("fio", []int{4, 5, 6, 7}, kb<<10, 32, workload.LPW)
-				s.Start(harness.Default())
-				pin(s, 1, f.Cores(), 2, 3)
-				pin(s, 2, d.Cores(), 4, 5)
-				return s
-			},
-			warm: warm,
-			meas: meas,
-			diverge: []func(*harness.Scenario){
-				nil, // SSD DCA stays on
-				func(s *harness.Scenario) { s.H.PCIe().SetPortDCA(harness.SSDPort, false) },
-			},
-		}
+	// Each block size's on/off pair starts from one spec (DCA on), and the
+	// off-point flips the hidden per-port knob at the measurement boundary
+	// — exactly the runtime flip the A4 daemon performs.
+	var pts []point
+	for _, kb := range blocks {
+		on := o.spec(2, 3, dpdk("dpdk-t", true, 4, 5), fio(fioHigh, kb, 2, 3))
+		pts = append(pts, point{start: on}, point{on, withDCA(on, scenario.DCASSDOff)})
 	}
-	byGroup := runPrefixSweeps(o, groups)
+	results := run(o, pts, nil)
 	for i, kb := range blocks {
 		lbl := kbLabel(kb)
-		on, off := byGroup[i][0], byGroup[i][1]
+		on, off := results[i*2], results[i*2+1]
 		alOn.Add(lbl, float64(kb), on.W("dpdk-t").AvgLatUs)
 		tlOn.Add(lbl, float64(kb), on.W("dpdk-t").P99LatUs)
 		alOff.Add(lbl, float64(kb), off.W("dpdk-t").AvgLatUs)
@@ -383,60 +275,32 @@ func Fig8b(o Options) *Report {
 	}
 	xm := rep.AddSeries("xmem-llc-miss")
 	tp := rep.AddSeries("storage-tp")
-	// FIO needs a little longer to ramp 2 MB blocks into steady bloat.
-	warm, meas := o.windows(4, 4)
 
 	// The probe's working set nearly fills its four ways, as in the paper,
 	// so bloat from overlapping FIO ways translates directly into misses.
-	const fig8bWS = 8 << 20
+	// FIO needs a little longer to ramp 2 MB blocks into steady bloat.
+	const wsKB = 8 << 10
 	his := []int{5, 4, 3, 2}
 	if o.Quick {
 		his = []int{5, 2}
 	}
-	// All FIO way ranges share one prefix: construction, [SSD-DCA off], the
-	// X-Mem pin, and FIO warmed at its widest range [2:5]. Each point then
-	// narrows FIO's mask at the measurement boundary (resident lines decay
-	// under CAT semantics, as on silicon). The X-Mem solo reference is its
-	// own single-point group.
-	co := prefixSweep{
-		build: func() *harness.Scenario {
-			s := harness.NewScenario(microParams(o))
-			f := s.AddFIO("fio", []int{0, 1, 2, 3}, 2<<20, 32, workload.LPW)
-			x := s.AddXMem("xmem", []int{4, 5}, fig8bWS, workload.Sequential, false, workload.HPW)
-			s.Start(harness.Default())
-			s.H.PCIe().SetPortDCA(harness.SSDPort, false)
-			pin(s, 1, f.Cores(), 2, 5)
-			pin(s, 2, x.Cores(), 2, 5)
-			return s
-		},
-		warm: warm,
-		meas: meas,
-	}
+	// All FIO way ranges start from one spec: [SSD-DCA off], the X-Mem pin,
+	// and FIO warmed at its widest range [2:5]. Each point then narrows
+	// FIO's mask at the measurement boundary (resident lines decay under
+	// CAT semantics, as on silicon). The last point is the X-Mem solo
+	// reference.
+	co := withDCA(o.spec(4, 4, fio(fioLow, 2<<10, 2, 5), xmem(wsKB, 2, 5)), scenario.DCASSDOff)
+	var pts []point
 	for _, hi := range his {
-		hi := hi
-		co.diverge = append(co.diverge, func(s *harness.Scenario) {
-			pin(s, 1, []int{0, 1, 2, 3}, 2, hi)
-		})
+		pts = append(pts, point{co, withWays(co, 0, 2, hi)})
 	}
-	solo := prefixSweep{
-		build: func() *harness.Scenario {
-			s := harness.NewScenario(microParams(o))
-			x := s.AddXMem("xmem", []int{4, 5}, fig8bWS, workload.Sequential, false, workload.HPW)
-			s.Start(harness.Default())
-			pin(s, 2, x.Cores(), 2, 5)
-			return s
-		},
-		warm:    warm,
-		meas:    meas,
-		diverge: []func(*harness.Scenario){nil},
-	}
-	byGroup := runPrefixSweeps(o, []prefixSweep{co, solo})
+	pts = append(pts, point{start: o.spec(4, 4, xmem(wsKB, 2, 5))})
+	results := run(o, pts, nil)
 	for i, hi := range his {
-		res := byGroup[0][i]
 		lbl := wayLabel(2, hi)
-		xm.Add(lbl, float64(hi), res.W("xmem").LLCMissRate)
-		tp.Add(lbl, float64(hi), res.W("fio").IOReadGBps)
+		xm.Add(lbl, float64(hi), results[i].W("xmem").LLCMissRate)
+		tp.Add(lbl, float64(hi), results[i].W("fio").IOReadGBps)
 	}
-	xm.Add("solo", 6, byGroup[1][0].W("xmem").LLCMissRate)
+	xm.Add("solo", 6, results[len(his)].W("xmem").LLCMissRate)
 	return rep
 }

@@ -44,8 +44,8 @@ func FigTransient(o Options) *Report {
 	// only once the antagonist's working set actually floods the LLC, and
 	// at 4096 the fill alone outlasts any reasonable window.
 	scale := 1024.0
-	if o.Params.RateScale > 0 {
-		scale = o.Params.RateScale
+	if o.RateScale > 0 {
+		scale = o.RateScale
 	}
 
 	base := func(name, manager string, colocated bool) *scenario.Spec {
@@ -60,11 +60,9 @@ func FigTransient(o Options) *Report {
 				{Kind: "xmem", Name: "xmem", Cores: []int{0}, Priority: "hpw", WSKB: 4 << 10, Pattern: "sequential"},
 			},
 		}
-		if o.Params.Sample.Enabled() {
-			sp.Sampling = &scenario.SamplingSpec{
-				DetailUs: o.Params.Sample.DetailUs,
-				PeriodUs: o.Params.Sample.PeriodUs,
-			}
+		if o.Sampling != nil {
+			s := *o.Sampling
+			sp.Sampling = &s
 		}
 		if colocated {
 			sp.Workloads = append(sp.Workloads,

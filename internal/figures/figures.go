@@ -1,25 +1,29 @@
 // Package figures regenerates every figure of the paper's motivation (§3),
 // mitigation (§4), and evaluation (§7) sections on the simulated testbed.
-// Each Fig* function builds the corresponding scenario(s), runs them, and
-// returns a Report whose named series mirror the lines/bars of the figure.
-// The cmd/a4bench tool prints these reports; the root bench_test.go wraps
-// them in testing.B benchmarks; EXPERIMENTS.md records paper-vs-measured.
+// Every figure, ablation and point is a scenario.Spec: a Fig* function
+// lists its points (runner.go), runs them on the sweep pool, and reduces
+// the results to a Report whose named series mirror the lines/bars of the
+// figure. cmd/a4bench prints these reports; perfbench's figures workload
+// and this package's determinism tests pin them.
 package figures
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 
-	"a4sim/internal/cache"
-	"a4sim/internal/harness"
+	"a4sim/internal/scenario"
 	"a4sim/internal/stats"
-	"a4sim/internal/workload"
 )
 
 // Options tune a figure run.
 type Options struct {
-	// Params overrides the scenario parameters; zero fields take defaults.
-	Params harness.Params
+	// RateScale overrides the figures' rate scale; zero keeps the default.
+	RateScale float64
+	// Sampling, when set, runs every measurement window sampled on this
+	// schedule (zero fields take the default schedule).
+	Sampling *scenario.SamplingSpec
 	// Warmup and Measure override the per-figure run windows (simulated
 	// seconds); zero keeps the figure's default.
 	Warmup, Measure float64
@@ -43,15 +47,84 @@ func (o Options) windows(defWarm, defMeas float64) (float64, float64) {
 		m = o.Measure
 	}
 	if o.Quick {
-		w, m = w*0.6, m*0.6
-		if w < 1 {
-			w = 1
-		}
-		if m < 1 {
-			m = 1
-		}
+		w, m = max(1, w*0.6), max(1, m*0.6)
+	}
+	if o.Sampling != nil {
+		// A sampled spec runs whole seconds, the unit its schedule tiles
+		// (Spec.Validate), so the Quick windows round to them.
+		w, m = max(1, math.Round(w)), max(1, math.Round(m))
 	}
 	return w, m
+}
+
+// spec returns the default-manager scenario over wls at o's rate scale and
+// sampling schedule, run for the figure's windows.
+func (o Options) spec(defWarm, defMeas float64, wls ...scenario.WorkloadSpec) *scenario.Spec {
+	warm, meas := o.windows(defWarm, defMeas)
+	sp := &scenario.Spec{
+		Manager:    "default",
+		Params:     scenario.ParamSpec{RateScale: o.RateScale},
+		Workloads:  slices.Clone(wls),
+		WarmupSec:  warm,
+		MeasureSec: meas,
+	}
+	if o.Sampling != nil {
+		s := *o.Sampling
+		sp.Sampling = &s
+	}
+	return sp
+}
+
+// mix returns an embedded mix's workloads as a figure spec.
+func (o Options) mix(name string, defWarm, defMeas float64) *scenario.Spec {
+	sp, err := scenario.BuiltinMix(name)
+	if err != nil {
+		panic(err)
+	}
+	return o.spec(defWarm, defMeas, sp.Workloads...)
+}
+
+// The §3/§4 testbed's workloads, on the cores the paper's scripts use. A
+// trailing lo, hi pins the workload to way[lo:hi].
+var (
+	fioLow  = []int{0, 1, 2, 3}
+	fioHigh = []int{4, 5, 6, 7}
+)
+
+func dpdk(name string, touch bool, ways ...int) scenario.WorkloadSpec {
+	return scenario.WorkloadSpec{Kind: "dpdk", Name: name, Cores: []int{0, 1, 2, 3}, Priority: "hpw", Touch: touch, Ways: ways}
+}
+
+func xmem(wsKB int64, ways ...int) scenario.WorkloadSpec {
+	return scenario.WorkloadSpec{Kind: "xmem", Name: "xmem", Cores: []int{4, 5}, Priority: "hpw", WSKB: wsKB, Pattern: "sequential", Ways: ways}
+}
+
+func fio(cores []int, blockKB int, ways ...int) scenario.WorkloadSpec {
+	return scenario.WorkloadSpec{Kind: "fio", Name: "fio", Cores: cores, Priority: "lpw", BlockKB: blockKB, QueueDepth: 32, Ways: ways}
+}
+
+// defaultXMemKB is the 4 MB working set of X-Mem 1/2 (Table 3).
+const defaultXMemKB = 4 << 10
+
+// withWays returns sp with workload i pinned to way[lo:hi].
+func withWays(sp *scenario.Spec, i, lo, hi int) *scenario.Spec {
+	c := sp.Clone()
+	c.Workloads[i].Ways = []int{lo, hi}
+	return c
+}
+
+// withDCA returns sp with the given DCA setting (scenario.DCAOff, ...).
+func withDCA(sp *scenario.Spec, dca string) *scenario.Spec {
+	c := sp.Clone()
+	c.Params.DCA = dca
+	return c
+}
+
+// withManager returns sp under the named LLC manager.
+func withManager(sp *scenario.Spec, manager string) *scenario.Spec {
+	c := sp.Clone()
+	c.Manager = manager
+	return c
 }
 
 // Report is one regenerated figure: a set of named series over shared
@@ -152,20 +225,6 @@ func trunc(s string, n int) string {
 	return s[:n]
 }
 
-// pin programs a contiguous CAT range for a workload's cores using a fresh
-// CLOS. The figures of §3-§4 set allocations manually, like the paper's
-// scripts do with intel-cmt-cat.
-func pin(s *harness.Scenario, clos int, cores []int, lo, hi int) {
-	if err := s.H.CAT().SetMask(clos, cache.MaskRange(lo, hi)); err != nil {
-		panic(err)
-	}
-	for _, c := range cores {
-		if err := s.H.CAT().Associate(c, clos); err != nil {
-			panic(err)
-		}
-	}
-}
-
 // wayLabel formats an LLC way range like the paper's x axes.
 func wayLabel(lo, hi int) string { return fmt.Sprintf("[%d:%d]", lo, hi) }
 
@@ -204,20 +263,3 @@ var Registry = map[string]func(Options) *Report{
 func IDs() []string {
 	return []string{"3a", "3b", "4", "5", "6", "7", "8a", "8b", "11", "12", "13a", "13b", "14", "15a", "15b", "15c", "transient"}
 }
-
-// defaultXMemWS is the 4 MB working set of X-Mem 1/2 (Table 3).
-const defaultXMemWS = 4 << 20
-
-// microParams are the scenario parameters used by the §3/§4 figures. The
-// sampling schedule survives the defaults fallback: `a4bench -sampled` sets
-// only Params.Sample, and dropping it here would silently run detailed.
-func microParams(o Options) harness.Params {
-	if o.Params.RateScale == 0 {
-		p := harness.DefaultParams()
-		p.Sample = o.Params.Sample
-		return p
-	}
-	return o.Params
-}
-
-var _ = workload.HPW // referenced by sibling files

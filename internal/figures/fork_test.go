@@ -4,56 +4,56 @@ import (
 	"reflect"
 	"testing"
 
-	"a4sim/internal/harness"
-	"a4sim/internal/workload"
+	"a4sim/internal/scenario"
 )
 
-// testPrefixGroup is a small warm-up-dominated sweep: one shared prefix,
-// three divergent mask positions.
-func testPrefixGroup(o Options) prefixSweep {
-	grp := prefixSweep{
-		build: func() *harness.Scenario {
-			s := harness.NewScenario(o.Params)
-			d := s.AddDPDK("dpdk-t", []int{0, 1, 2, 3}, true, workload.HPW)
-			x := s.AddXMem("xmem", []int{4, 5}, defaultXMemWS, workload.Sequential, false, workload.HPW)
-			s.Start(harness.Default())
-			pin(s, 1, d.Cores(), 5, 6)
-			pin(s, 2, x.Cores(), 0, 10)
-			return s
-		},
-		warm: 2,
-		meas: 1,
-	}
-	for _, lo := range []int{0, 5, 9} {
-		lo := lo
-		grp.diverge = append(grp.diverge, func(s *harness.Scenario) {
-			pin(s, 2, []int{4, 5}, lo, lo+1)
-		})
-	}
-	return grp
-}
-
-// TestPrefixSweepMatchesFresh pins the acceptance property of the forked
-// runner: every point of a prefix-shared sweep is identical to a fresh,
-// serial, non-forking run of the same point (build, warm, diverge at the
-// measurement boundary, measure) — at any worker count.
+// TestPrefixSweepMatchesFresh pins the acceptance property of the point
+// executor: every point of a prefix-shared group is identical to a fresh,
+// serial, non-forking run of the same point (start, warm, program the
+// boundary change, measure) — at any worker count. The points diverge in
+// CAT ways and, like Fig. 8a, in the SSD port's DCA.
 func TestPrefixSweepMatchesFresh(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scenario runs are slow")
 	}
-	o := detOpts(4)
-	grp := testPrefixGroup(o)
-	forked := runPrefixSweeps(o, []prefixSweep{grp})[0]
+	o := Options{RateScale: 4096, Workers: 4}
+	start := o.spec(2, 1,
+		dpdk("dpdk-t", true, 4, 5),
+		fio(fioHigh, 128, 2, 3),
+		scenario.WorkloadSpec{Kind: "xmem", Name: "xmem", Cores: []int{8, 9}, Priority: "hpw", WSKB: defaultXMemKB, Pattern: "sequential"},
+	)
+	pts := []point{
+		{start: start},
+		{start, withWays(start, 2, 0, 1)},
+		{start, withWays(start, 2, 9, 10)},
+		{start, withDCA(start, scenario.DCASSDOff)},
+		{start, withDCA(withWays(start, 2, 9, 10), scenario.DCAOff)},
+	}
+	if _, groups := prefixGroups(pts); len(groups) != 1 {
+		t.Fatalf("points sharing a start spec formed %d groups, want 1 (no fork path)", len(groups))
+	}
+	forked := run(o, pts, nil)
 
-	for p, div := range grp.diverge {
-		s := grp.build()
-		s.Warm(grp.warm)
-		div(s)
-		s.BeginMeasure()
-		s.Measure(grp.meas)
-		fresh := s.EndMeasure()
-		if !reflect.DeepEqual(fresh, forked[p]) {
-			t.Errorf("point %d: forked result differs from fresh run\nfresh: %+v\nfork:  %+v", p, fresh, forked[p])
+	for i, p := range pts {
+		s, err := p.start.Clone().Start()
+		if err != nil {
+			t.Fatal(err)
 		}
+		s.Warm(2)
+		if p.at != nil {
+			if err := p.at.Program(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.BeginMeasure()
+		s.Measure(1)
+		fresh := s.EndMeasure()
+		if !reflect.DeepEqual(fresh, forked[i]) {
+			t.Errorf("point %d: forked result differs from fresh run\nfresh: %+v\nfork:  %+v", i, fresh, forked[i])
+		}
+	}
+	// The boundary changes take effect: SSD-DCA off moves the NIC workload.
+	if reflect.DeepEqual(forked[0].W("dpdk-t"), forked[3].W("dpdk-t")) {
+		t.Error("the SSD-DCA flip at the boundary changed nothing")
 	}
 }

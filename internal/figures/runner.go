@@ -12,22 +12,11 @@ import (
 	"a4sim/internal/service"
 )
 
-// The sweep runner executes independent scenario points of a figure
-// concurrently. Every point builds its own harness.Scenario (engine, seeded
-// RNGs, hierarchy), so points share no mutable state and the reports are
-// bit-identical to serial execution regardless of scheduling; only the
-// assembly order matters, and callers assemble from an index-addressed
-// result slice after the pool drains.
-//
-// Sweeps whose points share a scenario prefix — identical construction,
-// manager, and warm-up, diverging only in a measurement-time knob (a CAT
-// mask position, a DCA switch) — run through runPrefixSweeps instead: the
-// prefix is built and warmed once per group, and each point forks the warm
-// state, applies its divergence, and measures. The snapshot/fork contract
-// (forked-run ≡ fresh-run, see internal/harness/fork.go) makes the grouped
-// execution byte-identical to running every point fresh with the same
-// divergence timing, at a fraction of the wall-clock cost when warm-up
-// dominates the windows.
+// The sweep runner executes a figure's points concurrently. Every point
+// starts its own harness.Scenario (engine, seeded RNGs, hierarchy), so
+// points share no mutable state and the reports are bit-identical to
+// serial execution regardless of scheduling; results land in an
+// index-addressed slice and the figure reduces them in point order.
 
 // Workers resolves the worker-pool degree for o: Options.Workers when
 // positive, else GOMAXPROCS.
@@ -90,21 +79,11 @@ func forEachPoint(o Options, n int, fn func(i int)) {
 	}
 }
 
-// runPoints is the common sweep shape: one scenario-building closure per
-// point, results collected by index.
-func runPoints[T any](o Options, n int, point func(i int) T) []T {
-	out := make([]T, n)
-	forEachPoint(o, n, func(i int) {
-		out[i] = point(i)
-	})
-	return out
-}
-
 // RunSpecs executes spec-shaped sweep points through r — the local service
 // pool or a cluster.Coordinator — with the same deterministic assembly as
 // the in-process sweeps: reports come back in input order, byte-identical
-// to a serial run, regardless of worker or backend count. It is the
-// spec-level counterpart of runPrefixSweeps: specs sharing a run prefix
+// to a serial run, regardless of worker or backend count. Like run,
+// specs sharing a run prefix
 // form a group submitted sequentially (shortest measurement window first),
 // so the executor warms the prefix once and each later point forks the
 // snapshot its predecessor deposited — locally via the service snapshot
@@ -137,64 +116,102 @@ func RunSpecs(o Options, r service.Runner, specs []*scenario.Spec) ([]*scenario.
 	return reports, nil
 }
 
-// prefixSweep is one group of sweep points sharing a scenario prefix. build
-// constructs and Starts the shared scenario; it is warmed for warm simulated
-// seconds exactly once. Each entry of diverge is one point: it receives a
-// fork of the warm state, applies the point's knob (a nil entry diverges by
-// nothing), and is measured for meas seconds. Divergence therefore lands at
-// the measurement boundary — for CAT masks that is the §5.5 semantics of
-// programming a mask on a live system (new allocations only), and for DCA
-// knobs it is exactly how the A4 daemon flips ports at runtime.
-type prefixSweep struct {
-	build   func() *harness.Scenario
-	warm    float64
-	meas    float64
-	diverge []func(*harness.Scenario)
+// point is one figure measurement. start is the spec the run starts from;
+// at, when set, is the same scenario with other CAT ways or DCA setting,
+// programmed at the measurement boundary. For CAT masks that is the §5.5
+// semantics of programming a mask on a live system (new allocations
+// only); for DCA it is exactly how the A4 daemon flips ports at runtime.
+// The boundary change is local to figures: served specs program theirs at
+// Start.
+type point struct {
+	start, at *scenario.Spec
 }
 
-// runPrefixSweeps executes the groups on the worker pool in two phases:
-// every group's prefix is built, warmed and snapshotted once (concurrently
-// across groups), then every point forks the snapshot, diverges, and
-// measures (concurrently across all points of all groups). A single-point
-// group skips the snapshot and measures the warmed prefix directly —
-// equivalent by the fork contract. Results are indexed [group][point];
-// reports are byte-identical at any worker count.
-func runPrefixSweeps(o Options, groups []prefixSweep) [][]*harness.Result {
-	warmed := make([]*harness.Scenario, len(groups))
-	snaps := make([]*harness.Snapshot, len(groups))
-	forEachPoint(o, len(groups), func(g int) {
-		s := groups[g].build()
-		s.Warm(groups[g].warm)
-		if len(groups[g].diverge) > 1 {
-			snaps[g] = s.Snapshot()
-		} else {
-			warmed[g] = s
-		}
-	})
-	type point struct{ g, p int }
-	var pts []point
-	out := make([][]*harness.Result, len(groups))
-	for g := range groups {
-		out[g] = make([]*harness.Result, len(groups[g].diverge))
-		for p := range groups[g].diverge {
-			pts = append(pts, point{g, p})
-		}
-	}
-	forEachPoint(o, len(pts), func(i int) {
-		g, p := pts[i].g, pts[i].p
-		grp := groups[g]
-		s := warmed[g]
-		if snaps[g] != nil {
-			// Concurrent forks of one snapshot only read it, so points of
-			// a group need no ordering among themselves.
-			s = snaps[g].Fork()
-		}
-		if d := grp.diverge[p]; d != nil {
-			d(s)
+// run executes the points on the sweep pool and returns their results in
+// point order. Points whose start specs share a PrefixHash form a group,
+// which is started and warmed once and snapshotted; each point of it then
+// forks the snapshot, programs its boundary change, and measures. A point
+// with no group mates runs fresh: start, warm, program, measure. The
+// snapshot/fork contract (forked run ≡ fresh run) makes the grouped
+// execution byte-identical to running every point fresh.
+//
+// Phase one starts every group, warming the shared ones and running the
+// lone points through; phase two measures the forks. Each scenario is
+// dropped as soon as its window closes — keep, when set, sees it first —
+// so a figure holds one snapshot per shared group and no finished
+// scenario.
+func run(o Options, pts []point, keep func(i int, s *harness.Scenario)) []*harness.Result {
+	starts, groups := prefixGroups(pts)
+	out := make([]*harness.Result, len(pts))
+	measure := func(i int, s *harness.Scenario) {
+		if at := pts[i].at; at != nil {
+			if err := at.Validate(); err != nil {
+				panic(fmt.Sprintf("figures: point %d boundary: %v", i, err))
+			}
+			if err := at.Program(s); err != nil {
+				panic(err)
+			}
 		}
 		s.BeginMeasure()
-		s.Measure(grp.meas)
-		out[g][p] = s.EndMeasure()
+		s.Measure(starts[i].MeasureSec)
+		out[i] = s.EndMeasure()
+		if keep != nil {
+			keep(i, s)
+		}
+	}
+	snaps := make([]*harness.Snapshot, len(groups))
+	forEachPoint(o, len(groups), func(g int) {
+		first := groups[g][0]
+		s, err := starts[first].Start()
+		if err != nil {
+			panic(err)
+		}
+		s.Warm(starts[first].WarmupSec)
+		if len(groups[g]) == 1 {
+			measure(first, s)
+			return
+		}
+		snaps[g] = s.Snapshot()
+	})
+	type fork struct{ g, i int }
+	var forks []fork
+	for g, idx := range groups {
+		if snaps[g] != nil {
+			for _, i := range idx {
+				forks = append(forks, fork{g, i})
+			}
+		}
+	}
+	// Concurrent forks of one snapshot only read it, so points of a group
+	// need no ordering among themselves.
+	forEachPoint(o, len(forks), func(k int) {
+		measure(forks[k].i, snaps[forks[k].g].Fork())
 	})
 	return out
+}
+
+// prefixGroups normalizes each point's start spec and groups the point
+// indices by its PrefixHash, in order of first appearance.
+func prefixGroups(pts []point) (starts []*scenario.Spec, groups [][]int) {
+	starts = make([]*scenario.Spec, len(pts))
+	byPrefix := map[string]int{}
+	for i, p := range pts {
+		sp := p.start.Clone()
+		if err := sp.Normalize(); err != nil {
+			panic(fmt.Sprintf("figures: point %d: %v", i, err))
+		}
+		h, err := sp.PrefixHash()
+		if err != nil {
+			panic(err)
+		}
+		g, ok := byPrefix[h]
+		if !ok {
+			g = len(groups)
+			byPrefix[h] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
+		starts[i] = sp
+	}
+	return starts, groups
 }

@@ -66,7 +66,7 @@ func TestCalibFig3Contrasts(t *testing.T) {
 	}
 	// Fig 3b (DPDK-T): DCA overlap, bloat overlap, and inclusive ways all
 	// contend. The latent effect is weaker than with DPDK-NT because
-	// consumption continuously frees DCA slots (see EXPERIMENTS.md).
+	// consumption continuously frees DCA slots.
 	if !(miss[pt{true, 0}] > miss[pt{true, 3}]+0.05) {
 		t.Errorf("latent contention missing with DPDK-T")
 	}

@@ -39,6 +39,15 @@ func FuzzParseSpec(f *testing.F) {
 	f.Add([]byte(`{"manager":"a4-d","series":{"metrics":["DEVICES","core","devices"]},` +
 		`"workloads":[{"kind":"dpdk","cores":[0,1],"touch":true}]}`))
 	f.Add([]byte(`{"manager":"default","series":{"metrics":["nope"]},"workloads":[{"kind":"xmem","cores":[0]}]}`))
+	f.Add([]byte(`{"manager":"default","params":{"dca":"ssd-off"},"workloads":[` +
+		`{"kind":"dpdk","cores":[0,1],"touch":true,"ways":[5,6]},{"kind":"fio","cores":[2],"ways":[2,3]}]}`))
+	f.Add([]byte(`{"manager":"default","params":{"dca":"off"},"workloads":[{"kind":"xmem","cores":[0],"ways":[9,10]}]}`))
+	f.Add([]byte(`{"manager":"a4-d","workloads":[{"kind":"xmem","cores":[0],"ways":[0,1]}]}`))
+	f.Add([]byte(`{"manager":"default","params":{"migration_stick_pct":0,"llc_victim_rand_pct":25,` +
+		`"ssd_parallelism":8,"smooth_nic":true},"workloads":[{"kind":"dpdk","cores":[0]}]}`))
+	f.Add([]byte(`{"manager":"a4","a4":{"t1":0.3,"t2":1.01,"t3":0.35,"t4":0.4,"t5":0.8,"stable_sec":5,"oracle":true},` +
+		`"workloads":[{"kind":"xmem","cores":[0]}]}`))
+	f.Add([]byte(`{"manager":"a4-b","a4":{},"workloads":[{"kind":"xmem","cores":[0]}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sp, err := Parse(data)

@@ -19,6 +19,8 @@ import (
 	"sort"
 	"strings"
 
+	"a4sim/internal/cat"
+	"a4sim/internal/core"
 	"a4sim/internal/harness"
 )
 
@@ -56,6 +58,28 @@ type Spec struct {
 	// and detailed runs produce different warm state, so they must not share
 	// snapshot lineages.
 	Sampling *SamplingSpec `json:"sampling,omitempty"`
+	// A4, when present, overrides the A4 controller's Table 1 thresholds
+	// and timing (the Fig. 15 sensitivity study). It is valid only under
+	// the a4-* managers; absent leaves the canonical encoding unchanged.
+	A4 *A4Spec `json:"a4,omitempty"`
+}
+
+// A4Spec is the JSON view of the A4 controller knobs Fig. 15 sweeps
+// (core.Thresholds, core.Timing). Zero fields take the Table 1 values;
+// Normalize spells them out so equivalent blocks share one hash.
+type A4Spec struct {
+	// T1..T5 are the thresholds of Table 1: HPW LLC-hit drop, DCA miss
+	// (leak), storage share of PCIe writes, storage LLC miss, and the
+	// antagonist MLC/LLC miss rate. A value above 1 switches a detector off.
+	T1 float64 `json:"t1,omitempty"`
+	T2 float64 `json:"t2,omitempty"`
+	T3 float64 `json:"t3,omitempty"`
+	T4 float64 `json:"t4,omitempty"`
+	T5 float64 `json:"t5,omitempty"`
+	// StableSec is the stable interval before a revert probe, in seconds.
+	StableSec int `json:"stable_sec,omitempty"`
+	// Oracle disables revert probes entirely.
+	Oracle bool `json:"oracle,omitempty"`
 }
 
 // SamplingSpec is the JSON view of the harness sampling schedule
@@ -98,7 +122,28 @@ type ParamSpec struct {
 	PacketBytes int     `json:"packet_bytes,omitempty"`
 	RingEntries int     `json:"ring_entries,omitempty"`
 	SSDGBps     float64 `json:"ssd_gbps,omitempty"`
+	// DCA turns Data Direct I/O off: "off" globally, "ssd-off" only on the
+	// SSD's port (the hidden perfctrlsts_0 knob of §4.2). Absent leaves it
+	// on everywhere. Valid only under the default manager.
+	DCA string `json:"dca,omitempty"`
+
+	// Ablation knobs (DESIGN.md §4). The percentages are present-means-set
+	// because 0 is a real value: MigrationStickPct is the share of
+	// consumed DMA lines that migrate instead of bloating, LLCVictimRandPct
+	// the share of LLC victims picked at random (imperfect LRU).
+	MigrationStickPct *int `json:"migration_stick_pct,omitempty"`
+	LLCVictimRandPct  *int `json:"llc_victim_rand_pct,omitempty"`
+	// SSDParallelism is the array's internal concurrency window (≥ 1).
+	SSDParallelism *int `json:"ssd_parallelism,omitempty"`
+	// SmoothNIC replaces the bursty packet arrivals with smooth ones.
+	SmoothNIC bool `json:"smooth_nic,omitempty"`
 }
+
+// DCA settings of ParamSpec.DCA.
+const (
+	DCAOff    = "off"
+	DCASSDOff = "ssd-off"
+)
 
 // WorkloadSpec declares one workload. Kind selects the constructor from the
 // registry; the remaining fields are kind-specific knobs (see the registry
@@ -108,6 +153,10 @@ type WorkloadSpec struct {
 	Name     string `json:"name,omitempty"`
 	Cores    []int  `json:"cores,omitempty"`
 	Priority string `json:"priority,omitempty"` // hpw | lpw (default lpw)
+	// Ways, when set, is the [lo, hi] LLC way range the workload's cores
+	// are confined to by CAT, as intel-cmt-cat programs it. Valid only
+	// under the default manager; absent leaves the whole LLC.
+	Ways []int `json:"ways,omitempty"`
 
 	// dpdk: process packet payloads (DPDK-T vs DPDK-NT).
 	Touch bool `json:"touch,omitempty"`
@@ -243,6 +292,17 @@ func (sp *Spec) Normalize() error {
 		sp.Sampling.DetailUs = eff.DetailUs
 		sp.Sampling.PeriodUs = eff.PeriodUs
 	}
+	if sp.A4 != nil {
+		// Spell out the Table 1 defaults so equivalent blocks share a hash.
+		cfg := core.DefaultConfig()
+		sp.A4.apply(&cfg)
+		th, tm := cfg.Thresholds, cfg.Timing
+		*sp.A4 = A4Spec{
+			T1: th.HPWLLCHitThr, T2: th.DMALkDCAMsThr, T3: th.DMALkIOTpThr,
+			T4: th.DMALkLLCMsThr, T5: th.AntCacheMissThr,
+			StableSec: tm.StableInterval, Oracle: tm.Oracle,
+		}
+	}
 	if sp.Series != nil {
 		// Fold case, duplicates, and the empty all-groups shorthand to one
 		// canonical sorted list, so equivalent selections share one hash.
@@ -343,6 +403,19 @@ func (sp *Spec) Clone() *Spec {
 	for i, w := range sp.Workloads {
 		c.Workloads[i] = w
 		c.Workloads[i].Cores = append([]int(nil), w.Cores...)
+		if w.Ways != nil {
+			c.Workloads[i].Ways = append([]int(nil), w.Ways...)
+		}
+	}
+	for _, p := range []**int{&c.Params.MigrationStickPct, &c.Params.LLCVictimRandPct, &c.Params.SSDParallelism} {
+		if *p != nil {
+			v := **p
+			*p = &v
+		}
+	}
+	if sp.A4 != nil {
+		a := *sp.A4
+		c.A4 = &a
 	}
 	if sp.Series != nil {
 		c.Series = &SeriesSpec{Metrics: append([]string(nil), sp.Series.Metrics...)}
@@ -357,7 +430,8 @@ func (sp *Spec) Clone() *Spec {
 // Validate checks the spec against the registry and the testbed geometry.
 // Errors name the offending workload and knob.
 func (sp *Spec) Validate() error {
-	if _, ok := ManagerByName(sp.Manager); !ok {
+	mgr, ok := ManagerByName(sp.Manager)
+	if !ok {
 		return fmt.Errorf("scenario: unknown manager %q (have %v)", sp.Manager, ManagerNames())
 	}
 	if len(sp.Workloads) == 0 {
@@ -372,6 +446,9 @@ func (sp *Spec) Validate() error {
 	if sp.Params.RateScale < 0 || sp.Params.NICGbps < 0 || sp.Params.SSDGBps < 0 ||
 		sp.Params.PacketBytes < 0 || sp.Params.RingEntries < 0 {
 		return fmt.Errorf("scenario: negative param (params are zero-means-default; omit instead): %+v", sp.Params)
+	}
+	if err := sp.validateKnobs(mgr); err != nil {
+		return err
 	}
 	if sp.Series != nil {
 		for _, m := range sp.Series.Metrics {
@@ -421,6 +498,9 @@ func (sp *Spec) Validate() error {
 			}
 			owner[c] = label
 		}
+		if err := checkWays(i, w.Ways, mgr); err != nil {
+			return fmt.Errorf("scenario: %s: %w", label, err)
+		}
 		if err := checkKnobs(w, k.knobs); err != nil {
 			return fmt.Errorf("scenario: %s: %w", label, err)
 		}
@@ -439,6 +519,82 @@ func (sp *Spec) Validate() error {
 		}
 	}
 	return nil
+}
+
+// validateKnobs checks the DCA, ablation and A4 knobs against their ranges
+// and the manager they need.
+func (sp *Spec) validateKnobs(mgr harness.ManagerSpec) error {
+	switch sp.Params.DCA {
+	case "":
+	case DCAOff, DCASSDOff:
+		if mgr.Kind != harness.ManagerDefault {
+			return fmt.Errorf("scenario: params.dca needs the default manager (the %s manager programs DCA itself)", mgr.Name())
+		}
+	default:
+		return fmt.Errorf("scenario: unknown params.dca %q (want %q or %q)", sp.Params.DCA, DCAOff, DCASSDOff)
+	}
+	for _, pct := range []struct {
+		name string
+		v    *int
+	}{{"migration_stick_pct", sp.Params.MigrationStickPct}, {"llc_victim_rand_pct", sp.Params.LLCVictimRandPct}} {
+		if pct.v != nil && (*pct.v < 0 || *pct.v > 100) {
+			return fmt.Errorf("scenario: params.%s %d outside [0,100]", pct.name, *pct.v)
+		}
+	}
+	if p := sp.Params.SSDParallelism; p != nil && *p < 1 {
+		return fmt.Errorf("scenario: params.ssd_parallelism %d must be at least 1", *p)
+	}
+	if a := sp.A4; a != nil {
+		if mgr.Kind != harness.ManagerA4 {
+			return fmt.Errorf("scenario: an a4 block needs an a4-* manager, not %s", mgr.Name())
+		}
+		for _, t := range []float64{a.T1, a.T2, a.T3, a.T4, a.T5} {
+			if !(t >= 0) {
+				return fmt.Errorf("scenario: a4 thresholds must be non-negative: %+v", *a)
+			}
+		}
+		if a.StableSec < 0 {
+			return fmt.Errorf("scenario: a4 stable_sec %d is negative", a.StableSec)
+		}
+	}
+	return nil
+}
+
+// checkWays validates workload i's CAT way range.
+func checkWays(i int, ways []int, mgr harness.ManagerSpec) error {
+	if ways == nil {
+		return nil
+	}
+	if mgr.Kind != harness.ManagerDefault {
+		return fmt.Errorf("ways need the default manager (the %s manager programs CAT itself)", mgr.Name())
+	}
+	n := harness.DefaultParams().Hierarchy.LLC.Ways
+	if len(ways) != 2 || ways[0] < 0 || ways[0] > ways[1] || ways[1] >= n {
+		return fmt.Errorf("ways %v is not a [lo, hi] range within the %d-way LLC", ways, n)
+	}
+	if i+1 >= cat.MaxCLOS {
+		return fmt.Errorf("ways on workload %d need CLOS %d, beyond the %d classes of service", i, i+1, cat.MaxCLOS)
+	}
+	return nil
+}
+
+// apply overrides cfg with the block's non-zero knobs.
+func (a *A4Spec) apply(cfg *core.Config) {
+	th := &cfg.Thresholds
+	for _, k := range []struct {
+		dst *float64
+		v   float64
+	}{{&th.HPWLLCHitThr, a.T1}, {&th.DMALkDCAMsThr, a.T2}, {&th.DMALkIOTpThr, a.T3}, {&th.DMALkLLCMsThr, a.T4}, {&th.AntCacheMissThr, a.T5}} {
+		if k.v != 0 {
+			*k.dst = k.v
+		}
+	}
+	if a.StableSec != 0 {
+		cfg.Timing.StableInterval = a.StableSec
+	}
+	if a.Oracle {
+		cfg.Timing.Oracle = true
+	}
 }
 
 // Params resolves the harness parameters for the spec.
@@ -461,6 +617,18 @@ func (sp *Spec) harnessParams() harness.Params {
 	}
 	if sp.Params.SSDGBps > 0 {
 		p.SSDGBps = sp.Params.SSDGBps
+	}
+	if v := sp.Params.MigrationStickPct; v != nil {
+		p.Hierarchy.MigrationStickPct = *v
+	}
+	if v := sp.Params.LLCVictimRandPct; v != nil {
+		p.Hierarchy.LLCVictimRandPct = *v
+	}
+	if v := sp.Params.SSDParallelism; v != nil {
+		p.SSDParallelism = *v
+	}
+	if sp.Params.SmoothNIC {
+		p.NICBurstPeriod = -1 // harness: negative requests smooth arrivals
 	}
 	p.Sample = sp.sampleSpec()
 	return p
@@ -490,6 +658,9 @@ func (sp *Spec) Build() (*harness.Scenario, harness.ManagerSpec, error) {
 		return nil, harness.ManagerSpec{}, err
 	}
 	mgr, _ := ManagerByName(sp.Manager)
+	if sp.A4 != nil {
+		sp.A4.apply(&mgr.A4)
+	}
 	s := harness.NewScenario(sp.harnessParams())
 	for i := range sp.Workloads {
 		w := sp.Workloads[i] // copy: build may read normalized knobs
@@ -501,12 +672,13 @@ func (sp *Spec) Build() (*harness.Scenario, harness.ManagerSpec, error) {
 	return s, mgr, nil
 }
 
-// Start normalizes the spec in place, builds the scenario, and attaches
-// the manager, ready to Run. Normalizing first means callers that read the
-// windows afterwards (s.Run(sp.WarmupSec, sp.MeasureSec) — the examples'
-// pattern) always run the hash-covered defaults, never zero windows. A
-// series block configures the monitor's telemetry plane before any window
-// opens, so every measurement window records and exports the selection.
+// Start normalizes the spec in place, builds the scenario, attaches the
+// manager and programs the spec's ways and DCA setting, ready to Run.
+// Normalizing first means callers that read the windows afterwards
+// (s.Run(sp.WarmupSec, sp.MeasureSec)) always run the hash-covered
+// defaults, never zero windows. A series block configures the monitor's
+// telemetry plane before any window opens, so every measurement window
+// records and exports the selection.
 func (sp *Spec) Start() (*harness.Scenario, error) {
 	if err := sp.Normalize(); err != nil {
 		return nil, err
@@ -516,10 +688,47 @@ func (sp *Spec) Start() (*harness.Scenario, error) {
 		return nil, err
 	}
 	s.Start(mgr)
+	if err := sp.Program(s); err != nil {
+		return nil, err
+	}
 	if sp.Series != nil {
 		s.Monitor.EnableSeries(sp.seriesOpts())
 	}
 	return s, nil
+}
+
+// Program applies the spec's CAT ways and DCA setting to a started
+// scenario, as intel-cmt-cat and the perfctrlsts_0 knob program a live
+// Xeon: workload i's cores join CLOS i+1 (numbered as
+// baseline.ApplyIsolate does) with a mask over its ways, a workload
+// without ways returns to CLOS 0's full LLC, and DCA is on except where
+// params.dca turns it off. Start calls it. Calling it again on a running
+// scenario with a valid spec that differs only in ways and dca reprograms
+// that instant: new lines follow the new masks, resident ones stay (§5.5).
+// Under any other manager it does nothing, because that manager owns the
+// CAT and DCA state.
+func (sp *Spec) Program(s *harness.Scenario) error {
+	if sp.Manager != "default" {
+		return nil
+	}
+	alloc := s.H.CAT()
+	for i, w := range sp.Workloads {
+		clos := 0
+		if w.Ways != nil {
+			clos = i + 1
+			if err := alloc.SetWayRange(clos, w.Ways[0], w.Ways[1]); err != nil {
+				return err
+			}
+		}
+		for _, c := range w.Cores {
+			if err := alloc.Associate(c, clos); err != nil {
+				return err
+			}
+		}
+	}
+	s.H.PCIe().SetGlobalDCA(sp.Params.DCA != DCAOff)
+	s.H.PCIe().SetPortDCA(harness.SSDPort, sp.Params.DCA != DCASSDOff)
+	return nil
 }
 
 // validSeriesGroup reports whether g names a telemetry column group.

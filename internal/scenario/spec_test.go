@@ -255,6 +255,22 @@ func TestValidateErrors(t *testing.T) {
 			},
 			`knob "bench" does not apply`,
 		},
+		{"ways beyond the LLC", func(sp *Spec) { sp.Manager = "default"; sp.Workloads[0].Ways = []int{9, 11} }, "11-way LLC"},
+		{"ways below the LLC", func(sp *Spec) { sp.Manager = "default"; sp.Workloads[0].Ways = []int{-1, 1} }, "11-way LLC"},
+		{"ways lo > hi", func(sp *Spec) { sp.Manager = "default"; sp.Workloads[0].Ways = []int{5, 4} }, "11-way LLC"},
+		{"ways not a pair", func(sp *Spec) { sp.Manager = "default"; sp.Workloads[0].Ways = []int{1, 2, 3} }, "11-way LLC"},
+		{"ways under a4", func(sp *Spec) { sp.Workloads[0].Ways = []int{0, 1} }, "ways need the default manager"},
+		{"ways under isolate", func(sp *Spec) { sp.Manager = "isolate"; sp.Workloads[0].Ways = []int{0, 1} }, "ways need the default manager"},
+		{"dca under a4", func(sp *Spec) { sp.Params.DCA = DCASSDOff }, "params.dca needs the default manager"},
+		{"unknown dca", func(sp *Spec) { sp.Manager = "default"; sp.Params.DCA = "on" }, "unknown params.dca"},
+		{"stick pct above 100", func(sp *Spec) { sp.Params.MigrationStickPct = intp(101) }, "migration_stick_pct 101 outside [0,100]"},
+		{"victim pct below 0", func(sp *Spec) { sp.Params.LLCVictimRandPct = intp(-1) }, "llc_victim_rand_pct -1 outside [0,100]"},
+		{"ssd parallelism zero", func(sp *Spec) { sp.Params.SSDParallelism = intp(0) }, "ssd_parallelism 0"},
+		{"ssd parallelism negative", func(sp *Spec) { sp.Params.SSDParallelism = intp(-4) }, "ssd_parallelism -4"},
+		{"a4 block under default", func(sp *Spec) { sp.Manager = "default"; sp.A4 = &A4Spec{T1: 0.3} }, "a4 block needs an a4-* manager"},
+		{"a4 block under isolate", func(sp *Spec) { sp.Manager = "isolate"; sp.A4 = &A4Spec{} }, "a4 block needs an a4-* manager"},
+		{"negative threshold", func(sp *Spec) { sp.A4 = &A4Spec{T3: -0.1} }, "non-negative"},
+		{"negative stable interval", func(sp *Spec) { sp.A4 = &A4Spec{StableSec: -1} }, "stable_sec -1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -274,11 +290,98 @@ func TestValidateErrors(t *testing.T) {
 	}
 }
 
+func intp(v int) *int { return &v }
+
+// TestFigureKnobsRoundTrip covers every figure knob (ways, dca, the
+// ablation params, the a4 block) across the two managers they need: the
+// canonical form reparses to itself, explicit zeros survive, an a4 block
+// spells out its defaults, and a spec without the knobs encodes none.
+func TestFigureKnobsRoundTrip(t *testing.T) {
+	ablations := ParamSpec{
+		RateScale:         1024,
+		MigrationStickPct: intp(0),
+		LLCVictimRandPct:  intp(0),
+		SSDParallelism:    intp(8),
+		SmoothNIC:         true,
+	}
+	def := &Spec{
+		Manager: "default",
+		Params:  ablations,
+		Workloads: []WorkloadSpec{
+			{Kind: "dpdk", Cores: []int{0, 1}, Touch: true, Ways: []int{5, 6}},
+			{Kind: "fio", Cores: []int{2, 3}, Ways: []int{0, 10}},
+		},
+	}
+	def.Params.DCA = DCASSDOff
+	a4 := &Spec{
+		Manager:   "a4-c",
+		Params:    ablations,
+		A4:        &A4Spec{T1: 0.3, T2: 1.01, T5: 0.8, StableSec: 5, Oracle: true},
+		Workloads: []WorkloadSpec{{Kind: "xmem", Cores: []int{0}}},
+	}
+	for _, sp := range []*Spec{def, a4} {
+		c1, err := sp.Canonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, key := range []string{`"migration_stick_pct":0`, `"llc_victim_rand_pct":0`, `"ssd_parallelism":8`, `"smooth_nic":true`} {
+			if !bytes.Contains(c1, []byte(key)) {
+				t.Errorf("%s: canonical form lacks %s:\n%s", sp.Manager, key, c1)
+			}
+		}
+		back, err := Parse(c1)
+		if err != nil {
+			t.Fatalf("%s: canonical form does not reparse: %v\n%s", sp.Manager, err, c1)
+		}
+		c2, err := back.Canonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(c1, c2) {
+			t.Fatalf("%s: canonical not a fixed point:\n%s\nvs\n%s", sp.Manager, c1, c2)
+		}
+		if mustHash(t, back) != mustHash(t, sp) {
+			t.Errorf("%s: hash changed across the round trip", sp.Manager)
+		}
+		// Clone deep-copies the new pointers and slices.
+		c := sp.Clone()
+		*c.Params.SSDParallelism = 99
+		if *sp.Params.SSDParallelism != 8 {
+			t.Errorf("%s: Clone shares params.ssd_parallelism", sp.Manager)
+		}
+	}
+	for _, key := range []string{`"ways":[5,6]`, `"dca":"ssd-off"`} {
+		if c, _ := def.Canonical(); !bytes.Contains(c, []byte(key)) {
+			t.Errorf("default spec's canonical form lacks %s:\n%s", key, c)
+		}
+	}
+	// The a4 block spells out its defaults: {} and Table 1 are one scenario.
+	empty, table1 := tinySpec(), tinySpec()
+	empty.A4 = &A4Spec{}
+	table1.A4 = &A4Spec{T1: 0.20, T2: 0.40, T3: 0.35, T4: 0.40, T5: 0.90, StableSec: 10}
+	if mustHash(t, empty) != mustHash(t, table1) {
+		t.Error("an empty a4 block hashed differently from the spelled-out Table 1 values")
+	}
+	if mustHash(t, a4) == mustHash(t, func() *Spec { c := a4.Clone(); c.A4 = nil; return c }()) {
+		t.Error("the a4 block does not change the hash")
+	}
+	// Absent knobs leave the canonical encoding untouched.
+	plain, err := tinySpec().Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"ways", "dca", "migration_stick_pct", "llc_victim_rand_pct", "ssd_parallelism", "smooth_nic", `"a4"`} {
+		if bytes.Contains(plain, []byte(key)) {
+			t.Errorf("canonical form of a spec without figure knobs mentions %s:\n%s", key, plain)
+		}
+	}
+}
+
 // TestKnobTableCoversWorkloadSpec pins knobFields to WorkloadSpec: every
 // kind-specific field must appear in the table, so a future knob cannot
 // bypass the misapplied-knob rejection.
 func TestKnobTableCoversWorkloadSpec(t *testing.T) {
-	generic := map[string]bool{"kind": true, "name": true, "cores": true, "priority": true}
+	generic := map[string]bool{"kind": true, "name": true, "cores": true, "priority": true, "ways": true}
 	inTable := map[string]bool{}
 	for _, k := range knobFields {
 		inTable[k.name] = true
