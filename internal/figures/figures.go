@@ -84,13 +84,14 @@ func (o Options) mix(name string, defWarm, defMeas float64) *scenario.Spec {
 	return o.spec(defWarm, defMeas, sp.Workloads...)
 }
 
-// The §3/§4 testbed's workloads, on the cores the paper's scripts use. A
-// trailing lo, hi pins the workload to way[lo:hi].
+// FIO's two core sets: alone or beside X-Mem, and beside DPDK.
 var (
 	fioLow  = []int{0, 1, 2, 3}
 	fioHigh = []int{4, 5, 6, 7}
 )
 
+// dpdk, xmem and fio are the §3/§4 testbed's workloads on the cores the
+// paper's scripts use. A trailing lo, hi pins the workload to way[lo:hi].
 func dpdk(name string, touch bool, ways ...int) scenario.WorkloadSpec {
 	return scenario.WorkloadSpec{Kind: "dpdk", Name: name, Cores: []int{0, 1, 2, 3}, Priority: "hpw", Touch: touch, Ways: ways}
 }
