@@ -31,7 +31,8 @@ var microEval = []scenario.WorkloadSpec{
 // microEvalPoint is the §7.1 scenario under manager with the given packet
 // and storage block sizes.
 func microEvalPoint(o Options, manager string, pkt, blockKB int) point {
-	sp := withManager(o.spec(18, 4, microEval...), manager)
+	sp := o.spec(18, 4, microEval...)
+	sp.Manager = manager
 	sp.Params.PacketBytes = pkt
 	sp.Workloads[1].BlockKB = blockKB
 	return point{start: sp}

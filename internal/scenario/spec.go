@@ -445,7 +445,9 @@ func (sp *Spec) Validate() error {
 	// hold a report whose address claims a parameterization that never ran.
 	if sp.Params.RateScale < 0 || sp.Params.NICGbps < 0 || sp.Params.SSDGBps < 0 ||
 		sp.Params.PacketBytes < 0 || sp.Params.RingEntries < 0 {
-		return fmt.Errorf("scenario: negative param (params are zero-means-default; omit instead): %+v", sp.Params)
+		p := sp.Params
+		return fmt.Errorf("scenario: negative param (params are zero-means-default; omit instead): rate_scale %g, nic_gbps %g, ssd_gbps %g, packet_bytes %d, ring_entries %d",
+			p.RateScale, p.NICGbps, p.SSDGBps, p.PacketBytes, p.RingEntries)
 	}
 	if err := sp.validateKnobs(mgr); err != nil {
 		return err
