@@ -246,6 +246,43 @@ func TestCoordinatorTraceEventsProxy(t *testing.T) {
 	}
 }
 
+// TestClusterExtendTraceEventsMatchSingleNode: a coordinator /extend forks
+// the owning backend's warm snapshot, and the extended run's event log is
+// byte-identical to a single node's fresh run of the longer window.
+func TestClusterExtendTraceEventsMatchSingleNode(t *testing.T) {
+	coord := newCoordinator(t, newBackend(t).URL, newBackend(t).URL)
+	sp := testSpec(99)
+	sp.MeasureSec = 2
+	first, err := coord.Submit(context.Background(), sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext, err := coord.Extend(context.Background(), first.Hash, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := coord.TraceEvents(ext.Hash, 0)
+	if !ok {
+		t.Fatal("extended run's event log not served through the coordinator")
+	}
+
+	single := service.New(service.Config{Workers: 1})
+	defer single.Close()
+	sp = testSpec(99)
+	sp.MeasureSec = 8
+	fresh, err := single.Submit(context.Background(), sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, ok := single.TraceEvents(fresh.Hash, 0)
+	if !ok {
+		t.Fatal("single node served no event log")
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("cluster-extended event log differs from a single node's fresh run\ncluster: %s\nsingle:  %s", got, want)
+	}
+}
+
 // TestCoordinatorStreamUnknownHash404s: a hash no backend can stream gets
 // the same error envelope a single node sends.
 func TestCoordinatorStreamUnknownHash404s(t *testing.T) {

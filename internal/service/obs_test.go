@@ -393,3 +393,38 @@ func TestTraceEventsServedPerRun(t *testing.T) {
 		t.Errorf("unknown hash: status %d, want 404", resp.StatusCode)
 	}
 }
+
+// TestTraceEventsForkedMatchesFresh: the event log is part of the run's
+// content, so a run forked from a shorter run's warm snapshot serves the
+// same /trace/events bytes as the same spec executed from scratch.
+func TestTraceEventsForkedMatchesFresh(t *testing.T) {
+	events := func(svc *Service, measures ...float64) []byte {
+		t.Helper()
+		var hash string
+		for _, m := range measures {
+			sp := testSpec(73)
+			sp.MeasureSec = m
+			res, err := svc.Submit(context.Background(), sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hash = res.Hash
+		}
+		data, ok := svc.TraceEvents(hash, 0)
+		if !ok {
+			t.Fatalf("no event log for %s", hash)
+		}
+		return data
+	}
+	forkSvc := New(Config{Workers: 1})
+	defer forkSvc.Close()
+	forked := events(forkSvc, 2, 8)
+	if forkSvc.Stats().SnapshotForks != 1 {
+		t.Fatal("the measure-8 run did not fork the measure-2 snapshot")
+	}
+	freshSvc := New(Config{Workers: 1})
+	defer freshSvc.Close()
+	if fresh := events(freshSvc, 8); !bytes.Equal(forked, fresh) {
+		t.Errorf("forked run's event log differs from a fresh run's\nforked: %s\nfresh:  %s", forked, fresh)
+	}
+}
