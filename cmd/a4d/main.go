@@ -21,7 +21,6 @@ import (
 
 	"a4sim/internal/scenario"
 	"a4sim/internal/sim"
-	"a4sim/internal/trace"
 )
 
 // loadMix resolves a builtin mix name, falling back to reading the
@@ -48,7 +47,6 @@ func main() {
 	mix := flag.String("mix", "micro", "builtin mix ("+strings.Join(scenario.BuiltinMixes(), ", ")+") or spec file path")
 	mgr := flag.String("mgr", "", "LLC manager override: "+strings.Join(scenario.ManagerNames(), ", "))
 	secs := flag.Int("secs", 0, "simulated seconds to run (0 = spec windows)")
-	showTrace := flag.Bool("trace", false, "dump the controller trace ring at exit")
 	flag.Parse()
 
 	sp, err := loadMix(*mix)
@@ -74,10 +72,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "a4d:", err)
 		os.Exit(2)
-	}
-	tlog := trace.NewLog(4096)
-	if s.Controller != nil {
-		s.Controller.SetTraceLog(tlog)
 	}
 
 	fmt.Printf("a4d: mix=%s manager=%s cores=%d llc=%d ways x %d sets\n",
@@ -107,8 +101,4 @@ func main() {
 			wr.Name, wr.LLCHitRate, wr.IPC, wr.IOReadGBps, wr.AvgLatUs, wr.P99LatUs, wr.ProgressRate)
 	}
 	fmt.Printf("  system mem rd=%.2f wr=%.2f GB/s\n", res.MemReadGBps, res.MemWriteGBps)
-	if *showTrace && tlog.Len() > 0 {
-		fmt.Println("\ncontroller trace:")
-		fmt.Print(tlog.String())
-	}
 }

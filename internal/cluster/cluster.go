@@ -779,7 +779,6 @@ func (c *Coordinator) Stats() Stats {
 		out.StoreHits += bs.Stats.StoreHits
 		out.StoreObjects += bs.Stats.StoreObjects
 		out.StoreQuarantined += bs.Stats.StoreQuarantined
-		out.TraceDropped += bs.Stats.TraceDropped
 	}
 	out.Reroutes = c.reroutes.Load()
 	out.SoftRetries = c.softRetries.Load()

@@ -70,7 +70,7 @@ func TestClusterExtendAppendsSeries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local := service.New(service.Config{Workers: 1, SnapshotEntries: -1})
+	local := service.New(service.Config{Workers: 1})
 	defer local.Close()
 	fresh, err := local.Submit(context.Background(), seriesSpec(7, 3))
 	if err != nil {

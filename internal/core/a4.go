@@ -26,7 +26,6 @@ import (
 	"a4sim/internal/pcm"
 	"a4sim/internal/sim"
 	"a4sim/internal/stats"
-	"a4sim/internal/trace"
 	"a4sim/internal/workload"
 )
 
@@ -175,10 +174,10 @@ type Controller struct {
 	// savedLPLeft preserves the settled allocation across a revert probe.
 	savedLPLeft int
 
-	// Events records controller decisions for traces and tests.
+	// Events records controller decisions, oldest first. It is part of the
+	// controller's state (the snapshot codec carries it), so a forked run
+	// continues the same log a fresh run writes.
 	Events []string
-	// tlog optionally mirrors events into a bounded trace ring.
-	tlog *trace.Log
 
 	// sampler provides per-second pcm samples; the harness supplies it so
 	// sampling happens exactly once per second across all consumers.
@@ -305,16 +304,9 @@ func (c *Controller) apply() {
 	}
 }
 
-// SetTraceLog mirrors controller decisions into a bounded trace ring.
-func (c *Controller) SetTraceLog(l *trace.Log) { c.tlog = l }
-
 // logf appends a controller event.
 func (c *Controller) logf(format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	c.Events = append(c.Events, fmt.Sprintf("t=%ds %s", c.secs, msg))
-	if c.tlog != nil {
-		c.tlog.Addf(sim.Tick(c.secs)*sim.TicksPerSecond, trace.KindDetect, "a4", "%s", msg)
-	}
+	c.Events = append(c.Events, fmt.Sprintf("t=%ds %s", c.secs, fmt.Sprintf(format, args...)))
 }
 
 // LPZone returns the current LP Zone bounds (tests, traces).

@@ -138,107 +138,21 @@ func (m *Monitor) Last() []pcm.Sample { return m.last }
 // LastMemBW returns the last second's total memory bandwidth in GB/s.
 func (m *Monitor) LastMemBW() float64 { return m.lastMemRd + m.lastMemWr }
 
-// OnSecond implements sim.Observer.
+// OnSecond implements sim.Observer: it records one simulated second, of
+// which the engine may have fast-forwarded some ticks (sampled execution).
+// Counters only accumulated over the detailed fraction frac of the second,
+// so rate and ratio metrics are sampled over frac (pcm already normalizes
+// by the interval) and count columns — DMA leak/bloat events, progress
+// deltas, NIC drops — scale by 1/frac, extrapolating each row to a
+// full-second-equivalent estimate. An unsampled second has frac exactly
+// 1.0, where both the division and detailSecs += frac are exact, so
+// detailed runs record the same bits as with no scaling at all. A fully
+// skipped second (frac == 0) carries the previous row's traffic estimates
+// forward, which is exactly the freeze model's steady-state assumption,
+// while instantaneous gauges (queue depths, LLC occupancy, controller
+// state) are re-read live since the frozen state remains current.
 func (m *Monitor) OnSecond(now sim.Tick) {
-	if skipped := m.s.Engine.SkippedTicks(); skipped > 0 {
-		// Sampled second: extrapolate from the detailed fraction. Unsampled
-		// runs never reach this branch (SkippedTicks is always zero), so the
-		// default path below stays byte-identical to pre-sampling builds.
-		m.onSecondSampled(now, skipped)
-		return
-	}
-	m.last = m.s.Fabric.SampleAll(1)
-	rd, wr := m.s.H.Memory().DeltaBytes()
-	m.lastMemRd = m.s.Fabric.GBps(rd, 1)
-	m.lastMemWr = m.s.Fabric.GBps(wr, 1)
-
-	if !m.collecting {
-		// Keep port deltas drained so windows start clean.
-		for _, p := range m.s.H.PCIe().Ports() {
-			p.DeltaBytes()
-		}
-		return
-	}
-	m.secs++
-	m.detailSecs++
-	w := m.win
-	row := w.row
-	for i := range row {
-		row[i] = 0
-	}
-	row[w.memRd] = m.lastMemRd
-	row[w.memWr] = m.lastMemWr
-	for pi, p := range m.s.H.PCIe().Ports() {
-		in, out := p.DeltaBytes()
-		row[w.portBase+2*pi] = m.s.Fabric.GBps(in, 1)
-		row[w.portBase+2*pi+1] = m.s.Fabric.GBps(out, 1)
-	}
-	for _, smp := range m.last {
-		base, ok := w.wlBase[smp.ID]
-		if !ok {
-			continue
-		}
-		row[base+colLLCHit] = smp.LLCHitRate
-		row[base+colMLCMiss] = smp.MLCMissRate
-		row[base+colLLCMiss] = smp.LLCMissRate
-		row[base+colDCAMiss] = smp.DCAMissRate
-		row[base+colLeakRate] = smp.LeakRate
-		row[base+colIPC] = smp.IPC
-		row[base+colIORd] = smp.IOReadGBps
-		row[base+colIOWr] = smp.IOWriteGBps
-		row[base+colDMALeaks] = float64(smp.DMALeaks)
-		row[base+colDMABloats] = float64(smp.DMABloats)
-	}
-	for i, wl := range m.s.Workloads {
-		p := wl.Progress()
-		row[w.wlBase[wl.ID()]+colProgress] = float64(p - w.lastProg[i])
-		w.lastProg[i] = p
-	}
-
-	if w.nicDrops >= 0 {
-		d := m.s.NIC.Dropped()
-		row[w.nicDrops] = float64(d - w.lastNICDrops)
-		w.lastNICDrops = d
-		row[w.nicDepth] = float64(m.s.NIC.RingDepth())
-	}
-	if w.ssdDepth >= 0 {
-		row[w.ssdDepth] = float64(m.s.SSD.QueueDepth())
-	}
-	if w.occBase >= 0 {
-		m.s.H.LLC().LinesByOwner(w.occScratch)
-		for i, wl := range m.s.Workloads {
-			row[w.occBase+i] = float64(w.occScratch[int16(wl.ID())])
-		}
-	}
-	if w.a4Base >= 0 {
-		c := m.s.Controller
-		// The controller observer runs after the monitor at each boundary,
-		// so these columns record the state that was in effect during the
-		// just-ended second — aligned with the metrics in the same row.
-		row[w.a4Base] = float64(c.StateCode())
-		row[w.a4Base+1] = float64(c.FeatureMask())
-		l, r := c.LPZone()
-		row[w.a4Base+2] = float64(l)
-		row[w.a4Base+3] = float64(r)
-	}
-	w.series.Append(row...)
-	if m.rowHook != nil {
-		m.rowHook(w.series)
-	}
-}
-
-// onSecondSampled records a second of which skipped ticks were
-// fast-forwarded. Counters only accumulated over the detailed fraction frac
-// of the second, so rate and ratio metrics are sampled over frac (pcm already
-// normalizes by the interval) and count columns — DMA leak/bloat events,
-// progress deltas, NIC drops — scale by 1/frac, extrapolating each row to a
-// full-second-equivalent estimate. A fully skipped second (frac == 0)
-// carries the previous row's traffic estimates forward, which is exactly the
-// freeze model's steady-state assumption, while instantaneous gauges (queue
-// depths, LLC occupancy, controller state) are re-read live since the
-// frozen state remains current.
-func (m *Monitor) onSecondSampled(now sim.Tick, skipped sim.Tick) {
-	frac := float64(sim.TicksPerSecond-skipped) / float64(sim.TicksPerSecond)
+	frac := float64(sim.TicksPerSecond-m.s.Engine.SkippedTicks()) / float64(sim.TicksPerSecond)
 	if frac > 0 {
 		m.last = m.s.Fabric.SampleAll(frac)
 		rd, wr := m.s.H.Memory().DeltaBytes()
@@ -312,6 +226,9 @@ func (m *Monitor) onSecondSampled(now sim.Tick, skipped sim.Tick) {
 	}
 	if w.a4Base >= 0 {
 		c := m.s.Controller
+		// The controller observer runs after the monitor at each boundary,
+		// so these columns record the state that was in effect during the
+		// just-ended second — aligned with the metrics in the same row.
 		row[w.a4Base] = float64(c.StateCode())
 		row[w.a4Base+1] = float64(c.FeatureMask())
 		l, r := c.LPZone()
@@ -417,15 +334,11 @@ func (m *Monitor) EndWindow() *Result {
 	if secs == 0 {
 		secs = 1
 	}
-	// Progress counters only advance during detailed execution, so sampled
-	// windows rate them over the detailed seconds. Unsampled runs keep the
-	// historical secs denominator (identical value, identical bytes).
-	progSecs := secs
-	if m.s.P.Sample.Enabled() {
-		progSecs = m.detailSecs
-		if progSecs == 0 {
-			progSecs = 1
-		}
+	// Progress counters only advance during detailed execution, so they are
+	// rated over the detailed seconds, which equal secs in unsampled windows.
+	progSecs := m.detailSecs
+	if progSecs == 0 {
+		progSecs = 1
 	}
 	rows := w.series.Len()
 	res := &Result{

@@ -653,8 +653,9 @@ func (sp *Spec) sampleSpec() harness.SampleSpec {
 }
 
 // Build validates the spec and constructs the scenario with every workload
-// registered, returning it together with the resolved manager. The caller
-// owns Start and Run — cmd/a4d attaches streaming observers in between.
+// registered, returning it together with the resolved manager, not yet
+// started. Callers that attach observers before running (cmd/a4d) use
+// Start, which builds through it.
 func (sp *Spec) Build() (*harness.Scenario, harness.ManagerSpec, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, harness.ManagerSpec{}, err
@@ -762,9 +763,11 @@ func (sp *Spec) seriesOpts() harness.SeriesOpts {
 }
 
 // Run executes the spec end to end — build, start, warmup, measure — and
-// renders the deterministic report. This is the entry point the service's
-// workers use. Execution happens on a normalized clone, so the windows and
-// knobs that run are exactly the ones the content hash covers.
+// renders the deterministic report, always from scratch. The service runs
+// the same steps in its own execute, which can also continue a warm
+// snapshot; tests pin that both give the same bytes. Execution happens on a
+// normalized clone, so the windows and knobs that run are exactly the ones
+// the content hash covers.
 func (sp *Spec) Run() (*Report, error) {
 	run := sp.Clone()
 	if err := run.Normalize(); err != nil {

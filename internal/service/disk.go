@@ -90,9 +90,6 @@ func decodeSnapWrap(data []byte) (measured float64, spec, snap []byte, err error
 // concurrent advances can at worst leave disk one step behind memory, which
 // costs re-simulation after a restart, never a wrong result.
 func (s *Service) depositSnap(prefix string, snap *harness.Snapshot, measured float64, spec []byte) {
-	if s.snaps == nil {
-		return
-	}
 	advanced := s.snaps.put(prefix, snap, measured, spec)
 	if !advanced || s.disk == nil {
 		return
@@ -164,11 +161,9 @@ func decodeWrappedSnapshot(prefix string, data []byte) (*harness.Snapshot, float
 // bytes are framed, not re-encoded); otherwise the durable store's copy is
 // forwarded as-is.
 func (s *Service) SnapshotBytes(prefix string) ([]byte, bool) {
-	if s.snaps != nil {
-		if snap, measured, spec, ok := s.snaps.get(prefix); ok {
-			if data, err := encodeSnapWrap(measured, spec, snap); err == nil {
-				return data, true
-			}
+	if snap, measured, spec, ok := s.snaps.get(prefix); ok {
+		if data, err := encodeSnapWrap(measured, spec, snap); err == nil {
+			return data, true
 		}
 	}
 	if s.disk != nil {
@@ -185,9 +180,6 @@ func (s *Service) SnapshotBytes(prefix string) ([]byte, bool) {
 // bytes are rejected here, and the importing node simply re-executes — a
 // bad handoff can waste a transfer, never corrupt a result.
 func (s *Service) InstallSnapshot(prefix string, data []byte) error {
-	if s.snaps == nil {
-		return fmt.Errorf("service: snapshot reuse disabled")
-	}
 	snap, measured, canon, err := decodeWrappedSnapshot(prefix, data)
 	if err != nil {
 		return err

@@ -64,6 +64,10 @@ func TestRestartServesPreCrashResults(t *testing.T) {
 	if series2, ok := svc2.Series(r1.Hash); !ok || !bytes.Equal(series2, series1) {
 		t.Fatal("pre-crash series missing or changed after restart")
 	}
+	// Event logs are not spilled: a rehydrated entry has none to serve.
+	if _, ok := svc2.TraceEvents(r1.Hash, 0); ok {
+		t.Error("rehydrated entry served an event log")
+	}
 	st := svc2.Stats()
 	if st.StoreHits == 0 {
 		t.Errorf("restart served without store hits: %+v", st)

@@ -112,28 +112,6 @@ func TestSubmitReusesPrefixSnapshots(t *testing.T) {
 	}
 }
 
-// TestSnapshotsDisabled pins that SnapshotEntries < 0 turns the feature off
-// without changing results.
-func TestSnapshotsDisabled(t *testing.T) {
-	svc := New(Config{Workers: 1, SnapshotEntries: -1})
-	defer svc.Close()
-	first, err := svc.Submit(context.Background(), extendSpec(13, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ext, err := svc.Extend(context.Background(), first.Hash, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := svc.Stats()
-	if st.SnapshotForks != 0 || st.SnapshotEntries != 0 {
-		t.Errorf("snapshots should be disabled: %+v", st)
-	}
-	if want := freshReport(t, extendSpec(13, 2)); !bytes.Equal(ext.Report, want) {
-		t.Fatal("snapshot-less extend differs from fresh serial run")
-	}
-}
-
 // TestSweepChainsPrefixRows pins that a measure_sec-axis sweep forks later
 // rows from earlier rows' snapshots and that every row stays byte-identical
 // to its fresh serial run, at any worker count.

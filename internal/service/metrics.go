@@ -35,7 +35,6 @@ func StatFamilies() []StatFamily {
 		{"a4_store_hits_total", "counter", func(s Stats) float64 { return float64(s.StoreHits) }},
 		{"a4_store_objects", "gauge", func(s Stats) float64 { return float64(s.StoreObjects) }},
 		{"a4_store_quarantined_total", "counter", func(s Stats) float64 { return float64(s.StoreQuarantined) }},
-		{"a4_trace_events_dropped_total", "counter", func(s Stats) float64 { return float64(s.TraceDropped) }},
 	}
 }
 

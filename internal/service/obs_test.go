@@ -340,13 +340,13 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestTraceEventsServedPerRun: the controller event log recorded during a
-// cached run's execution is served by content address; unknown hashes 404.
+// TestTraceEventsServedPerRun: the controller event log of a cached run is
+// served by content address; unknown hashes 404.
 func TestTraceEventsServedPerRun(t *testing.T) {
 	svc, srv := obsServer(t)
-	// A window long enough for the controller to make decisions: the event
-	// log records them, and covers this execution only (a run forked from a
-	// warm snapshot logs just its own seconds).
+	// A window long enough for the controller to make decisions. The log
+	// covers the whole run from its first second, also when the run forked
+	// a warm snapshot (TestTraceEventsForkedMatchesFresh).
 	sp := testSpec(73)
 	sp.MeasureSec = 8
 	res, err := svc.Submit(context.Background(), sp)
@@ -358,14 +358,29 @@ func TestTraceEventsServedPerRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	var log struct {
-		Events  []json.RawMessage `json:"events"`
-		Dropped int64             `json:"dropped"`
+		Events []string `json:"events"`
 	}
 	if err := json.Unmarshal(data, &log); err != nil {
 		t.Fatalf("event log not JSON: %v in %s", err, data)
 	}
 	if len(log.Events) == 0 {
 		t.Error("a4-d run recorded no controller events")
+	}
+	for _, e := range log.Events {
+		if !strings.HasPrefix(e, "t=") {
+			t.Errorf("event %q lacks its t=<s>s stamp", e)
+		}
+	}
+
+	// A run without a controller has an empty log, not a missing one.
+	plain := testSpec(74)
+	plain.Manager = "default"
+	pres, err := svc.Submit(context.Background(), plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := fetchOK(srv.URL + "/trace/events/" + pres.Hash); err != nil || string(got) != `{"events":[]}` {
+		t.Errorf("controller-less run served %q (err %v), want an empty list", got, err)
 	}
 
 	// ?n= tails the log.

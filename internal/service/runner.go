@@ -33,9 +33,11 @@ type Runner interface {
 	// Series returns the canonical per-second series of a cached run, or
 	// false when the hash is unknown or the run recorded no series.
 	Series(hash string) ([]byte, bool)
-	// TraceEvents returns the controller event log recorded when a cached
-	// run executed, trimmed to the last n events when n > 0, for
-	// GET /trace/events/<hash>.
+	// TraceEvents returns a cached run's controller event log as
+	// {"events":[...]}, trimmed to the last n events when n > 0, for
+	// GET /trace/events/<hash>. The log is the run's own, from its first
+	// second, whichever path executed it; false means the hash is unknown
+	// here or its entry was rehydrated from disk.
 	TraceEvents(hash string, n int) ([]byte, bool)
 	// TraceRing holds the finished request traces behind GET /traces.
 	TraceRing() *obs.Ring

@@ -117,7 +117,7 @@ func TestExtendAppendsSeries(t *testing.T) {
 		t.Error("extend did not fork the cached snapshot")
 	}
 
-	cold := New(Config{Workers: 1, SnapshotEntries: -1})
+	cold := New(Config{Workers: 1})
 	defer cold.Close()
 	fresh, err := cold.Submit(context.Background(), seriesSpec(31, 4))
 	if err != nil {
@@ -161,23 +161,27 @@ func TestSweepSeriesDeterministicAcrossWorkers(t *testing.T) {
 			},
 		}
 	}
-	run := func(workers, snapshots int) []SweepPoint {
-		svc := New(Config{Workers: workers, SnapshotEntries: snapshots})
-		defer svc.Close()
-		points, err := svc.Sweep(context.Background(), req())
+	// The reference runs every point fresh and serially, with no service.
+	specs, _, err := expand(req())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(specs) != 6 {
+		t.Fatalf("expected 6 grid points, got %d", len(specs))
+	}
+	serial := make([][]byte, len(specs))
+	for i, sp := range specs {
+		serial[i] = freshReport(t, sp)
+	}
+	for _, workers := range []int{2, 4} {
+		svc := New(Config{Workers: workers})
+		parallel, err := svc.Sweep(context.Background(), req()) // snapshot chaining on
+		svc.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return points
-	}
-	serial := run(1, -1) // cold, no snapshot reuse: every point fresh
-	if len(serial) != 6 {
-		t.Fatalf("expected 6 grid points, got %d", len(serial))
-	}
-	for _, workers := range []int{2, 4} {
-		parallel := run(workers, 0) // snapshot chaining on
 		for i := range serial {
-			if !bytes.Equal(serial[i].Report, parallel[i].Report) {
+			if !bytes.Equal(serial[i], parallel[i].Report) {
 				t.Fatalf("workers=%d: point %d (series-enabled) differs from fresh serial run", workers, i)
 			}
 		}

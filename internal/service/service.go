@@ -18,6 +18,7 @@ package service
 import (
 	"container/list"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -31,7 +32,6 @@ import (
 	"a4sim/internal/scenario"
 	"a4sim/internal/stats"
 	"a4sim/internal/store"
-	"a4sim/internal/trace"
 )
 
 // Config sizes the service.
@@ -44,15 +44,6 @@ type Config struct {
 	// fast with ErrBusy instead of growing memory without bound. 0 means
 	// 4096 (one full-size sweep).
 	MaxQueue int
-	// SnapshotEntries caps the warm-state snapshot cache: encoded
-	// snapshots of executed scenarios at their last measured second, keyed
-	// by the spec's prefix hash, from which longer measurement windows fork
-	// and continue instead of re-simulating the shared prefix. Each entry
-	// holds the same bytes the store and /snapshot export carry (about
-	// 3 MB for the tiny mix at the Skylake geometry), so the cap is
-	// deliberately small. 0 means 8; negative disables snapshot
-	// reuse entirely.
-	SnapshotEntries int
 	// Store, when non-nil, is the durable content-addressed object store
 	// under the in-memory caches (internal/store). Executed reports, specs,
 	// series, and warm snapshots spill to it; LRU misses fall back to it; a
@@ -84,11 +75,6 @@ type Stats struct {
 	StoreHits        uint64 `json:"store_hits"`
 	StoreObjects     int    `json:"store_objects"`
 	StoreQuarantined int64  `json:"store_quarantined"`
-
-	// TraceDropped sums the controller event-log drops across executions:
-	// events lost to each run's bounded ring. Nonzero means
-	// GET /trace/events/<hash> tails are incomplete for some runs.
-	TraceDropped int64 `json:"trace_dropped"`
 }
 
 // counters are the live form of Stats: independent atomics, so a /run can
@@ -104,7 +90,6 @@ type counters struct {
 	snapshotForks atomic.Uint64
 	storeHits     atomic.Uint64
 	queued        atomic.Int64
-	traceDropped  atomic.Int64
 }
 
 // Result is one served submission.
@@ -173,9 +158,9 @@ type Service struct {
 
 	ctr counters
 
-	// snaps caches warm simulation state for prefix-shared continuation;
-	// nil when disabled. It has its own lock: snapshot forking is heavy and
-	// must not serialize the submission path.
+	// snaps caches warm simulation state for prefix-shared continuation.
+	// It has its own lock: snapshot forking is heavy and must not serialize
+	// the submission path.
 	snaps *snapStore
 
 	// disk is the durable object store under the in-memory caches; nil when
@@ -212,17 +197,11 @@ func New(cfg Config) *Service {
 		inflight:  make(map[string]*flight),
 		cache:     newLRUCache(entries),
 		memo:      newBodyMemo(),
+		snaps:     newSnapStore(snapshotEntries),
 		disk:      cfg.Store,
 		queueWait: stats.NewShardedHistogram(),
 		traces:    obs.NewRing(0),
 		streams:   obs.NewSeriesHub(),
-	}
-	if cfg.SnapshotEntries >= 0 {
-		se := cfg.SnapshotEntries
-		if se == 0 {
-			se = 8
-		}
-		s.snaps = newSnapStore(se)
 	}
 	s.work = sync.NewCond(&s.qmu)
 	for i := 0; i < w; i++ {
@@ -420,7 +399,7 @@ func (s *Service) submit(sp *scenario.Spec, tr *obs.Trace) (Result, error) {
 		if run.Series != nil {
 			pub = s.streams.Open(hash)
 		}
-		rep, events, evDropped, err := s.runSpec(run, tr, pub)
+		rep, events, err := s.runSpec(run, tr, pub)
 		var data, spec, series []byte
 		if err == nil {
 			data, err = rep.Encode()
@@ -457,11 +436,10 @@ func (s *Service) submit(sp *scenario.Spec, tr *obs.Trace) (Result, error) {
 		} else {
 			f.report = data
 			f.body = encodeResultEnvelope(hash, false, data)
-			s.ctr.traceDropped.Add(evDropped)
 			// Publish before clearing the flight (below): between the two, a
 			// new submission either attaches to this flight or hits the
 			// cache, never both-miss.
-			s.cache.put(hash, data, spec, series, &eventLog{events: events, dropped: evDropped})
+			s.cache.put(hash, data, spec, series, events)
 		}
 		s.fmu.Lock()
 		delete(s.inflight, hash)
@@ -524,14 +502,21 @@ func (s *Service) failFlight(hash string, f *flight, err error) {
 // runSpec executes a spec, converting a panic anywhere in the simulator
 // into an error so one bad submission cannot take down the daemon's worker
 // pool.
-func (s *Service) runSpec(sp *scenario.Spec, tr *obs.Trace, pub *obs.SeriesPub) (rep *scenario.Report, events []trace.Event, dropped int64, err error) {
+func (s *Service) runSpec(sp *scenario.Spec, tr *obs.Trace, pub *obs.SeriesPub) (rep *scenario.Report, events []string, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			rep, events, dropped, err = nil, nil, 0, fmt.Errorf("panic during run: %v", r)
+			rep, events, err = nil, nil, fmt.Errorf("panic during run: %v", r)
 		}
 	}()
 	return s.execute(sp, tr, pub)
 }
+
+// snapshotEntries caps the warm-state snapshot cache: encoded snapshots of
+// executed scenarios at their last measured second, keyed by the spec's
+// prefix hash. Each entry holds the same bytes the store and /snapshot
+// export carry (about 3 MB for the tiny mix at the Skylake geometry), so
+// the cap is deliberately small.
+const snapshotEntries = 8
 
 // snapshotEligible gates snapshot reuse to whole-second windows: splitting a
 // run at a non-integer boundary would round the engine's epoch counts
@@ -546,103 +531,87 @@ func snapshotEligible(sp *scenario.Spec) bool {
 // measurement window). Because forked execution is byte-identical to fresh
 // execution (the harness snapshot/fork contract, pinned by this package's
 // tests), the serving path is free to choose either and the reports cannot
-// differ. Fresh runs deposit their end-of-window state back into the
+// differ. Eligible runs deposit their end-of-window state back into the
 // snapshot cache so later, longer windows extend instead of restarting.
 //
-// The observability taps ride the same seams: spans around warm, measure,
-// fork, and store reads; a fresh controller event log per execution (Fork
-// deliberately does not carry one, so a forked continuation records only
-// its own seconds); and, when pub is non-nil, every appended series row
-// published to live stream subscribers.
-func (s *Service) execute(sp *scenario.Spec, tr *obs.Trace, pub *obs.SeriesPub) (*scenario.Report, []trace.Event, int64, error) {
+// It also returns the controller's event log (empty, not nil, without a
+// controller). The log is controller state, which the snapshot carries, so
+// a forked run returns the whole run's log, as a fresh one does. Spans
+// time warm, measure, fork and store reads, and when pub is non-nil every
+// appended series row is published to live stream subscribers.
+func (s *Service) execute(sp *scenario.Spec, tr *obs.Trace, pub *obs.SeriesPub) (*scenario.Report, []string, error) {
 	run := sp.Clone()
 	if err := run.Normalize(); err != nil {
-		return nil, nil, 0, err
+		return nil, nil, err
 	}
 	hash, err := run.Hash()
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, err
 	}
-	// attach wires the per-execution taps onto a started (or forked)
-	// scenario and returns its event log.
-	attach := func(sc *harness.Scenario) *trace.Log {
-		tlog := trace.NewLog(0)
-		if sc.Controller != nil {
-			sc.Controller.SetTraceLog(tlog)
+	eligible := snapshotEligible(run)
+	var (
+		sc       *harness.Scenario
+		prefix   string
+		spec     []byte // canonical spec deposited beside the snapshot
+		measured float64
+	)
+	if eligible {
+		if prefix, err = run.PrefixHash(); err != nil {
+			return nil, nil, err
 		}
-		if pub != nil {
-			pub.Publish(sc.Monitor.Series()) // replay any forked prefix rows
-			sc.Monitor.SetRowHook(pub.Publish)
+		if spec, err = run.Canonical(); err != nil {
+			return nil, nil, err
 		}
-		return tlog
+		snap, m, snapSpec, ok := s.snaps.get(prefix)
+		if !ok && s.disk != nil {
+			// Memory miss: a restarted service rehydrates the warm state a
+			// previous instance spilled to disk. Any failure — missing object,
+			// quarantined bytes, version or structure mismatch — falls through
+			// to a plain fresh run.
+			sr := tr.Begin("store_read")
+			if snap, m, snapSpec, ok = s.diskSnapshot(prefix); ok {
+				s.ctr.storeHits.Add(1)
+			}
+			sr.End()
+		}
+		if ok && m <= run.MeasureSec {
+			s.ctr.snapshotForks.Add(1)
+			fk := tr.Begin("snapshot_fork")
+			sc = snap.Fork()
+			fk.End()
+			measured, spec = m, snapSpec
+		}
 	}
-	if s.snaps == nil || !snapshotEligible(run) {
-		sc, err := run.Start()
-		if err != nil {
-			return nil, nil, 0, err
+	if sc == nil {
+		if sc, err = run.Start(); err != nil {
+			return nil, nil, err
 		}
-		tlog := attach(sc)
+	}
+	if pub != nil {
+		pub.Publish(sc.Monitor.Series()) // replay any forked prefix rows
+		sc.Monitor.SetRowHook(pub.Publish)
+	}
+	if measured == 0 { // a fresh run; a fork resumes inside its window
 		w := tr.Begin("warm")
 		sc.Warm(run.WarmupSec)
 		w.End()
 		sc.BeginMeasure()
-		m := tr.Begin("measure")
-		sc.Measure(run.MeasureSec)
-		m.End()
-		return scenario.FromResult(run, hash, sc.EndMeasure()), tlog.Events(), tlog.Dropped, nil
 	}
-	prefix, err := run.PrefixHash()
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	canon, err := run.Canonical()
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	snap, measured, spec, ok := s.snaps.get(prefix)
-	if !ok && s.disk != nil {
-		// Memory miss: a restarted service rehydrates the warm state a
-		// previous instance spilled to disk. Any failure — missing object,
-		// quarantined bytes, version or structure mismatch — falls through
-		// to a plain fresh run.
-		sr := tr.Begin("store_read")
-		if snap, measured, spec, ok = s.diskSnapshot(prefix); ok {
-			s.ctr.storeHits.Add(1)
-		}
-		sr.End()
-	}
-	if ok && measured <= run.MeasureSec {
-		s.ctr.snapshotForks.Add(1)
-		fk := tr.Begin("snapshot_fork")
-		sc := snap.Fork()
-		fk.End()
-		tlog := attach(sc)
-		m := tr.Begin("measure")
-		sc.Measure(run.MeasureSec - measured)
-		m.End()
+	m := tr.Begin("measure")
+	sc.Measure(run.MeasureSec - measured)
+	m.End()
+	if eligible {
+		// Snapshot before closing the window: the stored state must be
+		// continuable, and EndMeasure only reads the accumulators.
 		dp := tr.Begin("snapshot_deposit")
 		s.depositSnap(prefix, sc.Snapshot(), run.MeasureSec, spec)
 		dp.End()
-		return scenario.FromResult(run, hash, sc.EndMeasure()), tlog.Events(), tlog.Dropped, nil
 	}
-	sc, err := run.Start()
-	if err != nil {
-		return nil, nil, 0, err
+	events := []string{}
+	if sc.Controller != nil {
+		events = append(events, sc.Controller.Events...)
 	}
-	tlog := attach(sc)
-	w := tr.Begin("warm")
-	sc.Warm(run.WarmupSec)
-	w.End()
-	sc.BeginMeasure()
-	m := tr.Begin("measure")
-	sc.Measure(run.MeasureSec)
-	m.End()
-	// Snapshot before closing the window: the stored state must be
-	// continuable, and EndMeasure only reads the accumulators.
-	dp := tr.Begin("snapshot_deposit")
-	s.depositSnap(prefix, sc.Snapshot(), run.MeasureSec, canon)
-	dp.End()
-	return scenario.FromResult(run, hash, sc.EndMeasure()), tlog.Events(), tlog.Dropped, nil
+	return scenario.FromResult(run, hash, sc.EndMeasure()), events, nil
 }
 
 // ErrUnknownHash is returned by Extend for a content address with no
@@ -682,24 +651,23 @@ func (s *Service) Extend(ctx context.Context, hash string, measureSec float64) (
 	return s.submit(sp, obs.TraceFrom(ctx))
 }
 
-// TraceEvents serves the controller event log recorded when a cached run
-// executed, as canonical JSON, trimmed to the last n events when n > 0. It
-// returns false for unknown hashes and for entries without a log (runs
-// rehydrated from disk — event logs are not spilled — or cached before
-// logging existed).
+// TraceEvents serves the controller event log of a cached run as
+// {"events":["t=3s LP zone settled at [8:8]",...]}, trimmed to the last n
+// events when n > 0. A run without a controller serves an empty list. It
+// returns false for unknown hashes and for entries rehydrated from disk
+// (event logs are not spilled).
 func (s *Service) TraceEvents(hash string, n int) ([]byte, bool) {
-	events, dropped, ok := s.cache.eventsOf(hash)
+	events, ok := s.cache.eventsOf(hash)
 	if !ok {
 		return nil, false
 	}
 	if n > 0 && n < len(events) {
 		events = events[len(events)-n:]
 	}
-	data, err := trace.EncodeEvents(events, dropped)
-	if err != nil {
-		return nil, false
-	}
-	return data, true
+	data, err := json.Marshal(struct {
+		Events []string `json:"events"`
+	}{events})
+	return data, err == nil
 }
 
 // snapStore is a bounded LRU of warm simulation snapshots (encoded state
@@ -807,20 +775,17 @@ func (s *Service) Series(hash string) ([]byte, bool) {
 // Stats snapshots the counters.
 func (s *Service) Stats() Stats {
 	st := Stats{
-		Hits:          s.ctr.hits.Load(),
-		Misses:        s.ctr.misses.Load(),
-		Dedups:        s.ctr.dedups.Load(),
-		Executions:    s.ctr.executions.Load(),
-		Errors:        s.ctr.errors.Load(),
-		Entries:       s.cache.len(),
-		Workers:       s.workers,
-		Queued:        int(s.ctr.queued.Load()),
-		SnapshotForks: s.ctr.snapshotForks.Load(),
-		StoreHits:     s.ctr.storeHits.Load(),
-		TraceDropped:  s.ctr.traceDropped.Load(),
-	}
-	if s.snaps != nil {
-		st.SnapshotEntries = s.snaps.len()
+		Hits:            s.ctr.hits.Load(),
+		Misses:          s.ctr.misses.Load(),
+		Dedups:          s.ctr.dedups.Load(),
+		Executions:      s.ctr.executions.Load(),
+		Errors:          s.ctr.errors.Load(),
+		Entries:         s.cache.len(),
+		Workers:         s.workers,
+		Queued:          int(s.ctr.queued.Load()),
+		SnapshotForks:   s.ctr.snapshotForks.Load(),
+		StoreHits:       s.ctr.storeHits.Load(),
+		SnapshotEntries: s.snaps.len(),
 	}
 	if s.disk != nil {
 		st.StoreObjects = s.disk.Len()
@@ -852,18 +817,12 @@ type lruEntry struct {
 	series  []byte // canonical series encoding, for GET /series/<hash> (nil when not recorded)
 	hitBody []byte // pre-encoded cached:true response envelope for /run hits
 
-	// events is the controller event log captured when this entry executed
-	// here; nil for entries rehydrated from disk (logs are not spilled).
-	events *eventLog
+	// events is the controller event log of this entry's run when it
+	// executed here; nil for entries rehydrated from disk (logs are not
+	// spilled).
+	events []string
 
 	used atomic.Uint64 // recency stamp; higher = more recently used
-}
-
-// eventLog is one execution's retained controller events plus how many its
-// bounded ring dropped.
-type eventLog struct {
-	events  []trace.Event
-	dropped int64
 }
 
 func newLRUCache(capEntries int) *lruCache {
@@ -927,7 +886,7 @@ func (c *lruCache) seriesOf(key string) ([]byte, bool) {
 // existing entry is replaced wholesale (entries are immutable), keeping
 // its event log when the incoming one is nil — a disk rehydration must not
 // erase the executed-here log.
-func (c *lruCache) put(key string, data, spec, series []byte, events *eventLog) *lruEntry {
+func (c *lruCache) put(key string, data, spec, series []byte, events []string) *lruEntry {
 	e := &lruEntry{
 		data:    data,
 		spec:    spec,
@@ -965,14 +924,14 @@ func (c *lruCache) evictOldestLocked() {
 
 // eventsOf returns the controller event log captured at key's execution,
 // without touching recency (event retrieval is diagnostics, not serving).
-func (c *lruCache) eventsOf(key string) ([]trace.Event, int64, bool) {
+func (c *lruCache) eventsOf(key string) ([]string, bool) {
 	c.mu.RLock()
 	e, ok := c.items[key]
 	c.mu.RUnlock()
 	if !ok || e.events == nil {
-		return nil, 0, false
+		return nil, false
 	}
-	return e.events.events, e.events.dropped, true
+	return e.events, true
 }
 
 func (c *lruCache) len() int {

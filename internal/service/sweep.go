@@ -190,18 +190,9 @@ func (s *Service) Sweep(ctx context.Context, req *SweepRequest) ([]SweepPoint, e
 	// measurement window — e.g. a measure_sec axis) are chained: shortest
 	// first, sequentially, so each later row forks the warm snapshot its
 	// predecessor deposited instead of re-simulating the prefix. Rows with
-	// distinct prefixes stay fully concurrent, and when snapshot reuse is
-	// off the chaining would serialize rows for nothing, so every row runs
-	// on its own goroutine. Results are assembled by grid index, so the
-	// grouping never reorders the response.
-	var groups [][]int
-	if s.snaps == nil {
-		for i := range specs {
-			groups = append(groups, []int{i})
-		}
-	} else {
-		groups = groupByPrefix(specs)
-	}
+	// distinct prefixes stay fully concurrent. Results are assembled by
+	// grid index, so the grouping never reorders the response.
+	groups := groupByPrefix(specs)
 	points := make([]SweepPoint, len(specs))
 	errs := make([]error, len(specs))
 	var wg sync.WaitGroup
