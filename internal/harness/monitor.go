@@ -25,8 +25,8 @@ type Monitor struct {
 	collecting bool
 	secs       int
 	// detailSecs is the detailed (non-fast-forwarded) portion of the open
-	// window in seconds. It equals secs in unsampled runs; sampled windows
-	// use it to rate progress counters, which only advance in detail.
+	// window in seconds. It equals secs in unsampled runs; EndWindow rates
+	// progress counters, which only advance in detail, over it.
 	detailSecs float64
 	win        *window
 	opts       SeriesOpts
