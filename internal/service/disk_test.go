@@ -34,13 +34,15 @@ func diskSpec(seed uint64) *scenario.Spec {
 // TestRestartServesPreCrashResults is the restart-rehydration property: a
 // service is "killed" (abandoned without Close, as a crash would), a new
 // one opens the same store directory, and the new instance serves the old
-// instance's reports, series, and extends its runs — byte-identically,
-// without re-executing what disk already holds.
+// instance's reports, series, and controller event logs, and extends its
+// runs — byte-identically, without re-executing what disk already holds.
 func TestRestartServesPreCrashResults(t *testing.T) {
 	dir := t.TempDir()
+	sp := diskSpec(11)
+	sp.MeasureSec = 3 // long enough for the controller to log a decision
 
 	svc1 := New(Config{Workers: 2, Store: openStore(t, dir)})
-	r1, err := svc1.Submit(context.Background(), diskSpec(11))
+	r1, err := svc1.Submit(context.Background(), sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,12 +50,19 @@ func TestRestartServesPreCrashResults(t *testing.T) {
 	if !ok {
 		t.Fatal("no series for the submitted run")
 	}
+	events1, ok := svc1.TraceEvents(r1.Hash, 0)
+	if !ok || !bytes.Contains(events1, []byte(`"t=`)) {
+		t.Fatalf("want a non-empty event log before the crash, got %s (ok=%v)", events1, ok)
+	}
 	// No svc1.Close(): the daemon dies here. Puts are synced at return, so
 	// everything the submission answered with is already durable.
 
 	svc2 := New(Config{Workers: 2, Store: openStore(t, dir)})
 	defer svc2.Close()
 
+	if events2, ok := svc2.TraceEvents(r1.Hash, 0); !ok || !bytes.Equal(events2, events1) {
+		t.Errorf("event log after restart = %s (ok=%v), want %s", events2, ok, events1)
+	}
 	rep, ok := svc2.Lookup(r1.Hash)
 	if !ok {
 		t.Fatal("restarted service cannot serve the pre-crash report")
@@ -64,10 +73,6 @@ func TestRestartServesPreCrashResults(t *testing.T) {
 	if series2, ok := svc2.Series(r1.Hash); !ok || !bytes.Equal(series2, series1) {
 		t.Fatal("pre-crash series missing or changed after restart")
 	}
-	// Event logs are not spilled: a rehydrated entry has none to serve.
-	if _, ok := svc2.TraceEvents(r1.Hash, 0); ok {
-		t.Error("rehydrated entry served an event log")
-	}
 	st := svc2.Stats()
 	if st.StoreHits == 0 {
 		t.Errorf("restart served without store hits: %+v", st)
@@ -77,7 +82,7 @@ func TestRestartServesPreCrashResults(t *testing.T) {
 	}
 
 	// A re-submission of the same spec is a store-backed cache hit too.
-	r2, err := svc2.Submit(context.Background(), diskSpec(11))
+	r2, err := svc2.Submit(context.Background(), sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,6 +91,49 @@ func TestRestartServesPreCrashResults(t *testing.T) {
 	}
 	if st := svc2.Stats(); st.Executions != 0 {
 		t.Errorf("re-submission after restart executed: %+v", st)
+	}
+}
+
+// TestUndecodableRunObjectIsAMiss pins the store's read rule for run
+// records: an object whose checksum verifies but whose payload is not a
+// whole run record (here "{}", no report, spec or log) is a miss. The
+// submission re-executes, its write replaces the object, and a restarted
+// service then serves the run from the store without executing.
+func TestUndecodableRunObjectIsAMiss(t *testing.T) {
+	dir := t.TempDir()
+	sp := diskSpec(15)
+	hash, err := sp.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk := openStore(t, dir)
+	if err := disk.Replace("run", hash, []byte("{}")); err != nil {
+		t.Fatal(err)
+	}
+
+	svc1 := New(Config{Workers: 1, Store: disk})
+	r1, err := svc1.Submit(context.Background(), sp)
+	svc1.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r1.Cached {
+		t.Error("an undecodable run object was served as a hit")
+	}
+	if st := svc1.Stats(); st.Executions != 1 {
+		t.Errorf("an undecodable run object did not force an execution: %+v", st)
+	}
+	if data, ok := disk.Get("run", hash); !ok || bytes.Equal(data, []byte("{}")) {
+		t.Errorf("the re-execution did not replace the undecodable run object (ok=%v)", ok)
+	}
+
+	svc2 := New(Config{Workers: 1, Store: openStore(t, dir)})
+	defer svc2.Close()
+	if rep, ok := svc2.Lookup(hash); !ok || !bytes.Equal(rep, r1.Report) {
+		t.Fatal("restarted service did not serve the rewritten run record")
+	}
+	if st := svc2.Stats(); st.Executions != 0 {
+		t.Errorf("restarted service executed a stored run: %+v", st)
 	}
 }
 
