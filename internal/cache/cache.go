@@ -205,14 +205,8 @@ func New(numSets, ways int) *Cache {
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
 
-// NumSets returns the number of sets.
-func (c *Cache) NumSets() int { return len(c.slots) / c.ways }
-
 // SizeBytes returns the capacity in bytes assuming 64-byte lines.
 func (c *Cache) SizeBytes() int64 { return int64(len(c.slots)) * 64 }
-
-// SetIndex maps a line address to its set.
-func (c *Cache) SetIndex(addr uint64) int { return int(addr & c.setMask) }
 
 // SetVictimRandomness configures imperfect replacement: pct (0-100) is the
 // percentage of victim selections drawn uniformly from the masked ways

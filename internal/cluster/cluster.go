@@ -517,17 +517,6 @@ func (c *Coordinator) Sweep(ctx context.Context, req *service.SweepRequest) ([]s
 	if err != nil {
 		return nil, err
 	}
-	// Validate the whole grid before shipping any of it (mirroring the
-	// single-node Sweep): a bad corner fails the request without wasting
-	// backend work on the good corner.
-	for i, sp := range specs {
-		if err := sp.Validate(); err != nil {
-			return nil, fmt.Errorf("cluster: sweep point %d: %w", i, err)
-		}
-		if err := sp.CheckBudget(); err != nil {
-			return nil, fmt.Errorf("cluster: sweep point %d: %w", i, err)
-		}
-	}
 	groups := service.GroupSpecsByPrefix(specs)
 	homes := c.place(specs, groups)
 	points := make([]service.SweepPoint, len(specs))
@@ -560,7 +549,8 @@ func (c *Coordinator) Sweep(ctx context.Context, req *service.SweepRequest) ([]s
 // entries when none is routable, which leaves routing to the rendezvous
 // order). A group's routing key is its prefix hash, and its cost is its
 // simulated seconds: warm-up plus its longest measurement window, since
-// the group's later rows fork its earlier ones.
+// the group's later rows fork its earlier ones. specs are ExpandSweep's,
+// so their windows are spelled out.
 func (c *Coordinator) place(specs []*scenario.Spec, groups [][]int) []*backend {
 	var up []*backend
 	for _, b := range c.backends {
@@ -571,22 +561,14 @@ func (c *Coordinator) place(specs []*scenario.Spec, groups [][]int) []*backend {
 	keys := make([]string, len(groups))
 	costs := make([]float64, len(groups))
 	for g, idxs := range groups {
-		// Validated specs always hash; an empty key still places
+		// Normalized specs always hash; an empty key still places
 		// deterministically, and submit reports the real error.
 		keys[g], _ = specs[idxs[0]].PrefixHash()
-		warm := specs[idxs[0]].WarmupSec
-		if warm == 0 {
-			warm = scenario.DefaultWarmupSec
-		}
 		longest := 0.0
 		for _, i := range idxs {
-			meas := specs[i].MeasureSec
-			if meas == 0 {
-				meas = scenario.DefaultMeasureSec
-			}
-			longest = math.Max(longest, meas)
+			longest = math.Max(longest, specs[i].MeasureSec)
 		}
-		costs[g] = warm + longest
+		costs[g] = specs[idxs[0]].WarmupSec + longest
 	}
 	return placeGroups(keys, costs, up)
 }

@@ -119,9 +119,6 @@ func (m *Monitor) EnableSeries(opts SeriesOpts) {
 	m.opts = opts
 }
 
-// SeriesOptions returns the current selection.
-func (m *Monitor) SeriesOptions() SeriesOpts { return m.opts }
-
 // Series returns the open (or just-closed) measurement window's per-second
 // series, or nil if no window was ever opened. The series is live: the
 // monitor appends to it at every second boundary while collecting.

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"sort"
 
 	"a4sim/internal/core"
 	"a4sim/internal/harness"
@@ -354,14 +353,4 @@ var kinds = map[string]kindInfo{
 			return nil
 		},
 	},
-}
-
-// SPECBenchNames lists the available SPEC CPU2017 proxies, sorted.
-func SPECBenchNames() []string {
-	out := make([]string, 0, len(workload.SPECProfiles))
-	for n := range workload.SPECProfiles {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

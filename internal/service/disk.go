@@ -1,40 +1,77 @@
 package service
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 
 	"a4sim/internal/codec"
 	"a4sim/internal/harness"
+	"a4sim/internal/obs"
 	"a4sim/internal/scenario"
 	"a4sim/internal/store"
 )
 
 // The disk plane: glue between the in-memory caches and the durable
-// content-addressed store. Reports, specs, and series are true
-// content-addressed objects under the run's hash; warm snapshots are keyed
-// objects under the prefix hash, wrapped with the measured seconds and the
-// canonical spec that rebuilds their structural skeleton. Everything read
-// back is verified (the store re-hashes payloads; snapshots additionally
+// content-addressed store. Each execution is one run object under the
+// run's hash, the same record the result cache holds; warm snapshots are
+// keyed objects under the prefix hash, wrapped with the measured seconds
+// and the canonical spec that rebuilds their structural skeleton.
+// Everything read back is verified (the store re-hashes payloads, a run
+// object must decode to a whole record, snapshots additionally
 // re-validate structure during decode), and every failure degrades to
 // re-execution — the disk accelerates restarts and handoffs, it is never
 // trusted over the simulator.
 
-// diskResult serves hash from the durable store, repopulating the LRU so
-// subsequent retrievals stay in memory. Objects are small and reads are
-// verified-and-done; this path only runs after a memory miss that would
-// otherwise cost a multi-second execution. Safe to call with fmu held (the
-// cache put nests fmu -> cache.mu, the one permitted nesting).
-func (s *Service) diskResult(hash string) (Result, bool) {
-	data, ok := s.disk.Get(store.KindReport, hash)
-	if !ok {
-		return Result{}, false
+// runRecord is one executed run: its report, canonical spec, series (when
+// the spec recorded one) and controller event log (empty, never nil,
+// without a controller). The result cache holds it and the store holds it
+// as one JSON object, so memory and disk serve the same bytes. The byte
+// fields are the canonical encodings, embedded verbatim.
+type runRecord struct {
+	Report json.RawMessage `json:"report"`
+	Spec   json.RawMessage `json:"spec"`
+	Series json.RawMessage `json:"series,omitempty"`
+	Events []string        `json:"events"`
+}
+
+// record returns the run record under hash: the resident cache entry, or
+// else the store's run object, which it makes resident. touch says whether
+// a resident entry's recency is refreshed: result traffic (reports,
+// series, submissions) refreshes it, Extend and event-log reads do not. A
+// run object that is missing, quarantined or does not decode to a whole
+// record (an older layout, for one) is a miss, and the re-execution that
+// follows replaces it. Safe to call with fmu held (the cache put nests
+// fmu -> cache.mu, the one permitted nesting).
+func (s *Service) record(hash string, touch bool, tr *obs.Trace) (*lruEntry, bool) {
+	if e, ok := s.cache.get(hash, touch); ok {
+		return e, true
 	}
-	spec, _ := s.disk.Get(store.KindSpec, hash)
-	series, _ := s.disk.Get(store.KindSeries, hash)
+	if s.disk == nil {
+		return nil, false
+	}
+	sr := tr.Begin("store_read")
+	defer sr.End()
+	data, ok := s.disk.Get(store.KindRun, hash)
+	if !ok {
+		return nil, false
+	}
+	var rec runRecord
+	if json.Unmarshal(data, &rec) != nil || rec.Report == nil || rec.Spec == nil || rec.Events == nil {
+		return nil, false
+	}
 	s.ctr.storeHits.Add(1)
-	e := s.cache.put(hash, data, spec, series, nil)
-	return Result{Hash: hash, Cached: true, Report: data, Envelope: e.hitBody}, true
+	return s.cache.put(hash, rec), true
+}
+
+// storeRecord writes rec as hash's run object. One atomic write is the
+// commit point: a crash leaves the whole record or the previous object,
+// never a report without its spec or log. Errors are swallowed: the disk
+// plane accelerates restarts, it does not gate serving from memory.
+func (s *Service) storeRecord(hash string, rec runRecord) {
+	if data, err := json.Marshal(rec); err == nil {
+		s.disk.Replace(store.KindRun, hash, data)
+	}
 }
 
 // snapWrap is the on-disk and on-wire framing of a warm snapshot: how many

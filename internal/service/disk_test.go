@@ -107,7 +107,7 @@ func TestUndecodableRunObjectIsAMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	disk := openStore(t, dir)
-	if err := disk.Replace("run", hash, []byte("{}")); err != nil {
+	if err := disk.Replace(store.KindRun, hash, []byte("{}")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -123,7 +123,7 @@ func TestUndecodableRunObjectIsAMiss(t *testing.T) {
 	if st := svc1.Stats(); st.Executions != 1 {
 		t.Errorf("an undecodable run object did not force an execution: %+v", st)
 	}
-	if data, ok := disk.Get("run", hash); !ok || bytes.Equal(data, []byte("{}")) {
+	if data, ok := disk.Get(store.KindRun, hash); !ok || bytes.Equal(data, []byte("{}")) {
 		t.Errorf("the re-execution did not replace the undecodable run object (ok=%v)", ok)
 	}
 
@@ -204,8 +204,8 @@ func corruptOneObject(t *testing.T, dir, kind string) string {
 
 // TestCorruptObjectsQuarantinedAndReExecuted injects corruption into every
 // kind the service spills and proves each path degrades to correct
-// re-execution: a flipped report is quarantined and the run re-executes to
-// the same bytes; a flipped snapshot is quarantined and the extension
+// re-execution: a flipped run object is quarantined and the run
+// re-executes to the same bytes; a flipped snapshot is quarantined and the extension
 // re-simulates from scratch — same bytes again; nothing is ever served
 // from the damaged objects.
 func TestCorruptObjectsQuarantinedAndReExecuted(t *testing.T) {
@@ -216,27 +216,27 @@ func TestCorruptObjectsQuarantinedAndReExecuted(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	corruptOneObject(t, dir, store.KindReport)
+	corruptOneObject(t, dir, store.KindRun)
 	corruptOneObject(t, dir, store.KindSnap)
 
 	svc2 := New(Config{Workers: 2, Store: openStore(t, dir)})
 	defer svc2.Close()
 
-	// The corrupt report must not be served; the resubmission re-executes
-	// and lands on identical bytes.
+	// The corrupt run object must not be served; the resubmission
+	// re-executes and lands on identical bytes.
 	r2, err := svc2.Submit(context.Background(), diskSpec(13))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r2.Cached {
-		t.Error("corrupt report was served as a cache hit")
+		t.Error("corrupt run object was served as a cache hit")
 	}
 	if !bytes.Equal(r2.Report, r1.Report) {
 		t.Fatal("re-executed report differs from the original")
 	}
 	st := svc2.Stats()
 	if st.Executions != 1 {
-		t.Errorf("corrupt report did not force a re-execution: %+v", st)
+		t.Errorf("corrupt run object did not force a re-execution: %+v", st)
 	}
 	if st.StoreQuarantined == 0 {
 		t.Errorf("corruption left no quarantine trace: %+v", st)

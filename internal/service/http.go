@@ -200,7 +200,7 @@ func NewMux(r Runner, stats func() any, healthy func() bool) *http.ServeMux {
 		n, _ := strconv.Atoi(req.URL.Query().Get("n"))
 		data, ok := r.TraceEvents(hash, n)
 		if !ok {
-			httpErrorHash(w, http.StatusNotFound, "no event log for "+hash+" (unknown hash, evicted, or rehydrated from disk)", hash)
+			httpErrorHash(w, http.StatusNotFound, "no event log for "+hash+" (unknown hash, or evicted)", hash)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")

@@ -36,8 +36,8 @@ type Runner interface {
 	// TraceEvents returns a cached run's controller event log as
 	// {"events":[...]}, trimmed to the last n events when n > 0, for
 	// GET /trace/events/<hash>. The log is the run's own, from its first
-	// second, whichever path executed it; false means the hash is unknown
-	// here or its entry was rehydrated from disk.
+	// second, whichever path executed it and whether it is served from
+	// memory or the store; false means the hash is unknown here.
 	TraceEvents(hash string, n int) ([]byte, bool)
 	// TraceRing holds the finished request traces behind GET /traces.
 	TraceRing() *obs.Ring

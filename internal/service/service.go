@@ -40,15 +40,10 @@ type Config struct {
 	Workers int
 	// CacheEntries caps the result cache; 0 means 256.
 	CacheEntries int
-	// MaxQueue caps jobs waiting for a worker; submissions beyond it fail
-	// fast with ErrBusy instead of growing memory without bound. 0 means
-	// 4096 (one full-size sweep).
-	MaxQueue int
 	// Store, when non-nil, is the durable content-addressed object store
-	// under the in-memory caches (internal/store). Executed reports, specs,
-	// series, and warm snapshots spill to it; LRU misses fall back to it; a
-	// restarted service rehydrates from it. Nil means memory-only serving,
-	// exactly as before the store existed.
+	// under the in-memory caches (internal/store). Each execution's run
+	// record and warm snapshot spill to it; cache misses fall back to it; a
+	// restarted service rehydrates from it. Nil means memory-only serving.
 	Store *store.Store
 }
 
@@ -127,7 +122,10 @@ type flight struct {
 
 // Service serves scenario runs.
 type Service struct {
-	workers  int
+	workers int
+	// maxQueue caps jobs waiting for a worker (MaxSweepPoints, one
+	// full-size sweep); submissions beyond it fail fast with ErrBusy
+	// instead of growing memory without bound.
 	maxQueue int
 	wg       sync.WaitGroup
 
@@ -187,13 +185,9 @@ func New(cfg Config) *Service {
 	if entries <= 0 {
 		entries = 256
 	}
-	maxQueue := cfg.MaxQueue
-	if maxQueue <= 0 {
-		maxQueue = MaxSweepPoints
-	}
 	s := &Service{
 		workers:   w,
-		maxQueue:  maxQueue,
+		maxQueue:  MaxSweepPoints,
 		inflight:  make(map[string]*flight),
 		cache:     newLRUCache(entries),
 		memo:      newBodyMemo(),
@@ -305,13 +299,13 @@ func (s *Service) RunCachedBody(body []byte, tr *obs.Trace) (Result, bool) {
 	if !ok {
 		return Result{}, false
 	}
-	e, ok := s.cache.get(hash)
+	e, ok := s.cache.get(hash, true)
 	if !ok {
 		return Result{}, false
 	}
 	s.ctr.hits.Add(1)
 	tr.Mark("cache_hit", "")
-	return Result{Hash: hash, Cached: true, Report: e.data, Envelope: e.hitBody}, true
+	return Result{Hash: hash, Cached: true, Report: e.Report, Envelope: e.hitBody}, true
 }
 
 // RememberBody records that body parses to hash, feeding RunCachedBody.
@@ -334,10 +328,10 @@ func (s *Service) submit(sp *scenario.Spec, tr *obs.Trace) (Result, error) {
 	if s.closed.Load() {
 		return Result{}, ErrClosed
 	}
-	if e, ok := s.cache.get(hash); ok {
+	if e, ok := s.cache.get(hash, true); ok {
 		s.ctr.hits.Add(1)
 		tr.Mark("cache_hit", "")
-		return Result{Hash: hash, Cached: true, Report: e.data, Envelope: e.hitBody}, nil
+		return Result{Hash: hash, Cached: true, Report: e.Report, Envelope: e.hitBody}, nil
 	}
 	s.fmu.Lock()
 	if f, ok := s.inflight[hash]; ok {
@@ -355,26 +349,16 @@ func (s *Service) submit(sp *scenario.Spec, tr *obs.Trace) (Result, error) {
 	}
 	// The executing job publishes its result to the cache before clearing
 	// its flight, so a submission that missed the cache and then found no
-	// flight re-checks the cache here — under fmu — and cannot miss both.
-	if e, ok := s.cache.get(hash); ok {
+	// flight re-checks here — under fmu — and cannot miss both. The
+	// re-check reaches the store too: a restarted (or memory-evicted)
+	// service serves durably stored runs instead of re-simulating them.
+	// Held under fmu — rare (memory miss), and the alternative is a
+	// multi-second execution.
+	if e, ok := s.record(hash, true, tr); ok {
 		s.ctr.hits.Add(1)
 		s.fmu.Unlock()
 		tr.Mark("cache_hit", "")
-		return Result{Hash: hash, Cached: true, Report: e.data, Envelope: e.hitBody}, nil
-	}
-	// Disk fallback before scheduling an execution: a restarted (or
-	// memory-evicted) service serves durably stored results instead of
-	// re-simulating them. Held under fmu — rare (memory miss), and the
-	// alternative is a multi-second execution.
-	if s.disk != nil {
-		sr := tr.Begin("store_read")
-		res, ok := s.diskResult(hash)
-		sr.End()
-		if ok {
-			s.ctr.hits.Add(1)
-			s.fmu.Unlock()
-			return res, nil
-		}
+		return Result{Hash: hash, Cached: true, Report: e.Report, Envelope: e.hitBody}, nil
 	}
 	f := &flight{done: make(chan struct{})}
 	s.inflight[hash] = f
@@ -400,46 +384,36 @@ func (s *Service) submit(sp *scenario.Spec, tr *obs.Trace) (Result, error) {
 			pub = s.streams.Open(hash)
 		}
 		rep, events, err := s.runSpec(run, tr, pub)
-		var data, spec, series []byte
+		rec := runRecord{Events: events}
 		if err == nil {
-			data, err = rep.Encode()
+			rec.Report, err = rep.Encode()
 		}
 		if err == nil && rep.Series != nil {
-			// The window's series is stored beside the report under the same
-			// content address, so GET /series/<hash> serves it without the
-			// client re-parsing the (much larger) report.
-			series, err = rep.Series.Encode()
+			// The window's series is kept beside the report, so
+			// GET /series/<hash> serves it without the client re-parsing
+			// the (much larger) report.
+			rec.Series, err = rep.Series.Encode()
 		}
 		if err == nil {
-			// The canonical spec is indexed by hash so /extend can re-derive
-			// longer windows of a run from its content address alone.
-			spec, err = run.Canonical()
+			// The canonical spec is kept so /extend can re-derive longer
+			// windows of a run from its content address alone.
+			rec.Spec, err = run.Canonical()
 		}
 		if err == nil && s.disk != nil {
-			// Spill to the durable store, report last: the report is the
-			// commit point the disk-fallback path keys on, so a crash between
-			// Puts leaves at worst auxiliary objects with no report — never a
-			// servable report whose spec cannot be re-derived. Put errors are
-			// swallowed: the disk plane accelerates restarts, it does not
-			// gate serving from memory.
 			sw := tr.Begin("store_write")
-			s.disk.Put(store.KindSpec, hash, spec)
-			if series != nil {
-				s.disk.Put(store.KindSeries, hash, series)
-			}
-			s.disk.Put(store.KindReport, hash, data)
+			s.storeRecord(hash, rec)
 			sw.End()
 		}
 		if err != nil {
 			s.ctr.errors.Add(1)
 			f.err = &RunError{Hash: hash, Err: err}
 		} else {
-			f.report = data
-			f.body = encodeResultEnvelope(hash, false, data)
+			f.report = rec.Report
+			f.body = encodeResultEnvelope(hash, false, rec.Report)
 			// Publish before clearing the flight (below): between the two, a
 			// new submission either attaches to this flight or hits the
 			// cache, never both-miss.
-			s.cache.put(hash, data, spec, series, events)
+			s.cache.put(hash, rec)
 		}
 		s.fmu.Lock()
 		delete(s.inflight, hash)
@@ -448,8 +422,8 @@ func (s *Service) submit(sp *scenario.Spec, tr *obs.Trace) (Result, error) {
 		// the terminal message can immediately GET /series and find the
 		// stored bytes it should compare against.
 		if pub != nil {
-			if err == nil && series != nil {
-				pub.Finish(series)
+			if err == nil && rec.Series != nil {
+				pub.Finish(rec.Series)
 			} else {
 				pub.Abort("execution failed")
 			}
@@ -632,18 +606,13 @@ func (s *Service) Extend(ctx context.Context, hash string, measureSec float64) (
 	if measureSec > scenario.MaxWindowSec {
 		return Result{}, fmt.Errorf("service: extend measure_sec %g exceeds %d", measureSec, scenario.MaxWindowSec)
 	}
-	spec, ok := s.cache.specOf(hash)
-	if !ok && s.disk != nil {
-		// The run may predate this process: rehydrate its index entry from
-		// the durable store, then extend as if it had never left memory.
-		if _, dok := s.diskResult(hash); dok {
-			spec, ok = s.cache.specOf(hash)
-		}
-	}
+	// The run may predate this process; record rehydrates it from the
+	// store, and the extension proceeds as if it had never left memory.
+	e, ok := s.record(hash, false, nil)
 	if !ok {
 		return Result{}, ErrUnknownHash
 	}
-	sp, err := scenario.Parse(spec)
+	sp, err := scenario.Parse(e.Spec)
 	if err != nil {
 		return Result{}, fmt.Errorf("service: corrupt indexed spec for %.12s: %w", hash, err)
 	}
@@ -651,16 +620,16 @@ func (s *Service) Extend(ctx context.Context, hash string, measureSec float64) (
 	return s.submit(sp, obs.TraceFrom(ctx))
 }
 
-// TraceEvents serves the controller event log of a cached run as
+// TraceEvents serves the controller event log of a cached or stored run as
 // {"events":["t=3s LP zone settled at [8:8]",...]}, trimmed to the last n
 // events when n > 0. A run without a controller serves an empty list. It
-// returns false for unknown hashes and for entries rehydrated from disk
-// (event logs are not spilled).
+// returns false only for unknown hashes.
 func (s *Service) TraceEvents(hash string, n int) ([]byte, bool) {
-	events, ok := s.cache.eventsOf(hash)
+	e, ok := s.record(hash, false, nil)
 	if !ok {
 		return nil, false
 	}
+	events := e.Events
 	if n > 0 && n < len(events) {
 		events = events[len(events)-n:]
 	}
@@ -742,15 +711,11 @@ func (c *snapStore) len() int {
 // does not touch the hit/miss counters: those account /run submissions
 // only, and retrieval traffic would distort them.
 func (s *Service) Lookup(hash string) ([]byte, bool) {
-	if e, ok := s.cache.get(hash); ok {
-		return e.data, true
+	e, ok := s.record(hash, true, nil)
+	if !ok {
+		return nil, false
 	}
-	if s.disk != nil {
-		if res, ok := s.diskResult(hash); ok {
-			return res.Report, true
-		}
-	}
-	return nil, false
+	return e.Report, true
 }
 
 // Series serves a cached run's per-second telemetry by content address.
@@ -758,18 +723,11 @@ func (s *Service) Lookup(hash string) ([]byte, bool) {
 // no series block — either way there is nothing time-resolved to serve.
 // Like Lookup, retrieval does not touch the hit/miss counters.
 func (s *Service) Series(hash string) ([]byte, bool) {
-	if series, ok := s.cache.seriesOf(hash); ok {
-		return series, true
+	e, ok := s.record(hash, true, nil)
+	if !ok || e.Series == nil {
+		return nil, false
 	}
-	// Only touch disk for hashes memory knows nothing about: a resident
-	// entry without a series means the run recorded none, and disk cannot
-	// know better.
-	if !s.cache.has(hash) && s.disk != nil {
-		if _, ok := s.diskResult(hash); ok {
-			return s.cache.seriesOf(hash)
-		}
-	}
-	return nil, false
+	return e.Series, true
 }
 
 // Stats snapshots the counters.
@@ -809,18 +767,13 @@ type lruCache struct {
 	items map[string]*lruEntry
 }
 
-// lruEntry is one cached result. All byte fields are immutable after the
-// entry is published; only the recency stamp is written on reads.
+// lruEntry is one cached run: its record, the same one the store holds,
+// and the pre-encoded cached:true response envelope for /run hits. The
+// record and envelope are immutable after the entry is published; only
+// the recency stamp is written on reads.
 type lruEntry struct {
-	data    []byte
-	spec    []byte // canonical spec encoding, for Extend
-	series  []byte // canonical series encoding, for GET /series/<hash> (nil when not recorded)
-	hitBody []byte // pre-encoded cached:true response envelope for /run hits
-
-	// events is the controller event log of this entry's run when it
-	// executed here; nil for entries rehydrated from disk (logs are not
-	// spilled).
-	events []string
+	runRecord
+	hitBody []byte
 
 	used atomic.Uint64 // recency stamp; higher = more recently used
 }
@@ -836,69 +789,24 @@ func (c *lruCache) touch(e *lruEntry) {
 	e.used.Store(c.clock.Add(1))
 }
 
-// get returns the entry under key, refreshing recency.
-func (c *lruCache) get(key string) (*lruEntry, bool) {
+// get returns the entry under key, refreshing its recency when touch is
+// set.
+func (c *lruCache) get(key string, touch bool) (*lruEntry, bool) {
 	c.mu.RLock()
 	e, ok := c.items[key]
 	c.mu.RUnlock()
-	if !ok {
-		return nil, false
+	if ok && touch {
+		c.touch(e)
 	}
-	c.touch(e)
-	return e, true
+	return e, ok
 }
 
-// specOf returns the canonical spec indexed under key without touching
-// recency (an Extend should not pin its source entry hot).
-func (c *lruCache) specOf(key string) ([]byte, bool) {
-	c.mu.RLock()
-	e, ok := c.items[key]
-	c.mu.RUnlock()
-	if !ok {
-		return nil, false
-	}
-	return e.spec, true
-}
-
-// has reports whether key is resident, without touching recency.
-func (c *lruCache) has(key string) bool {
-	c.mu.RLock()
-	_, ok := c.items[key]
-	c.mu.RUnlock()
-	return ok
-}
-
-// seriesOf returns the series stored beside key's report, refreshing
-// recency like get: series retrieval is result traffic, and a series-hot
-// entry should survive eviction exactly as long as a report-hot one.
-func (c *lruCache) seriesOf(key string) ([]byte, bool) {
-	c.mu.RLock()
-	e, ok := c.items[key]
-	c.mu.RUnlock()
-	if !ok || e.series == nil {
-		return nil, false
-	}
-	c.touch(e)
-	return e.series, true
-}
-
-// put publishes a result under key and returns the resident entry. An
-// existing entry is replaced wholesale (entries are immutable), keeping
-// its event log when the incoming one is nil — a disk rehydration must not
-// erase the executed-here log.
-func (c *lruCache) put(key string, data, spec, series []byte, events []string) *lruEntry {
-	e := &lruEntry{
-		data:    data,
-		spec:    spec,
-		series:  series,
-		hitBody: encodeResultEnvelope(key, true, data),
-		events:  events,
-	}
+// put publishes rec under key and returns the resident entry. An existing
+// entry is replaced wholesale (entries are immutable).
+func (c *lruCache) put(key string, rec runRecord) *lruEntry {
+	e := &lruEntry{runRecord: rec, hitBody: encodeResultEnvelope(key, true, rec.Report)}
 	c.touch(e)
 	c.mu.Lock()
-	if old, ok := c.items[key]; ok && events == nil {
-		e.events = old.events
-	}
 	c.items[key] = e
 	for len(c.items) > c.cap {
 		c.evictOldestLocked()
@@ -920,18 +828,6 @@ func (c *lruCache) evictOldestLocked() {
 		}
 	}
 	delete(c.items, oldestKey)
-}
-
-// eventsOf returns the controller event log captured at key's execution,
-// without touching recency (event retrieval is diagnostics, not serving).
-func (c *lruCache) eventsOf(key string) ([]string, bool) {
-	c.mu.RLock()
-	e, ok := c.items[key]
-	c.mu.RUnlock()
-	if !ok || e.events == nil {
-		return nil, false
-	}
-	return e.events, true
 }
 
 func (c *lruCache) len() int {

@@ -313,18 +313,18 @@ func TestLRUEviction(t *testing.T) {
 
 func TestLRUUnit(t *testing.T) {
 	c := newLRUCache(2)
-	c.put("a", []byte("1"), []byte("sa"), nil, nil)
-	c.put("b", []byte("2"), []byte("sb"), nil, nil)
-	c.get("a") // refresh a; b is now oldest
-	c.put("c", []byte("3"), []byte("sc"), nil, nil)
-	if _, ok := c.get("b"); ok {
+	c.put("a", runRecord{Report: []byte("1"), Spec: []byte("sa")})
+	c.put("b", runRecord{Report: []byte("2"), Spec: []byte("sb")})
+	c.get("a", true) // refresh a; b is now oldest
+	c.put("c", runRecord{Report: []byte("3"), Spec: []byte("sc")})
+	if _, ok := c.get("b", true); ok {
 		t.Error("LRU evicted the recently-used entry instead of the oldest")
 	}
-	e, ok := c.get("a")
+	e, ok := c.get("a", true)
 	if !ok {
 		t.Error("refreshed entry was evicted")
-	} else if string(e.data) != "1" {
-		t.Errorf("entry data = %q, want %q", e.data, "1")
+	} else if string(e.Report) != "1" {
+		t.Errorf("entry report = %q, want %q", e.Report, "1")
 	}
 	if c.len() != 2 {
 		t.Errorf("len = %d, want 2", c.len())
@@ -336,8 +336,9 @@ func TestLRUUnit(t *testing.T) {
 }
 
 func TestSubmitBackpressure(t *testing.T) {
-	svc := New(Config{Workers: 1, MaxQueue: 1})
+	svc := New(Config{Workers: 1})
 	defer svc.Close()
+	svc.maxQueue = 1
 
 	// Occupy the single worker with a job seen to start that blocks until
 	// released, then fill the queue behind it, so the state is

@@ -86,9 +86,11 @@ func applyAxis(sp *scenario.Spec, param string, v float64, mgr string) error {
 	return nil
 }
 
-// expand builds the cartesian product of the axes over the base spec. The
-// point order is row-major in axis order, so it is a pure function of the
-// request — the worker count never reorders results.
+// expand builds the cartesian product of the axes over the base spec, then
+// normalizes every point and checks it against the execution budget, so a
+// bad corner of the grid fails the whole request before any point runs.
+// The point order is row-major in axis order, so it is a pure function of
+// the request — the worker count never reorders results.
 func expand(req *SweepRequest) ([]*scenario.Spec, []map[string]any, error) {
 	if len(req.Axes) == 0 {
 		return nil, nil, fmt.Errorf("service: sweep needs at least one axis")
@@ -164,6 +166,15 @@ func expand(req *SweepRequest) ([]*scenario.Spec, []map[string]any, error) {
 		}
 		specs, grids = next, nextG
 	}
+	for i, sp := range specs {
+		err := sp.Normalize()
+		if err == nil {
+			err = sp.CheckBudget()
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("service: sweep point %d: %w", i, err)
+		}
+	}
 	return specs, grids, nil
 }
 
@@ -175,16 +186,6 @@ func (s *Service) Sweep(ctx context.Context, req *SweepRequest) ([]SweepPoint, e
 	specs, grids, err := expand(req)
 	if err != nil {
 		return nil, err
-	}
-	// Validate the whole grid before running any of it, so a bad corner of
-	// the grid doesn't waste the good corner's execution.
-	for i, sp := range specs {
-		if err := sp.Validate(); err != nil {
-			return nil, fmt.Errorf("service: sweep point %d: %w", i, err)
-		}
-		if err := sp.CheckBudget(); err != nil {
-			return nil, fmt.Errorf("service: sweep point %d: %w", i, err)
-		}
 	}
 	// Rows sharing a run prefix (identical scenario and warm-up, divergent
 	// measurement window — e.g. a measure_sec axis) are chained: shortest
@@ -221,17 +222,22 @@ func (s *Service) Sweep(ctx context.Context, req *SweepRequest) ([]SweepPoint, e
 
 // groupByPrefix partitions grid indices by prefix hash, each group sorted by
 // ascending measurement window (stably, so equal-window duplicates keep grid
-// order and coalesce through the result cache). Rows that cannot use a
-// snapshot anyway — fractional windows, unhashable specs — get singleton
-// groups so they keep full row-level parallelism; Submit surfaces any real
-// error.
+// order and coalesce through the result cache). It normalizes a clone of
+// each spec, so raw specs group as their normalized forms do. Rows that
+// cannot use a snapshot anyway — fractional windows, invalid specs — get
+// singleton groups so they keep full row-level parallelism; Submit
+// surfaces any real error.
 func groupByPrefix(specs []*scenario.Spec) [][]int {
 	order := make([]string, 0, len(specs))
 	byPrefix := make(map[string][]int, len(specs))
+	measure := make([]float64, len(specs))
 	for i, sp := range specs {
-		key, err := sp.PrefixHash()
-		if err != nil || !sweepRowEligible(sp) {
-			key = fmt.Sprintf("!solo-%d", i)
+		key := fmt.Sprintf("!solo-%d", i)
+		if n := sp.Clone(); n.Normalize() == nil && snapshotEligible(n) {
+			if p, err := n.PrefixHash(); err == nil {
+				key = p
+			}
+			measure[i] = n.MeasureSec
 		}
 		if _, ok := byPrefix[key]; !ok {
 			order = append(order, key)
@@ -241,29 +247,8 @@ func groupByPrefix(specs []*scenario.Spec) [][]int {
 	groups := make([][]int, 0, len(order))
 	for _, key := range order {
 		idxs := byPrefix[key]
-		sort.SliceStable(idxs, func(a, b int) bool {
-			return effMeasure(specs[idxs[a]]) < effMeasure(specs[idxs[b]])
-		})
+		sort.SliceStable(idxs, func(a, b int) bool { return measure[idxs[a]] < measure[idxs[b]] })
 		groups = append(groups, idxs)
 	}
 	return groups
-}
-
-// effMeasure resolves the zero-means-default measurement window.
-func effMeasure(sp *scenario.Spec) float64 {
-	if sp.MeasureSec == 0 {
-		return scenario.DefaultMeasureSec
-	}
-	return sp.MeasureSec
-}
-
-// sweepRowEligible mirrors snapshotEligible for a not-yet-normalized grid
-// row: zero windows mean the (integer) defaults.
-func sweepRowEligible(sp *scenario.Spec) bool {
-	warm := sp.WarmupSec
-	if warm == 0 {
-		warm = scenario.DefaultWarmupSec
-	}
-	meas := effMeasure(sp)
-	return warm == math.Trunc(warm) && meas == math.Trunc(meas) && meas >= 1
 }

@@ -1,7 +1,7 @@
 // Package store is a durable content-addressed object store — the disk
 // plane under the service's in-memory caches. Objects are immutable byte
 // payloads filed under the scenario layer's hex sha256 keys (content hashes
-// for reports, prefix hashes for warm snapshots), in kind-partitioned
+// for run records, prefix hashes for warm snapshots), in kind-partitioned
 // fan-out directories like a git object store:
 //
 //	<dir>/objects/<kind>/<key[:2]>/<key>
@@ -22,9 +22,8 @@
 //     degrade to recomputing the object — correctness never depends on the
 //     disk being honest.
 //
-// Concurrent Puts of the same key are idempotent (last rename wins, both
-// contents are identical by content addressing), and Store methods are safe
-// for concurrent use.
+// Concurrent Replaces of the same key leave one of the payloads whole (the
+// last rename wins), and Store methods are safe for concurrent use.
 package store
 
 import (
@@ -41,10 +40,8 @@ import (
 // Kinds partition the object namespace. A key identifies a scenario (or
 // scenario prefix); the kind says which derived artifact the object holds.
 const (
-	KindReport = "report" // encoded Report, keyed by content hash
-	KindSpec   = "spec"   // canonical spec bytes, keyed by content hash
-	KindSeries = "series" // canonical series bytes, keyed by content hash
-	KindSnap   = "snap"   // wrapped warm snapshot, keyed by prefix hash
+	KindRun  = "run"  // one executed run's record, keyed by content hash
+	KindSnap = "snap" // wrapped warm snapshot, keyed by prefix hash
 )
 
 // header is the per-object integrity prefix: the sha256 of the payload.
@@ -123,36 +120,18 @@ func validKey(key string) bool {
 	return true
 }
 
-// Put durably stores payload under kind/key. Present objects are skipped
-// (content addressing makes rewrites pointless). The write is atomic and
-// fsynced; when Put returns nil the object survives a crash.
-func (s *Store) Put(kind, key string, payload []byte) error {
-	if !validKey(key) {
-		return fmt.Errorf("store: invalid key %q", key)
-	}
-	s.mu.Lock()
-	present := s.index[kind+"/"+key]
-	s.mu.Unlock()
-	if present {
-		return nil
-	}
-	return s.write(kind, key, payload)
-}
-
 // Replace durably writes payload under kind/key, overwriting any present
-// object. It exists for the one kind that is keyed rather than
-// content-addressed — warm snapshots under their prefix hash, whose value
-// advances as a prefix's measured window extends. The rename keeps
-// replacement atomic: a concurrent Get sees the old object or the new,
-// never a mix.
+// object. Overwriting is what both kinds need: a warm snapshot's value
+// advances as its prefix's measured window extends, and a run record that
+// no longer decodes (an older layout) is replaced by the re-execution
+// that a read of it caused. The write lands in a temp file, is fsynced and
+// renamed over the final name, so a concurrent Get sees the old object or
+// the new, never a mix, and when Replace returns nil the object survives
+// a crash.
 func (s *Store) Replace(kind, key string, payload []byte) error {
 	if !validKey(key) {
 		return fmt.Errorf("store: invalid key %q", key)
 	}
-	return s.write(kind, key, payload)
-}
-
-func (s *Store) write(kind, key string, payload []byte) error {
 	final := s.objectPath(kind, key)
 	dir := filepath.Dir(final)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -233,7 +212,7 @@ func (s *Store) Get(kind, key string) ([]byte, bool) {
 }
 
 // quarantine moves a failed object aside and drops it from the index, so
-// the next Put can rewrite a good copy.
+// the next Replace can write a good copy.
 func (s *Store) quarantine(kind, key, path string) {
 	os.Rename(path, filepath.Join(s.corruptDir(), kind+"-"+key))
 	s.mu.Lock()

@@ -30,14 +30,14 @@ func TestPutGetRoundTrip(t *testing.T) {
 	s := openT(t, t.TempDir())
 	key := testKey("a")
 	payload := []byte("report bytes")
-	if err := s.Put(KindReport, key, payload); err != nil {
+	if err := s.Replace(KindRun, key, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := s.Get(KindReport, key)
+	got, ok := s.Get(KindRun, key)
 	if !ok || !bytes.Equal(got, payload) {
 		t.Fatalf("Get = %q, %v; want %q, true", got, ok, payload)
 	}
-	if !s.Has(KindReport, key) {
+	if !s.Has(KindRun, key) {
 		t.Error("Has must report a stored object")
 	}
 	// Same key under another kind is a distinct object.
@@ -49,10 +49,10 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 	// Empty payloads are legal objects (header only).
 	empty := testKey("empty")
-	if err := s.Put(KindSpec, empty, nil); err != nil {
+	if err := s.Replace(KindRun, empty, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := s.Get(KindSpec, empty); !ok || len(got) != 0 {
+	if got, ok := s.Get(KindRun, empty); !ok || len(got) != 0 {
 		t.Errorf("empty payload Get = %q, %v; want empty, true", got, ok)
 	}
 }
@@ -60,10 +60,10 @@ func TestPutGetRoundTrip(t *testing.T) {
 func TestRejectsInvalidKeys(t *testing.T) {
 	s := openT(t, t.TempDir())
 	for _, key := range []string{"", "short", strings.Repeat("g", 64), strings.ToUpper(testKey("a")), "../../../../etc/passwd"} {
-		if err := s.Put(KindReport, key, []byte("x")); err == nil {
-			t.Errorf("Put(%q) must fail", key)
+		if err := s.Replace(KindRun, key, []byte("x")); err == nil {
+			t.Errorf("Replace(%q) must fail", key)
 		}
-		if _, ok := s.Get(KindReport, key); ok {
+		if _, ok := s.Get(KindRun, key); ok {
 			t.Errorf("Get(%q) must miss", key)
 		}
 	}
@@ -80,17 +80,17 @@ func TestRestartRehydratesIndex(t *testing.T) {
 		key := testKey(fmt.Sprint("obj", i))
 		payload := []byte(strings.Repeat("x", i*37))
 		keys[key] = payload
-		if err := s.Put(KindReport, key, payload); err != nil {
+		if err := s.Replace(KindRun, key, payload); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// No Close: simulate the process dying after the Puts returned.
+	// No Close: simulate the process dying after the Replaces returned.
 	s2 := openT(t, dir)
 	if s2.Len() != len(keys) {
 		t.Fatalf("reopened store indexes %d objects, want %d", s2.Len(), len(keys))
 	}
 	for key, payload := range keys {
-		got, ok := s2.Get(KindReport, key)
+		got, ok := s2.Get(KindRun, key)
 		if !ok || !bytes.Equal(got, payload) {
 			t.Fatalf("reopened Get(%s) = %d bytes, %v; want %d bytes", key[:8], len(got), ok, len(payload))
 		}
@@ -115,32 +115,32 @@ func TestBitFlipQuarantined(t *testing.T) {
 	s := openT(t, dir)
 	key := testKey("flip")
 	payload := []byte("precious measurement data")
-	if err := s.Put(KindReport, key, payload); err != nil {
+	if err := s.Replace(KindRun, key, payload); err != nil {
 		t.Fatal(err)
 	}
 	// Flip one payload bit on disk, as a latent media error would.
-	corruptObject(t, s, KindReport, key, func(d []byte) []byte {
+	corruptObject(t, s, KindRun, key, func(d []byte) []byte {
 		d[headerLen+3] ^= 0x10
 		return d
 	})
-	if _, ok := s.Get(KindReport, key); ok {
+	if _, ok := s.Get(KindRun, key); ok {
 		t.Fatal("corrupt object must not be served")
 	}
 	if q := s.Quarantined(); q != 1 {
 		t.Errorf("Quarantined = %d, want 1", q)
 	}
-	if s.Has(KindReport, key) {
+	if s.Has(KindRun, key) {
 		t.Error("quarantined object must leave the index")
 	}
 	// The evidence is preserved under corrupt/, not deleted.
-	if _, err := os.Stat(filepath.Join(s.corruptDir(), KindReport+"-"+key)); err != nil {
+	if _, err := os.Stat(filepath.Join(s.corruptDir(), KindRun+"-"+key)); err != nil {
 		t.Errorf("quarantined object missing from corrupt/: %v", err)
 	}
 	// The key is re-writable with a good copy, which then serves again.
-	if err := s.Put(KindReport, key, payload); err != nil {
+	if err := s.Replace(KindRun, key, payload); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := s.Get(KindReport, key); !ok || !bytes.Equal(got, payload) {
+	if got, ok := s.Get(KindRun, key); !ok || !bytes.Equal(got, payload) {
 		t.Error("rewritten object must serve again")
 	}
 }
@@ -149,11 +149,11 @@ func TestTruncationQuarantined(t *testing.T) {
 	for _, keep := range []int{0, headerLen - 1, headerLen, headerLen + 2} {
 		s := openT(t, t.TempDir())
 		key := testKey("trunc")
-		if err := s.Put(KindReport, key, []byte("0123456789")); err != nil {
+		if err := s.Replace(KindRun, key, []byte("0123456789")); err != nil {
 			t.Fatal(err)
 		}
-		corruptObject(t, s, KindReport, key, func(d []byte) []byte { return d[:keep] })
-		if _, ok := s.Get(KindReport, key); ok {
+		corruptObject(t, s, KindRun, key, func(d []byte) []byte { return d[:keep] })
+		if _, ok := s.Get(KindRun, key); ok {
 			t.Fatalf("object truncated to %d bytes must not be served", keep)
 		}
 		if q := s.Quarantined(); q != 1 {
@@ -162,14 +162,14 @@ func TestTruncationQuarantined(t *testing.T) {
 	}
 }
 
-// TestStaleTmpIgnored simulates a writer killed mid-Put: the *.tmp file it
+// TestStaleTmpIgnored simulates a writer killed mid-Replace: the *.tmp file it
 // left behind is swept at Open, never indexed, and does not shadow a later
 // good write of the same key.
 func TestStaleTmpIgnored(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir)
 	key := testKey("torn")
-	// A torn write: half a header, no rename — under the tmp naming Put uses.
+	// A torn write: half a header, no rename — under the tmp naming Replace uses.
 	objDir := filepath.Dir(s.objectPath(KindSnap, key))
 	if err := os.MkdirAll(objDir, 0o755); err != nil {
 		t.Fatal(err)
@@ -187,7 +187,7 @@ func TestStaleTmpIgnored(t *testing.T) {
 		t.Error("stale tmp must be swept at Open")
 	}
 	payload := []byte("the real object")
-	if err := s2.Put(KindSnap, key, payload); err != nil {
+	if err := s2.Replace(KindSnap, key, payload); err != nil {
 		t.Fatal(err)
 	}
 	if got, ok := s2.Get(KindSnap, key); !ok || !bytes.Equal(got, payload) {
@@ -201,12 +201,12 @@ func TestForeignFilesIgnored(t *testing.T) {
 	dir := t.TempDir()
 	openT(t, dir)
 	key := testKey("x")
-	misfiled := filepath.Join(dir, "objects", KindReport, "zz", key)
+	misfiled := filepath.Join(dir, "objects", KindRun, "zz", key)
 	if err := os.MkdirAll(filepath.Dir(misfiled), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	// Wrong fan-out dir, a README, and a non-hex name.
-	for _, p := range []string{misfiled, filepath.Join(dir, "objects", "README"), filepath.Join(dir, "objects", KindReport, key[:2], "not-a-hash")} {
+	for _, p := range []string{misfiled, filepath.Join(dir, "objects", "README"), filepath.Join(dir, "objects", KindRun, key[:2], "not-a-hash")} {
 		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -232,11 +232,11 @@ func TestConcurrentPutGet(t *testing.T) {
 			for i := 0; i < 24; i++ {
 				key := testKey(fmt.Sprint("shared", i%6))
 				payload := []byte(strings.Repeat("p", 100+i%6))
-				if err := s.Put(KindReport, key, payload); err != nil {
+				if err := s.Replace(KindRun, key, payload); err != nil {
 					t.Error(err)
 					return
 				}
-				if got, ok := s.Get(KindReport, key); ok && len(got) != len(payload) {
+				if got, ok := s.Get(KindRun, key); ok && len(got) != len(payload) {
 					t.Errorf("goroutine %d: Get returned %d bytes, want %d", g, len(got), len(payload))
 					return
 				}
