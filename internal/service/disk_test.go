@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"a4sim/internal/scenario"
@@ -134,6 +135,55 @@ func TestUndecodableRunObjectIsAMiss(t *testing.T) {
 	}
 	if st := svc2.Stats(); st.Executions != 0 {
 		t.Errorf("restarted service executed a stored run: %+v", st)
+	}
+}
+
+// TestRestartRehydratesConcurrently has readers of every by-hash surface
+// and resubmitters race for one stored run on a restarted service (run it
+// under -race): each sees the pre-crash bytes, and nothing executes.
+func TestRestartRehydratesConcurrently(t *testing.T) {
+	dir := t.TempDir()
+	sp := diskSpec(16)
+	svc1 := New(Config{Workers: 1, Store: openStore(t, dir)})
+	r1, err := svc1.Submit(context.Background(), sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	series1, _ := svc1.Series(r1.Hash)
+	events1, _ := svc1.TraceEvents(r1.Hash, 0)
+	svc1.Close()
+
+	svc2 := New(Config{Workers: 1, Store: openStore(t, dir)})
+	defer svc2.Close()
+	var wg sync.WaitGroup
+	for c := 0; c < 8; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			var got, want []byte
+			var ok bool
+			switch c % 4 {
+			case 0:
+				got, ok = svc2.Lookup(r1.Hash)
+				want = r1.Report
+			case 1:
+				got, ok = svc2.Series(r1.Hash)
+				want = series1
+			case 2:
+				got, ok = svc2.TraceEvents(r1.Hash, 0)
+				want = events1
+			default:
+				res, err := svc2.Submit(context.Background(), sp)
+				got, ok, want = res.Report, err == nil && res.Cached, r1.Report
+			}
+			if !ok || !bytes.Equal(got, want) {
+				t.Errorf("client %d: served %q (ok=%v), want the pre-crash bytes", c, got, ok)
+			}
+		}(c)
+	}
+	wg.Wait()
+	if st := svc2.Stats(); st.Executions != 0 {
+		t.Errorf("concurrent rehydration executed: %+v", st)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package store is a durable content-addressed object store — the disk
-// plane under the service's in-memory caches. Objects are immutable byte
-// payloads filed under the scenario layer's hex sha256 keys (content hashes
+// plane under the service's in-memory caches. Objects are byte payloads,
+// each written whole, filed under the scenario layer's hex sha256 keys (content hashes
 // for run records, prefix hashes for warm snapshots), in kind-partitioned
 // fan-out directories like a git object store:
 //
@@ -135,12 +135,12 @@ func (s *Store) Replace(kind, key string, payload []byte) error {
 	final := s.objectPath(kind, key)
 	dir := filepath.Dir(final)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("store: put %s/%s: %w", kind, key, err)
+		return fmt.Errorf("store: replace %s/%s: %w", kind, key, err)
 	}
 	sum := sha256.Sum256(payload)
 	tmp, err := os.CreateTemp(dir, key+".*.tmp")
 	if err != nil {
-		return fmt.Errorf("store: put %s/%s: %w", kind, key, err)
+		return fmt.Errorf("store: replace %s/%s: %w", kind, key, err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
 	_, werr := tmp.Write(sum[:])
@@ -154,10 +154,10 @@ func (s *Store) Replace(kind, key string, payload []byte) error {
 		werr = cerr
 	}
 	if werr != nil {
-		return fmt.Errorf("store: put %s/%s: %w", kind, key, werr)
+		return fmt.Errorf("store: replace %s/%s: %w", kind, key, werr)
 	}
 	if err := os.Rename(tmp.Name(), final); err != nil {
-		return fmt.Errorf("store: put %s/%s: %w", kind, key, err)
+		return fmt.Errorf("store: replace %s/%s: %w", kind, key, err)
 	}
 	syncDir(dir)
 
