@@ -1,8 +1,8 @@
 // Package store is a durable content-addressed object store — the disk
 // plane under the service's in-memory caches. Objects are byte payloads,
-// each written whole, filed under the scenario layer's hex sha256 keys (content hashes
-// for run records, prefix hashes for warm snapshots), in kind-partitioned
-// fan-out directories like a git object store:
+// each written whole, filed under the scenario layer's hex sha256 keys
+// (content hashes for run records, prefix hashes for warm snapshots), in
+// kind-partitioned fan-out directories like a git object store:
 //
 //	<dir>/objects/<kind>/<key[:2]>/<key>
 //	<dir>/corrupt/                      quarantined objects
