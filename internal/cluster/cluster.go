@@ -73,7 +73,6 @@ const (
 // Coordinator shards a service.Runner over remote backends.
 type Coordinator struct {
 	backends    []*backend
-	traces      *obs.Ring // finished request traces, served merged with backend spans
 	reviveAfter time.Duration
 
 	// mu guards only the two routing maps; the counters below are atomics
@@ -82,10 +81,11 @@ type Coordinator struct {
 	routes map[string]string // content hash -> routing key
 	owners map[string]string // routing key (prefix hash) -> backend URL last serving it
 
-	reroutes    atomic.Uint64 // points re-sent after losing a backend
-	softRetries atomic.Uint64 // same-backend retries after a transient transport error
-	handoffs    atomic.Uint64 // warm snapshots shipped between backends on reroute or revival
-	rejected    atomic.Uint64 // submissions refused before any routing
+	// The live form of Routing.
+	reroutes    atomic.Uint64
+	softRetries atomic.Uint64
+	handoffs    atomic.Uint64
+	rejected    atomic.Uint64
 }
 
 // backend is one a4serve daemon. Every request to it goes through one of
@@ -121,7 +121,6 @@ func New(cfg Config) (*Coordinator, error) {
 	runHC := &http.Client{Timeout: runTimeout, Transport: transport}
 	probeHC := &http.Client{Timeout: probeTimeout, Transport: transport}
 	c := &Coordinator{
-		traces:      obs.NewRing(0),
 		reviveAfter: revive,
 		routes:      make(map[string]string),
 		owners:      make(map[string]string),
@@ -711,17 +710,23 @@ type BackendStats struct {
 	Stats     service.Stats `json:"stats"`
 }
 
+// Routing is the coordinator's own counters, declared like service.Stats:
+// the json tag names each in /stats, the prom tag its family in /metrics.
+type Routing struct {
+	Reroutes         uint64 `json:"reroutes" prom:"a4_cluster_reroutes_total,counter"`                   // points re-sent after losing a backend
+	SoftRetries      uint64 `json:"soft_retries" prom:"a4_cluster_soft_retries_total,counter"`           // same-backend retries after a transient transport error
+	SnapshotHandoffs uint64 `json:"snapshot_handoffs" prom:"a4_cluster_snapshot_handoffs_total,counter"` // warm snapshots shipped between backends on reroute or revival
+	Rejected         uint64 `json:"rejected" prom:"a4_cluster_rejected_total,counter"`                   // submissions refused before any routing
+}
+
 // Stats is the merged cluster view: the embedded service.Stats counters are
 // summed across reachable backends (so a coordinator's /stats reads exactly
 // like a single node's, and tools such as the loadgen work unchanged),
 // while Backends preserves the per-backend breakdown.
 type Stats struct {
 	service.Stats
-	Reroutes         uint64         `json:"reroutes"`
-	SoftRetries      uint64         `json:"soft_retries"`
-	SnapshotHandoffs uint64         `json:"snapshot_handoffs"`
-	Rejected         uint64         `json:"rejected"`
-	Backends         []BackendStats `json:"backends"`
+	Routing
+	Backends []BackendStats `json:"backends"`
 }
 
 // Stats polls every backend's /stats concurrently and merges the counters.
@@ -733,7 +738,7 @@ func (c *Coordinator) Stats() Stats {
 		go func(i int, b *backend) {
 			defer wg.Done()
 			bs := BackendStats{URL: b.url, Down: b.isDown()}
-			st, _, err := b.probe.Stats()
+			st, err := b.probe.Stats()
 			if err != nil {
 				bs.Error = err.Error()
 			} else {
@@ -745,26 +750,15 @@ func (c *Coordinator) Stats() Stats {
 	}
 	wg.Wait()
 	for _, bs := range out.Backends {
-		if !bs.Reachable {
-			continue
+		if bs.Reachable {
+			obs.AddStats(&out.Stats, bs.Stats)
 		}
-		out.Hits += bs.Stats.Hits
-		out.Misses += bs.Stats.Misses
-		out.Dedups += bs.Stats.Dedups
-		out.Executions += bs.Stats.Executions
-		out.Errors += bs.Stats.Errors
-		out.Entries += bs.Stats.Entries
-		out.Workers += bs.Stats.Workers
-		out.Queued += bs.Stats.Queued
-		out.SnapshotForks += bs.Stats.SnapshotForks
-		out.SnapshotEntries += bs.Stats.SnapshotEntries
-		out.StoreHits += bs.Stats.StoreHits
-		out.StoreObjects += bs.Stats.StoreObjects
-		out.StoreQuarantined += bs.Stats.StoreQuarantined
 	}
-	out.Reroutes = c.reroutes.Load()
-	out.SoftRetries = c.softRetries.Load()
-	out.SnapshotHandoffs = c.handoffs.Load()
-	out.Rejected = c.rejected.Load()
+	out.Routing = Routing{
+		Reroutes:         c.reroutes.Load(),
+		SoftRetries:      c.softRetries.Load(),
+		SnapshotHandoffs: c.handoffs.Load(),
+		Rejected:         c.rejected.Load(),
+	}
 	return out
 }

@@ -16,21 +16,15 @@ import (
 // that ran the request; metrics expose the fleet sum next to a per-backend
 // breakdown.
 
-// TraceRing exposes the coordinator's finished-request traces to the mux.
-func (c *Coordinator) TraceRing() *obs.Ring { return c.traces }
-
-// TraceJSON assembles the full cross-host trace for id: the coordinator's
+// TraceJSON assembles the full cross-host trace of t: the coordinator's
 // own spans (queue, handoff, backend_call, reroute) plus the spans each
 // contacted backend recorded under the same trace ID. Backend spans carry
 // microsecond offsets from that backend's own request start, so within one
 // backend_call they nest exactly; across hosts ordering is by each host's
 // local clock. Backend fetches are best-effort over the probe client — a
 // dead backend costs its spans, never the trace.
-func (c *Coordinator) TraceJSON(id string) ([]byte, bool) {
-	t, ok := c.traces.Get(id)
-	if !ok {
-		return nil, false
-	}
+func (c *Coordinator) TraceJSON(t *obs.Trace) []byte {
+	id := t.ID()
 	spans := t.Snapshot()
 	// One fetch per distinct backend this request touched, in first-contact
 	// order.
@@ -61,7 +55,7 @@ func (c *Coordinator) TraceJSON(id string) ([]byte, bool) {
 		spans = append(spans, remote...)
 	}
 	sort.SliceStable(spans, func(i, j int) bool { return spans[i].StartUs < spans[j].StartUs })
-	return obs.EncodeTrace(id, spans), true
+	return obs.EncodeTrace(id, spans)
 }
 
 // TraceEvents proxies a cached run's simulator event log from the backend
@@ -121,17 +115,19 @@ func copyStream(w http.ResponseWriter, r io.Reader) {
 // WriteMetrics exposes the fleet in one scrape: every service family first
 // as an unlabeled fleet sum (so dashboards built against a single node read
 // a coordinator identically), then once per reachable backend with a
-// backend label, followed by the coordinator's own routing counters.
+// backend label, followed by backend liveness and the coordinator's own
+// routing counters.
 func (c *Coordinator) WriteMetrics(w io.Writer) {
 	st := c.Stats()
-	rows := []service.LabeledStats{{Stats: st.Stats}}
+	labels, rows := []string{""}, []service.Stats{st.Stats}
 	for _, bs := range st.Backends {
 		if bs.Reachable {
-			rows = append(rows, service.LabeledStats{Labels: obs.Label("backend", bs.URL), Stats: bs.Stats})
+			labels = append(labels, obs.Label("backend", bs.URL))
+			rows = append(rows, bs.Stats)
 		}
 	}
-	service.WriteStatsProm(w, rows)
 	e := obs.NewExpo(w)
+	obs.Stats(e, labels, rows)
 	e.Family("a4_backend_up", "gauge")
 	for _, bs := range st.Backends {
 		up := 0.0
@@ -140,20 +136,5 @@ func (c *Coordinator) WriteMetrics(w io.Writer) {
 		}
 		e.Val("a4_backend_up", obs.Label("backend", bs.URL), up)
 	}
-	for _, f := range []struct {
-		name string
-		v    uint64
-	}{
-		{"a4_cluster_reroutes_total", st.Reroutes},
-		{"a4_cluster_soft_retries_total", st.SoftRetries},
-		{"a4_cluster_snapshot_handoffs_total", st.SnapshotHandoffs},
-		{"a4_cluster_rejected_total", st.Rejected},
-	} {
-		e.Family(f.name, "counter")
-		e.Val(f.name, "", float64(f.v))
-	}
-	e.Family("a4_traces", "gauge")
-	e.Val("a4_traces", "", float64(c.traces.Len()))
-	e.Family("a4_trace_ring_dropped_total", "counter")
-	e.Val("a4_trace_ring_dropped_total", "", float64(c.traces.Dropped()))
+	obs.Stats(e, []string{""}, []Routing{st.Routing})
 }

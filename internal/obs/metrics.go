@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -76,6 +77,47 @@ func (e *Expo) HistVals(name, labels string, h *stats.Histogram, scale float64) 
 	e.Val(name+"_bucket", JoinLabels(labels, `le="+Inf"`), float64(h.Count()))
 	e.Val(name+"_sum", labels, float64(h.Sum())/scale)
 	e.Val(name+"_count", labels, float64(h.Count()))
+}
+
+// Stats writes one family per field of the struct type T, in field order,
+// with one sample per row labeled by the matching entry of labels ("" for
+// none). A field declares its family in a `prom:"name,type"` tag beside its
+// json tag, so one struct is the whole declaration of both /stats and
+// /metrics; fields without the tag, and their embedded structs, are not
+// exposed. Every tagged field is an integer (pinned by test).
+func Stats[T any](e *Expo, labels []string, rows []T) {
+	t := reflect.TypeFor[T]()
+	for i := 0; i < t.NumField(); i++ {
+		name, typ, ok := strings.Cut(t.Field(i).Tag.Get("prom"), ",")
+		if !ok {
+			continue
+		}
+		e.Family(name, typ)
+		for j, row := range rows {
+			f := reflect.ValueOf(row).Field(i)
+			v := float64(0)
+			if f.CanInt() {
+				v = float64(f.Int())
+			} else {
+				v = float64(f.Uint())
+			}
+			e.Val(name, labels[j], v)
+		}
+	}
+}
+
+// AddStats adds each integer field of src into dst's, the fleet sum of a
+// counter struct.
+func AddStats[T any](dst *T, src T) {
+	d, s := reflect.ValueOf(dst).Elem(), reflect.ValueOf(src)
+	for i := 0; i < d.NumField(); i++ {
+		switch f := d.Field(i); {
+		case f.CanInt():
+			f.SetInt(f.Int() + s.Field(i).Int())
+		case f.CanUint():
+			f.SetUint(f.Uint() + s.Field(i).Uint())
+		}
+	}
 }
 
 // HTTPMetrics records per-endpoint request durations into sharded

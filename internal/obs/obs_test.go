@@ -360,3 +360,30 @@ func TestSpanJSONShape(t *testing.T) {
 		}
 	}
 }
+
+// TestStatsWalkers: Stats writes one family per tagged field in field
+// order, one sample per row; AddStats sums every integer field.
+func TestStatsWalkers(t *testing.T) {
+	type counters struct {
+		Hits  uint64 `json:"hits" prom:"x_hits_total,counter"`
+		Depth int    `json:"depth" prom:"x_depth,gauge"`
+		Debt  int64  `json:"debt"`
+	}
+	sum := counters{Hits: 1, Depth: 2, Debt: -3}
+	AddStats(&sum, counters{Hits: 4, Depth: 5, Debt: 6})
+	if want := (counters{Hits: 5, Depth: 7, Debt: 3}); sum != want {
+		t.Errorf("AddStats = %+v, want %+v", sum, want)
+	}
+	var buf bytes.Buffer
+	Stats(NewExpo(&buf), []string{"", Label("backend", "b")}, []counters{sum, {Hits: 9}})
+	want := `# TYPE x_hits_total counter
+x_hits_total 5
+x_hits_total{backend="b"} 9
+# TYPE x_depth gauge
+x_depth 7
+x_depth{backend="b"} 0
+`
+	if buf.String() != want {
+		t.Errorf("Stats wrote:\n%s\nwant:\n%s", buf.String(), want)
+	}
+}

@@ -161,26 +161,18 @@ func (c *Client) SeriesStream(ctx context.Context, hash string) (io.ReadCloser, 
 	return resp.Body, nil
 }
 
-// ClientStats is the /stats payload as a client sees it: the fleet-summed
-// counters plus, when the target is a coordinator, its per-backend list
-// (left raw — the client does not depend on internal/cluster).
-type ClientStats struct {
-	Stats
-	Backends []json.RawMessage `json:"backends"`
-}
-
-// Stats fetches the daemon's counters. The second return is the backend
-// count: zero for a single node, len(backends) for a coordinator.
-func (c *Client) Stats() (Stats, int, error) {
+// Stats fetches the daemon's counters; a coordinator answers with its
+// fleet sum.
+func (c *Client) Stats() (Stats, error) {
 	data, err := c.get("/stats")
 	if err != nil {
-		return Stats{}, 0, err
+		return Stats{}, err
 	}
-	var st ClientStats
+	var st Stats
 	if err := json.Unmarshal(data, &st); err != nil {
-		return Stats{}, 0, fmt.Errorf("service: client: decode stats: %w", err)
+		return Stats{}, fmt.Errorf("service: client: decode stats: %w", err)
 	}
-	return st.Stats, len(st.Backends), nil
+	return st, nil
 }
 
 // Healthz probes liveness; a draining or dead daemon returns an error.

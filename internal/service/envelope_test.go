@@ -31,8 +31,7 @@ func (r *errRunner) Sweep(context.Context, *SweepRequest) ([]SweepPoint, error) 
 func (r *errRunner) Lookup(string) ([]byte, bool)           { return nil, false }
 func (r *errRunner) Series(string) ([]byte, bool)           { return nil, false }
 func (r *errRunner) TraceEvents(string, int) ([]byte, bool) { return nil, false }
-func (r *errRunner) TraceRing() *obs.Ring                   { return obs.NewRing(1) }
-func (r *errRunner) TraceJSON(string) ([]byte, bool)        { return nil, false }
+func (r *errRunner) TraceJSON(*obs.Trace) []byte            { return nil }
 func (r *errRunner) WriteMetrics(io.Writer)                 {}
 func (r *errRunner) ServeSeriesStream(http.ResponseWriter, *http.Request, string) bool {
 	return false

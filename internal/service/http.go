@@ -49,13 +49,16 @@ type BodyRunner interface {
 // 503, which is how a draining daemon tells probes and coordinators to
 // route elsewhere before its listener closes. Every /run and /extend is
 // traced: the mux joins the request's X-A4-Trace ID (or mints one), hands
-// the trace to r through the request context, and records it in r's ring,
-// so a coordinator's hop to a backend joins one trace. The two optional
-// surfaces, SnapshotStore and BodyRunner, are used when r implements them.
+// the trace to r through the request context, and records it in the mux's
+// own ring behind /traces and /trace/<id>, so a coordinator's hop to a
+// backend joins one trace. The two optional surfaces, SnapshotStore and
+// BodyRunner, are used when r implements them.
 func NewMux(r Runner, stats func() any, healthy func() bool) *http.ServeMux {
 	mux := http.NewServeMux()
 	// Per-endpoint request-duration histograms, exposed by /metrics.
 	hm := obs.NewHTTPMetrics()
+	// Finished /run and /extend traces, served by /traces and /trace/{id}.
+	ring := obs.NewRing(0)
 	// traced starts a request's trace (joining the inbound header's ID when
 	// valid), echoes the ID so clients can fetch the trace back, and returns
 	// the request context carrying it. The caller records the trace in the
@@ -81,7 +84,7 @@ func NewMux(r Runner, stats func() any, healthy func() bool) *http.ServeMux {
 		// cached skips parse+hash entirely. The trace begins first so the
 		// fast path's cache_hit mark lands in the ring like any other hit.
 		ctx, tr := traced(w, req)
-		defer r.TraceRing().Add(tr)
+		defer ring.Add(tr)
 		if br != nil {
 			if res, ok := br.RunCachedBody(body, tr); ok {
 				writeResult(w, res)
@@ -117,7 +120,7 @@ func NewMux(r Runner, stats func() any, healthy func() bool) *http.ServeMux {
 			return
 		}
 		ctx, tr := traced(w, req)
-		defer r.TraceRing().Add(tr)
+		defer ring.Add(tr)
 		res, err := r.Extend(ctx, er.Hash, er.MeasureSec)
 		if err != nil {
 			httpError(w, StatusForErr(err), err.Error())
@@ -185,6 +188,11 @@ func NewMux(r Runner, stats func() any, healthy func() bool) *http.ServeMux {
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		r.WriteMetrics(w)
+		e := obs.NewExpo(w)
+		e.Family("a4_traces", "gauge")
+		e.Val("a4_traces", "", float64(ring.Len()))
+		e.Family("a4_trace_ring_dropped_total", "counter")
+		e.Val("a4_trace_ring_dropped_total", "", float64(ring.Dropped()))
 		hm.WriteProm(w)
 	})
 	// Go 1.22 mux: the /stream suffix pattern is more specific than
@@ -207,13 +215,13 @@ func NewMux(r Runner, stats func() any, healthy func() bool) *http.ServeMux {
 		w.Write(data)
 	})
 	mux.HandleFunc("GET /trace/{id}", func(w http.ResponseWriter, req *http.Request) {
-		data, ok := r.TraceJSON(req.PathValue("id"))
+		t, ok := ring.Get(req.PathValue("id"))
 		if !ok {
 			httpError(w, http.StatusNotFound, "no retained trace "+req.PathValue("id"))
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		w.Write(data)
+		w.Write(r.TraceJSON(t))
 	})
 	mux.HandleFunc("GET /traces", func(w http.ResponseWriter, req *http.Request) {
 		n, _ := strconv.Atoi(req.URL.Query().Get("n"))
@@ -223,7 +231,7 @@ func NewMux(r Runner, stats func() any, healthy func() bool) *http.ServeMux {
 		if n > 128 {
 			n = 128
 		}
-		recent := r.TraceRing().Recent(n)
+		recent := ring.Recent(n)
 		bodies := make([]json.RawMessage, len(recent))
 		for i, t := range recent {
 			bodies[i] = t.JSON()

@@ -13,8 +13,8 @@ import (
 // Runner is the execution surface a serving front-end needs: submit one
 // spec, extend a served run by content address, expand-and-run a sweep
 // grid, retrieve cached reports and their per-second telemetry, and serve
-// the observability planes (traces, controller events, metrics, live
-// series). The local Service implements it with its in-process worker
+// the observability planes (controller events, metrics, live series) and
+// the body of a traced request. The local Service implements it with its in-process worker
 // pool; internal/cluster's Coordinator implements it by sharding over
 // remote a4serve backends. Because both sides honour the determinism
 // contract (same spec hash, same report bytes, same series bytes), callers
@@ -39,14 +39,13 @@ type Runner interface {
 	// second, whichever path executed it and whether it is served from
 	// memory or the store; false means the hash is unknown here.
 	TraceEvents(hash string, n int) ([]byte, bool)
-	// TraceRing holds the finished request traces behind GET /traces.
-	TraceRing() *obs.Ring
-	// TraceJSON serves a retained trace's canonical body for
-	// GET /trace/<id>; a coordinator merges in the spans of every backend
-	// the trace touched.
-	TraceJSON(id string) ([]byte, bool)
+	// TraceJSON serves the canonical body of t, a trace the mux retained,
+	// for GET /trace/<id>; a coordinator merges in the spans of every
+	// backend the trace touched.
+	TraceJSON(t *obs.Trace) []byte
 	// WriteMetrics writes the Runner's Prometheus families for
-	// GET /metrics; the mux appends its own request-duration histograms.
+	// GET /metrics; the mux appends its trace ring's families and its
+	// request-duration histograms.
 	WriteMetrics(w io.Writer)
 	// ServeSeriesStream serves GET /series/<hash>/stream: SSE rows while
 	// the run executes, stored-series replay afterwards. It returns false,

@@ -47,29 +47,33 @@ type Config struct {
 	Store *store.Store
 }
 
-// Stats are the service's monotonic counters, served by /stats.
+// Stats are the service's counters, served by /stats and /metrics. Each
+// field is the one declaration of its value: the json tag names it in
+// /stats, the prom tag its Prometheus family and type (obs.Stats), and
+// field order is exposition order. Adding a value takes a tagged field here
+// plus the code that sets it.
 type Stats struct {
-	Hits       uint64 `json:"hits"`       // served from the result cache
-	Misses     uint64 `json:"misses"`     // required an execution
-	Dedups     uint64 `json:"dedups"`     // coalesced onto an in-flight run
-	Executions uint64 `json:"executions"` // scenario runs actually performed
-	Errors     uint64 `json:"errors"`     // failed submissions
-	Entries    int    `json:"entries"`    // current cache entries
-	Workers    int    `json:"workers"`    // pool degree
-	Queued     int    `json:"queued"`     // jobs waiting for a worker
+	Hits       uint64 `json:"hits" prom:"a4_hits_total,counter"`             // served from the result cache
+	Misses     uint64 `json:"misses" prom:"a4_misses_total,counter"`         // required an execution
+	Dedups     uint64 `json:"dedups" prom:"a4_dedups_total,counter"`         // coalesced onto an in-flight run
+	Executions uint64 `json:"executions" prom:"a4_executions_total,counter"` // scenario runs actually performed
+	Errors     uint64 `json:"errors" prom:"a4_errors_total,counter"`         // failed submissions
+	Entries    int    `json:"entries" prom:"a4_cache_entries,gauge"`         // current cache entries
+	Workers    int    `json:"workers" prom:"a4_workers,gauge"`               // pool degree
+	Queued     int    `json:"queued" prom:"a4_queued,gauge"`                 // jobs waiting for a worker
 
 	// SnapshotForks counts executions that continued from a cached warm
 	// snapshot instead of re-simulating their prefix; SnapshotEntries is
 	// the snapshot cache's current size.
-	SnapshotForks   uint64 `json:"snapshot_forks"`
-	SnapshotEntries int    `json:"snapshot_entries"`
+	SnapshotForks   uint64 `json:"snapshot_forks" prom:"a4_snapshot_forks_total,counter"`
+	SnapshotEntries int    `json:"snapshot_entries" prom:"a4_snapshot_entries,gauge"`
 
 	// StoreHits counts lookups served from the durable store after an
 	// in-memory miss; StoreObjects and StoreQuarantined mirror the store's
 	// index size and lifetime quarantine count. All zero without a store.
-	StoreHits        uint64 `json:"store_hits"`
-	StoreObjects     int    `json:"store_objects"`
-	StoreQuarantined int64  `json:"store_quarantined"`
+	StoreHits        uint64 `json:"store_hits" prom:"a4_store_hits_total,counter"`
+	StoreObjects     int    `json:"store_objects" prom:"a4_store_objects,gauge"`
+	StoreQuarantined int64  `json:"store_quarantined" prom:"a4_store_quarantined_total,counter"`
 }
 
 // counters are the live form of Stats: independent atomics, so a /run can
@@ -168,10 +172,8 @@ type Service struct {
 	// queueWait records each job's enqueue-to-start wait (µs); sharded so
 	// concurrent job starts don't contend, merged at scrape time.
 	queueWait *stats.ShardedHistogram
-	// traces retains finished request traces for GET /trace/<id>; streams
-	// fans live series rows out to GET /series/<hash>/stream subscribers.
-	// Both have their own (short-hold) locks.
-	traces  *obs.Ring
+	// streams fans live series rows out to GET /series/<hash>/stream
+	// subscribers, under its own (short-hold) lock.
 	streams *obs.SeriesHub
 }
 
@@ -194,7 +196,6 @@ func New(cfg Config) *Service {
 		snaps:     newSnapStore(snapshotEntries),
 		disk:      cfg.Store,
 		queueWait: stats.NewShardedHistogram(),
-		traces:    obs.NewRing(0),
 		streams:   obs.NewSeriesHub(),
 	}
 	s.work = sync.NewCond(&s.qmu)
@@ -273,17 +274,9 @@ func (s *Service) Submit(ctx context.Context, sp *scenario.Spec) (Result, error)
 	return s.submit(sp, obs.TraceFrom(ctx))
 }
 
-// TraceRing exposes the finished-request trace ring to the HTTP layer.
-func (s *Service) TraceRing() *obs.Ring { return s.traces }
-
-// TraceJSON serves a retained trace's canonical body by ID.
-func (s *Service) TraceJSON(id string) ([]byte, bool) {
-	t, ok := s.traces.Get(id)
-	if !ok {
-		return nil, false
-	}
-	return t.JSON(), true
-}
+// TraceJSON serves a retained trace's canonical body: a local run's spans
+// are all in t.
+func (s *Service) TraceJSON(t *obs.Trace) []byte { return t.JSON() }
 
 // RunCachedBody serves a /run whose exact body bytes have been seen before
 // and whose result is still resident — the fleet-of-clients steady state —

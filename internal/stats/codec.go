@@ -42,39 +42,6 @@ func (r *Reservoir) DecodeState(rd *codec.Reader) {
 	r.rngs = rngs
 }
 
-// EncodeState appends the histogram in binary form: the structural
-// sub-bucket constant, the totals, and the dense bucket counts.
-func (h *Histogram) EncodeState(w *codec.Writer) {
-	w.U32(histSubBits)
-	w.U64(h.total)
-	w.I64(h.sum)
-	w.U64s(h.counts)
-}
-
-// DecodeHistogramState reads a histogram written by EncodeState, rejecting
-// streams recorded at a different sub-bucket resolution or whose bucket
-// counts disagree with the header total.
-func DecodeHistogramState(r *codec.Reader) *Histogram {
-	if sb := r.U32(); r.Err() == nil && sb != histSubBits {
-		r.Failf("stats: snapshot histogram sub_bits %d, want %d", sb, histSubBits)
-	}
-	total := r.U64()
-	sum := r.I64()
-	counts := r.U64s()
-	if r.Err() != nil {
-		return nil
-	}
-	var seen uint64
-	for _, c := range counts {
-		seen += c
-	}
-	if seen != total {
-		r.Failf("stats: snapshot histogram buckets sum to %d, header says %d", seen, total)
-		return nil
-	}
-	return &Histogram{counts: counts, total: total, sum: sum}
-}
-
 // EncodeState appends the series in binary form: column names, then each
 // column's values. Unlike Encode (canonical JSON), the binary form is
 // infallible and round-trips every float64 bit pattern.

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-
-	"a4sim/internal/codec"
 )
 
 // TestHistogramQuantileGoldens pins the bucket scheme: for 1..1000 recorded
@@ -150,32 +148,6 @@ func TestHistogramJSONRoundTrip(t *testing.T) {
 		if _, err := DecodeHistogram([]byte(bad)); err == nil {
 			t.Errorf("DecodeHistogram accepted %s", bad)
 		}
-	}
-}
-
-// TestHistogramCodecRoundTrip: the binary state codec round-trips and
-// rejects a mismatched structural constant.
-func TestHistogramCodecRoundTrip(t *testing.T) {
-	h := NewHistogram()
-	for v := int64(0); v < 4096; v += 17 {
-		h.Observe(v)
-	}
-	w := &codec.Writer{}
-	h.EncodeState(w)
-	back := DecodeHistogramState(codec.NewReader(w.Bytes()))
-	if back == nil {
-		t.Fatal("DecodeHistogramState failed on valid bytes")
-	}
-	if !bytes.Equal(back.mustEncode(t), h.mustEncode(t)) {
-		t.Error("codec round-trip changed the histogram")
-	}
-	bad := &codec.Writer{}
-	bad.U32(histSubBits + 1)
-	bad.U64(0)
-	bad.I64(0)
-	bad.U64s(nil)
-	if DecodeHistogramState(codec.NewReader(bad.Bytes())) != nil {
-		t.Error("DecodeHistogramState accepted wrong sub_bits")
 	}
 }
 

@@ -100,38 +100,6 @@ func (r *Reservoir) P50() float64 { return r.Quantile(0.50) }
 // P99 is shorthand for the 99th percentile.
 func (r *Reservoir) P99() float64 { return r.Quantile(0.99) }
 
-// EMA is an exponential moving average with configurable smoothing.
-type EMA struct {
-	alpha float64
-	value float64
-	init  bool
-}
-
-// NewEMA returns an EMA with smoothing factor alpha in (0, 1].
-func NewEMA(alpha float64) *EMA {
-	if alpha <= 0 || alpha > 1 {
-		alpha = 0.3
-	}
-	return &EMA{alpha: alpha}
-}
-
-// Update folds in a new observation and returns the current average.
-func (e *EMA) Update(v float64) float64 {
-	if !e.init {
-		e.value = v
-		e.init = true
-		return v
-	}
-	e.value = e.alpha*v + (1-e.alpha)*e.value
-	return e.value
-}
-
-// Value returns the current average (0 before any update).
-func (e *EMA) Value() float64 { return e.value }
-
-// Valid reports whether at least one observation has been folded in.
-func (e *EMA) Valid() bool { return e.init }
-
 // Counter is a monotonically increasing event counter supporting deltas.
 type Counter struct {
 	total int64

@@ -68,27 +68,6 @@ func TestReservoirQuantileMonotoneQuick(t *testing.T) {
 	}
 }
 
-func TestEMA(t *testing.T) {
-	e := NewEMA(0.5)
-	if e.Valid() {
-		t.Errorf("fresh EMA should be invalid")
-	}
-	if got := e.Update(10); got != 10 {
-		t.Errorf("first update should seed: %v", got)
-	}
-	got := e.Update(20)
-	if math.Abs(got-15) > 1e-9 {
-		t.Errorf("EMA = %v, want 15", got)
-	}
-	if !e.Valid() || e.Value() != got {
-		t.Errorf("getters inconsistent")
-	}
-	// Invalid alpha falls back to a sane default.
-	if NewEMA(-1) == nil || NewEMA(2) == nil {
-		t.Errorf("constructor should not fail")
-	}
-}
-
 func TestCounter(t *testing.T) {
 	var c Counter
 	c.Add(5)

@@ -81,9 +81,12 @@ func Open(dir string) (*Store, error) {
 		if err != nil {
 			return nil
 		}
-		// objects/<kind>/<key[:2]>/<key>
+		// objects/<kind>/<key[:2]>/<key>, of a kind this layout still
+		// reads: objects of an older one (report, spec, series) are left on
+		// disk like foreign files, costing neither Len nor index memory.
 		parts := strings.Split(filepath.ToSlash(rel), "/")
-		if len(parts) != 3 || !validKey(parts[2]) || parts[1] != parts[2][:2] {
+		if len(parts) != 3 || (parts[0] != KindRun && parts[0] != KindSnap) ||
+			!validKey(parts[2]) || parts[1] != parts[2][:2] {
 			return nil // foreign file; leave it alone, serve nothing from it
 		}
 		s.index[parts[0]+"/"+parts[2]] = true

@@ -220,6 +220,32 @@ func TestForeignFilesIgnored(t *testing.T) {
 	}
 }
 
+// TestOldLayoutKindsIgnored: a checksum-valid object of a kind the store
+// no longer reads (the old report/spec/series layout) stays on disk but is
+// not indexed, so it neither counts in Len nor shadows the run beside it.
+func TestOldLayoutKindsIgnored(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir)
+	key := testKey("old")
+	payload := []byte(`{"run":1}`)
+	if err := s.Replace(KindRun, key, payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Replace("report", key, []byte(`{"report":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	s2 := openT(t, dir)
+	if s2.Len() != 1 {
+		t.Errorf("reopened Len = %d, want 1 (the run only)", s2.Len())
+	}
+	if got, ok := s2.Get(KindRun, key); !ok || !bytes.Equal(got, payload) {
+		t.Errorf("run after reopen = %q, %v; want %q", got, ok, payload)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "objects", "report", key[:2], key)); err != nil {
+		t.Errorf("old-layout object removed: %v", err)
+	}
+}
+
 // TestConcurrentPutGet exercises the store under parallel writers and
 // readers of overlapping keys; runs under -race in CI.
 func TestConcurrentPutGet(t *testing.T) {
