@@ -82,9 +82,9 @@ func (e *Expo) HistVals(name, labels string, h *stats.Histogram, scale float64) 
 // Stats writes one family per field of the struct type T, in field order,
 // with one sample per row labeled by the matching entry of labels ("" for
 // none). A field declares its family in a `prom:"name,type"` tag beside its
-// json tag, so one struct is the whole declaration of both /stats and
-// /metrics; fields without the tag, and their embedded structs, are not
-// exposed. Every tagged field is an integer (pinned by test).
+// json tag, so one struct is the whole declaration of a value in both
+// /stats and /metrics. Fields without the tag are skipped; tagged fields
+// are integers.
 func Stats[T any](e *Expo, labels []string, rows []T) {
 	t := reflect.TypeFor[T]()
 	for i := 0; i < t.NumField(); i++ {
@@ -95,13 +95,11 @@ func Stats[T any](e *Expo, labels []string, rows []T) {
 		e.Family(name, typ)
 		for j, row := range rows {
 			f := reflect.ValueOf(row).Field(i)
-			v := float64(0)
 			if f.CanInt() {
-				v = float64(f.Int())
+				e.Val(name, labels[j], float64(f.Int()))
 			} else {
-				v = float64(f.Uint())
+				e.Val(name, labels[j], float64(f.Uint()))
 			}
-			e.Val(name, labels[j], v)
 		}
 	}
 }
