@@ -14,12 +14,12 @@ import (
 // spec, extend a served run by content address, expand-and-run a sweep
 // grid, retrieve cached reports and their per-second telemetry, and serve
 // the observability planes (controller events, metrics, live series) and
-// the body of a traced request. The local Service implements it with its in-process worker
-// pool; internal/cluster's Coordinator implements it by sharding over
-// remote a4serve backends. Because both sides honour the determinism
-// contract (same spec hash, same report bytes, same series bytes), callers
-// — cmd/a4serve's HTTP mux, figures.RunSpecs — cannot observe which one
-// they are talking to except through latency and stats.
+// the body of a traced request. The local Service implements it with its
+// in-process worker pool; internal/cluster's Coordinator implements it by
+// sharding over remote a4serve backends. Because both sides honour the
+// determinism contract (same spec hash, same report bytes, same series
+// bytes), callers — cmd/a4serve's HTTP mux, figures.RunSpecs — cannot
+// observe which one they are talking to except through latency and stats.
 //
 // Submit, Extend and Sweep take the request's context first. The context
 // carries the request's trace (obs.WithTrace); a Runner records its spans
