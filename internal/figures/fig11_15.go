@@ -107,7 +107,7 @@ func Fig12(o Options) *Report {
 			res := results[si*len(blocks)+bi]
 			lbl := kbLabel(kb)
 			tl.Add(lbl, float64(kb), res.W("dpdk-t").P99LatUs)
-			tp.Add(lbl, float64(kb), res.PortInGBps["nic0"])
+			tp.Add(lbl, float64(kb), res.Port("nic0").InGBps)
 		}
 	}
 	return rep
@@ -270,11 +270,9 @@ func Fig14(o Options) *Report {
 		stRead.Add(lbl, x, fh.ReadLatMs)
 		stProc.Add(lbl, x, fh.ProcLatMs)
 		var in, out float64
-		for _, v := range res.PortInGBps {
-			in += v
-		}
-		for _, v := range res.PortOutGBps {
-			out += v
+		for _, p := range res.Ports {
+			in += p.InGBps
+			out += p.OutGBps
 		}
 		ioIn.Add(lbl, x, in)
 		ioOut.Add(lbl, x, out)

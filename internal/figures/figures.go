@@ -160,12 +160,7 @@ func (r *Report) Value(name, label string) (float64, bool) {
 	if s == nil {
 		return 0, false
 	}
-	for _, p := range s.Points {
-		if p.Label == label {
-			return p.Y, true
-		}
-	}
-	return 0, false
+	return findPoint(s, label)
 }
 
 // String renders the report as an aligned text table: one row per x label,

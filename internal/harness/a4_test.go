@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"a4sim/internal/core"
+	"a4sim/internal/stats"
 	"a4sim/internal/workload"
 )
 
@@ -53,7 +54,7 @@ func TestA4EndToEnd(t *testing.T) {
 		t.Errorf("A4 should reduce DPDK-T latency: a4=%.1f default=%.1f",
 			a4.W("dpdk-t").AvgLatUs, def.W("dpdk-t").AvgLatUs)
 	}
-	if Fluct(a4.W("fio").IOReadGBps, def.W("fio").IOReadGBps) > 0.2 {
+	if stats.Fluctuation(a4.W("fio").IOReadGBps, def.W("fio").IOReadGBps) > 0.2 {
 		t.Errorf("A4 should not hurt FIO throughput much: a4=%.2f default=%.2f",
 			a4.W("fio").IOReadGBps, def.W("fio").IOReadGBps)
 	}

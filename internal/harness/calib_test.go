@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"a4sim/internal/cache"
+	"a4sim/internal/stats"
 	"a4sim/internal/workload"
 )
 
@@ -124,7 +125,7 @@ func TestCalibFig5Storage(t *testing.T) {
 	}
 	on := run(512, true)
 	off := run(512, false)
-	if Fluct(on.W("fio").IOReadGBps, off.W("fio").IOReadGBps) > 0.15 {
+	if stats.Fluctuation(on.W("fio").IOReadGBps, off.W("fio").IOReadGBps) > 0.15 {
 		t.Errorf("storage throughput should be DCA-insensitive at large blocks: on=%.2f off=%.2f",
 			on.W("fio").IOReadGBps, off.W("fio").IOReadGBps)
 	}

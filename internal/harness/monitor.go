@@ -1,6 +1,9 @@
 package harness
 
 import (
+	"slices"
+	"strings"
+
 	"a4sim/internal/pcm"
 	"a4sim/internal/sim"
 	"a4sim/internal/stats"
@@ -340,18 +343,18 @@ func (m *Monitor) EndWindow() *Result {
 	rows := w.series.Len()
 	res := &Result{
 		Seconds:      secs,
-		Workloads:    make(map[string]*WorkloadResult),
-		PortInGBps:   map[string]float64{},
-		PortOutGBps:  map[string]float64{},
 		MemReadGBps:  w.series.Sum("mem.rd_gbps") / secs,
 		MemWriteGBps: w.series.Sum("mem.wr_gbps") / secs,
 	}
 	if rows > 0 {
-		// A window with no whole seconds leaves the port maps empty, like
-		// the accumulator path did (entries appeared on first collection).
+		// A window with no whole seconds leaves Ports empty, like the
+		// accumulator path did (entries appeared on first collection).
 		for _, p := range m.s.H.PCIe().Ports() {
-			res.PortInGBps[p.Name()] = w.series.Sum("port."+p.Name()+".in_gbps") / secs
-			res.PortOutGBps[p.Name()] = w.series.Sum("port."+p.Name()+".out_gbps") / secs
+			res.Ports = append(res.Ports, PortResult{
+				Name:    p.Name(),
+				InGBps:  w.series.Sum("port."+p.Name()+".in_gbps") / secs,
+				OutGBps: w.series.Sum("port."+p.Name()+".out_gbps") / secs,
+			})
 		}
 	}
 	scale := m.s.P.RateScale
@@ -362,7 +365,7 @@ func (m *Monitor) EndWindow() *Result {
 			n = 1
 		}
 		col := func(c int) float64 { return w.series.Sum("wl." + name + "." + wlColNames[c]) }
-		wr := &WorkloadResult{
+		wr := WorkloadResult{
 			Name:         name,
 			Class:        wl.Class(),
 			LLCHitRate:   col(colLLCHit) / n,
@@ -389,70 +392,92 @@ func (m *Monitor) EndWindow() *Result {
 			wr.ReadLatMs = f.ReadLatency().Mean() / scale / 1000
 			wr.ProcLatMs = f.ProcLatency().Mean() / scale / 1000
 		}
-		res.Workloads[name] = wr
+		res.Workloads = append(res.Workloads, wr)
 	}
+	// Name order makes the encoded result a pure function of the outcome;
+	// the stable sort keeps same-named workloads in scenario order.
+	slices.SortStableFunc(res.Ports, func(a, b PortResult) int { return strings.Compare(a.Name, b.Name) })
+	slices.SortStableFunc(res.Workloads, func(a, b WorkloadResult) int { return strings.Compare(a.Name, b.Name) })
 	if m.opts.Export {
 		res.Series = w.series
 	}
 	return res
 }
 
-// Result is one measurement window's metrics.
+// Result is one measurement window's metrics. Its JSON form is the body of
+// the served report (scenario.Report embeds it): ports and workloads are
+// sorted by name, so equal outcomes encode to equal bytes.
 type Result struct {
-	Seconds   float64
-	Workloads map[string]*WorkloadResult
+	Seconds      float64 `json:"seconds"`
+	MemReadGBps  float64 `json:"mem_read_gbps"`
+	MemWriteGBps float64 `json:"mem_write_gbps"`
 
-	MemReadGBps  float64
-	MemWriteGBps float64
-	PortInGBps   map[string]float64 // device-to-host, by port name
-	PortOutGBps  map[string]float64
+	Ports     []PortResult     `json:"ports,omitempty"`
+	Workloads []WorkloadResult `json:"workloads"`
 
 	// Series is the window's per-second telemetry (nil unless the monitor
 	// was configured to export it). It is the same series the aggregates
 	// above were reduced from.
-	Series *stats.Series
+	Series *stats.Series `json:"series,omitempty"`
+}
+
+// PortResult is one PCIe port's window bandwidth.
+type PortResult struct {
+	Name    string  `json:"name"`
+	InGBps  float64 `json:"in_gbps"` // device-to-host
+	OutGBps float64 `json:"out_gbps"`
 }
 
 // WorkloadResult carries one workload's window metrics.
 type WorkloadResult struct {
-	Name  string
-	Class workload.Class
+	Name  string         `json:"name"`
+	Class workload.Class `json:"class"`
 
-	LLCHitRate  float64
-	MLCMissRate float64
-	LLCMissRate float64
-	DCAMissRate float64
-	LeakRate    float64
-	IPC         float64
+	LLCHitRate  float64 `json:"llc_hit_rate"`
+	MLCMissRate float64 `json:"mlc_miss_rate"`
+	LLCMissRate float64 `json:"llc_miss_rate"`
+	DCAMissRate float64 `json:"dca_miss_rate"`
+	LeakRate    float64 `json:"leak_rate"`
+	IPC         float64 `json:"ipc"`
 
-	IOReadGBps  float64
-	IOWriteGBps float64
+	IOReadGBps  float64 `json:"io_read_gbps,omitempty"`
+	IOWriteGBps float64 `json:"io_write_gbps,omitempty"`
 
 	// ProgressRate is work units per second (packets, bytes, instructions).
-	ProgressRate float64
+	ProgressRate float64 `json:"progress_rate"`
 
-	// Network latency metrics (µs, real scale).
-	AvgLatUs float64
-	P99LatUs float64
-	WaitUs   float64
-	DescUs   float64
-	ProcUs   float64
+	// Network latency metrics (µs, real scale). The Fig. 14 breakdown
+	// (wait, desc, proc) stays off the wire, which never carried it.
+	AvgLatUs float64 `json:"avg_lat_us,omitempty"`
+	P99LatUs float64 `json:"p99_lat_us,omitempty"`
+	WaitUs   float64 `json:"-"`
+	DescUs   float64 `json:"-"`
+	ProcUs   float64 `json:"-"`
 
 	// Storage latency metrics (ms, real scale).
-	ReadLatMs float64
-	ProcLatMs float64
+	ReadLatMs float64 `json:"read_lat_ms,omitempty"`
+	ProcLatMs float64 `json:"proc_lat_ms,omitempty"`
 
-	DMALeaks  int64
-	DMABloats int64
+	DMALeaks  int64 `json:"dma_leaks,omitempty"`
+	DMABloats int64 `json:"dma_bloats,omitempty"`
 }
 
-// W returns a workload's result by name, or a zero value if missing.
+// W returns the first workload named name, or a zero value if missing.
 func (r *Result) W(name string) *WorkloadResult {
-	if w, ok := r.Workloads[name]; ok {
-		return w
+	for i := range r.Workloads {
+		if r.Workloads[i].Name == name {
+			return &r.Workloads[i]
+		}
 	}
 	return &WorkloadResult{Name: name}
 }
 
-// Fluct is re-exported for experiment code building stability checks.
-func Fluct(a, b float64) float64 { return stats.Fluctuation(a, b) }
+// Port returns the port named name, or a zero value if missing.
+func (r *Result) Port(name string) PortResult {
+	for _, p := range r.Ports {
+		if p.Name == name {
+			return p
+		}
+	}
+	return PortResult{Name: name}
+}

@@ -36,8 +36,8 @@ func TestZeroLengthMeasurementWindow(t *testing.T) {
 	if res.Seconds != 1 {
 		t.Errorf("Seconds = %g, want the 1 s clamp", res.Seconds)
 	}
-	if len(res.PortInGBps) != 0 || len(res.PortOutGBps) != 0 {
-		t.Errorf("zero window should leave port maps empty, got %v / %v", res.PortInGBps, res.PortOutGBps)
+	if len(res.Ports) != 0 {
+		t.Errorf("zero window should leave ports empty, got %v", res.Ports)
 	}
 	if res.MemReadGBps != 0 || res.MemWriteGBps != 0 {
 		t.Errorf("zero window memory BW = %g/%g, want 0", res.MemReadGBps, res.MemWriteGBps)
@@ -45,8 +45,9 @@ func TestZeroLengthMeasurementWindow(t *testing.T) {
 	if len(res.Workloads) != 3 {
 		t.Fatalf("zero window should still report all %d workloads, got %d", 3, len(res.Workloads))
 	}
-	for name, wr := range res.Workloads {
-		v := reflect.ValueOf(*wr)
+	for _, wr := range res.Workloads {
+		name := wr.Name
+		v := reflect.ValueOf(wr)
 		for i := 0; i < v.NumField(); i++ {
 			f := v.Field(i)
 			if f.Kind() == reflect.Float64 && math.IsNaN(f.Float()) {
@@ -85,7 +86,8 @@ func TestResultIsSeriesReduction(t *testing.T) {
 	if got := ser.Sum("mem.rd_gbps") / 3; got != res.MemReadGBps {
 		t.Errorf("mem read reduction %v != result %v", got, res.MemReadGBps)
 	}
-	for name, wr := range res.Workloads {
+	for _, wr := range res.Workloads {
+		name := wr.Name
 		if got := ser.Sum("wl."+name+".ipc") / 3; got != wr.IPC {
 			t.Errorf("%s ipc reduction %v != result %v", name, got, wr.IPC)
 		}
@@ -93,9 +95,9 @@ func TestResultIsSeriesReduction(t *testing.T) {
 			t.Errorf("%s dma_leaks reduction %d != result %d", name, got, wr.DMALeaks)
 		}
 	}
-	for port, v := range res.PortInGBps {
-		if got := ser.Sum("port."+port+".in_gbps") / 3; got != v {
-			t.Errorf("port %s reduction %v != result %v", port, got, v)
+	for _, p := range res.Ports {
+		if got := ser.Sum("port."+p.Name+".in_gbps") / 3; got != p.InGBps {
+			t.Errorf("port %s reduction %v != result %v", p.Name, got, p.InGBps)
 		}
 	}
 	// Extended groups are present and plausible.

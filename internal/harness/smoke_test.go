@@ -32,7 +32,7 @@ func TestSmokeFig3Point(t *testing.T) {
 	t.Logf("xmem: llcMiss=%.3f mlcMiss=%.3f ipc=%.3f", xr.LLCMissRate, xr.MLCMissRate, xr.IPC)
 	t.Logf("dpdk: miss=%.3f avgLat=%.1fus p99=%.1fus tput=%.0f pkt/s leak=%d",
 		dr.LLCMissRate, dr.AvgLatUs, dr.P99LatUs, dr.ProgressRate, dr.DMALeaks)
-	t.Logf("mem rd=%.2f wr=%.2f GB/s, nic in=%.2f GB/s", res.MemReadGBps, res.MemWriteGBps, res.PortInGBps["nic0"])
+	t.Logf("mem rd=%.2f wr=%.2f GB/s, nic in=%.2f GB/s", res.MemReadGBps, res.MemWriteGBps, res.Port("nic0").InGBps)
 	if xr.LLCMissRate <= 0.05 {
 		t.Errorf("expected directory contention to raise X-Mem miss rate at way[9:10], got %.3f", xr.LLCMissRate)
 	}

@@ -16,7 +16,8 @@ import (
 // replaced (including the fractional-window case, where progress and
 // latency cover seconds that never reached a series row), and a spec
 // without a series block canonicalizes, hashes, and reports exactly as it
-// did before the field existed.
+// did before the field existed. Each golden report also decodes and
+// re-encodes to its own bytes.
 func TestGoldenReports(t *testing.T) {
 	specs, err := filepath.Glob(filepath.Join("testdata", "golden", "*.spec.json"))
 	if err != nil {
@@ -58,6 +59,19 @@ func TestGoldenReports(t *testing.T) {
 			}
 			if !bytes.Equal(got, want) {
 				t.Errorf("report bytes diverged from pre-refactor golden\n got: %s\nwant: %s", got, want)
+			}
+			// The wire form round-trips: a stored report decodes and
+			// re-encodes to its exact bytes.
+			dec, err := DecodeReport(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			again, err := dec.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(append(again, '\n'), want) {
+				t.Errorf("golden report does not round-trip\n got: %s\nwant: %s", again, want)
 			}
 		})
 	}

@@ -3,121 +3,28 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 
 	"a4sim/internal/harness"
-	"a4sim/internal/stats"
 )
 
-// Report is the deterministic, serializable view of one measurement window.
-// Workloads and ports are sorted by name so that encoding a Report is a
-// pure function of the simulation outcome: same spec hash, same bytes.
+// Report is the deterministic, serializable view of one measurement window:
+// the spec's identity plus the window's harness.Result, whose fields encode
+// after manager. Result sorts workloads and ports by name, so encoding a
+// Report is a pure function of the simulation outcome: same spec hash, same
+// bytes. A series appears only when the spec carried a series block;
+// without one, the encoding is byte-identical to the pre-telemetry format.
 type Report struct {
-	Spec    string  `json:"spec,omitempty"` // spec name
-	Hash    string  `json:"hash"`           // spec content address
-	Manager string  `json:"manager"`
-	Seconds float64 `json:"seconds"`
-
-	MemReadGBps  float64 `json:"mem_read_gbps"`
-	MemWriteGBps float64 `json:"mem_write_gbps"`
-
-	Ports     []PortReport     `json:"ports,omitempty"`
-	Workloads []WorkloadReport `json:"workloads"`
-
-	// Series is the per-second telemetry of the measurement window, present
-	// only when the spec carried a series block. Its canonical encoding is
-	// deterministic (stats.Series), so reports with series remain
-	// byte-identical for equal hashes; without one, the encoding is
-	// byte-identical to the pre-telemetry report format.
-	Series *stats.Series `json:"series,omitempty"`
+	Spec    string `json:"spec,omitempty"` // spec name
+	Hash    string `json:"hash"`           // spec content address
+	Manager string `json:"manager"`
+	harness.Result
 }
 
-// PortReport is one PCIe port's window bandwidth.
-type PortReport struct {
-	Name    string  `json:"name"`
-	InGBps  float64 `json:"in_gbps"`
-	OutGBps float64 `json:"out_gbps"`
-}
-
-// WorkloadReport is one workload's window metrics (harness.WorkloadResult
-// with JSON names).
-type WorkloadReport struct {
-	Name  string `json:"name"`
-	Class string `json:"class"`
-
-	LLCHitRate  float64 `json:"llc_hit_rate"`
-	MLCMissRate float64 `json:"mlc_miss_rate"`
-	LLCMissRate float64 `json:"llc_miss_rate"`
-	DCAMissRate float64 `json:"dca_miss_rate"`
-	LeakRate    float64 `json:"leak_rate"`
-	IPC         float64 `json:"ipc"`
-
-	IOReadGBps  float64 `json:"io_read_gbps,omitempty"`
-	IOWriteGBps float64 `json:"io_write_gbps,omitempty"`
-
-	ProgressRate float64 `json:"progress_rate"`
-
-	AvgLatUs float64 `json:"avg_lat_us,omitempty"`
-	P99LatUs float64 `json:"p99_lat_us,omitempty"`
-
-	ReadLatMs float64 `json:"read_lat_ms,omitempty"`
-	ProcLatMs float64 `json:"proc_lat_ms,omitempty"`
-
-	DMALeaks  int64 `json:"dma_leaks,omitempty"`
-	DMABloats int64 `json:"dma_bloats,omitempty"`
-}
-
-// FromResult renders a harness result into the deterministic report form.
+// FromResult labels a harness result with its spec's identity. Callers pass
+// a normalized spec, so Manager is already canonical.
 func FromResult(sp *Spec, hash string, res *harness.Result) *Report {
-	// Callers pass a normalized spec, so Manager is already canonical.
-	rep := &Report{
-		Spec:         sp.Name,
-		Hash:         hash,
-		Manager:      sp.Manager,
-		Seconds:      res.Seconds,
-		MemReadGBps:  res.MemReadGBps,
-		MemWriteGBps: res.MemWriteGBps,
-		Series:       res.Series,
-	}
-	ports := make([]string, 0, len(res.PortInGBps))
-	for name := range res.PortInGBps {
-		ports = append(ports, name)
-	}
-	sort.Strings(ports)
-	for _, name := range ports {
-		rep.Ports = append(rep.Ports, PortReport{
-			Name: name, InGBps: res.PortInGBps[name], OutGBps: res.PortOutGBps[name],
-		})
-	}
-	names := make([]string, 0, len(res.Workloads))
-	for name := range res.Workloads {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		w := res.Workloads[name]
-		rep.Workloads = append(rep.Workloads, WorkloadReport{
-			Name:         w.Name,
-			Class:        w.Class.String(),
-			LLCHitRate:   w.LLCHitRate,
-			MLCMissRate:  w.MLCMissRate,
-			LLCMissRate:  w.LLCMissRate,
-			DCAMissRate:  w.DCAMissRate,
-			LeakRate:     w.LeakRate,
-			IPC:          w.IPC,
-			IOReadGBps:   w.IOReadGBps,
-			IOWriteGBps:  w.IOWriteGBps,
-			ProgressRate: w.ProgressRate,
-			AvgLatUs:     w.AvgLatUs,
-			P99LatUs:     w.P99LatUs,
-			ReadLatMs:    w.ReadLatMs,
-			ProcLatMs:    w.ProcLatMs,
-			DMALeaks:     w.DMALeaks,
-			DMABloats:    w.DMABloats,
-		})
-	}
-	return rep
+	return &Report{Spec: sp.Name, Hash: hash, Manager: sp.Manager, Result: *res}
 }
 
 // Encode returns the report's canonical JSON bytes. Go's encoder emits
@@ -134,16 +41,6 @@ func DecodeReport(data []byte) (*Report, error) {
 		return nil, fmt.Errorf("scenario: decode report: %w", err)
 	}
 	return &r, nil
-}
-
-// W returns a workload's report by name, or a zero value if missing.
-func (r *Report) W(name string) *WorkloadReport {
-	for i := range r.Workloads {
-		if r.Workloads[i].Name == name {
-			return &r.Workloads[i]
-		}
-	}
-	return &WorkloadReport{Name: name}
 }
 
 // String renders a human-readable table, for CLI consumers of cached

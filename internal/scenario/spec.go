@@ -60,13 +60,15 @@ type Spec struct {
 	Sampling *SamplingSpec `json:"sampling,omitempty"`
 	// A4, when present, overrides the A4 controller's Table 1 thresholds
 	// and timing (the Fig. 15 sensitivity study). It is valid only under
-	// the a4-* managers; absent leaves the canonical encoding unchanged.
+	// the a4-* managers; absent leaves the canonical encoding unchanged,
+	// and Normalize drops a block that only restates the defaults.
 	A4 *A4Spec `json:"a4,omitempty"`
 }
 
 // A4Spec is the JSON view of the A4 controller knobs Fig. 15 sweeps
 // (core.Thresholds, core.Timing). Zero fields take the Table 1 values;
-// Normalize spells them out so equivalent blocks share one hash.
+// Normalize spells them out, or drops a block equal to them, so equivalent
+// blocks share one hash.
 type A4Spec struct {
 	// T1..T5 are the thresholds of Table 1: HPW LLC-hit drop, DCA miss
 	// (leak), storage share of PCIe writes, storage LLC miss, and the
@@ -293,14 +295,14 @@ func (sp *Spec) Normalize() error {
 		sp.Sampling.PeriodUs = eff.PeriodUs
 	}
 	if sp.A4 != nil {
-		// Spell out the Table 1 defaults so equivalent blocks share a hash.
+		// Spell out the Table 1 defaults so equivalent blocks share a hash,
+		// and drop a block that only restates them: Build uses the defaults
+		// when there is none, so it hashes as no block.
 		cfg := core.DefaultConfig()
 		sp.A4.apply(&cfg)
-		th, tm := cfg.Thresholds, cfg.Timing
-		*sp.A4 = A4Spec{
-			T1: th.HPWLLCHitThr, T2: th.DMALkDCAMsThr, T3: th.DMALkIOTpThr,
-			T4: th.DMALkLLCMsThr, T5: th.AntCacheMissThr,
-			StableSec: tm.StableInterval, Oracle: tm.Oracle,
+		*sp.A4 = a4SpecOf(cfg)
+		if *sp.A4 == a4SpecOf(core.DefaultConfig()) {
+			sp.A4 = nil
 		}
 	}
 	if sp.Series != nil {
@@ -578,6 +580,16 @@ func checkWays(i int, ways []int, mgr harness.ManagerSpec) error {
 		return fmt.Errorf("ways on workload %d need CLOS %d, beyond the %d classes of service", i, i+1, cat.MaxCLOS)
 	}
 	return nil
+}
+
+// a4SpecOf is the block that spells out cfg's thresholds and timing.
+func a4SpecOf(cfg core.Config) A4Spec {
+	th, tm := cfg.Thresholds, cfg.Timing
+	return A4Spec{
+		T1: th.HPWLLCHitThr, T2: th.DMALkDCAMsThr, T3: th.DMALkIOTpThr,
+		T4: th.DMALkLLCMsThr, T5: th.AntCacheMissThr,
+		StableSec: tm.StableInterval, Oracle: tm.Oracle,
+	}
 }
 
 // apply overrides cfg with the block's non-zero knobs.

@@ -355,12 +355,25 @@ func TestFigureKnobsRoundTrip(t *testing.T) {
 			t.Errorf("default spec's canonical form lacks %s:\n%s", key, c)
 		}
 	}
-	// The a4 block spells out its defaults: {} and Table 1 are one scenario.
-	empty, table1 := tinySpec(), tinySpec()
-	empty.A4 = &A4Spec{}
-	table1.A4 = &A4Spec{T1: 0.20, T2: 0.40, T3: 0.35, T4: 0.40, T5: 0.90, StableSec: 10}
-	if mustHash(t, empty) != mustHash(t, table1) {
-		t.Error("an empty a4 block hashed differently from the spelled-out Table 1 values")
+	// An a4 block that restates Table 1, in any spelling, is the scenario
+	// without one: one hash and one prefix hash. A changed knob is not.
+	prefix := func(sp *Spec) string {
+		p, err := sp.PrefixHash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	none := tinySpec()
+	for _, blk := range []A4Spec{
+		{}, {T1: 0.20, T5: 0.90}, {T2: 0.40, T3: 0.35, T4: 0.40},
+		{T1: 0.20, T2: 0.40, T3: 0.35, T4: 0.40, T5: 0.90, StableSec: 10},
+	} {
+		sp := tinySpec()
+		sp.A4 = &blk
+		if mustHash(t, sp) != mustHash(t, none) || prefix(sp) != prefix(none) {
+			t.Errorf("a4 block %+v restating Table 1 hashes apart from no block", blk)
+		}
 	}
 	if mustHash(t, a4) == mustHash(t, func() *Spec { c := a4.Clone(); c.A4 = nil; return c }()) {
 		t.Error("the a4 block does not change the hash")

@@ -178,7 +178,7 @@ func TestGroupByPrefix(t *testing.T) {
 		extendSpec(1, 1),
 		extendSpec(1, 0), // default window (3): ties keep grid order
 	}
-	groups := groupByPrefix(specs)
+	groups := GroupSpecsByPrefix(specs)
 	if len(groups) != 2 {
 		t.Fatalf("got %d groups, want 2", len(groups))
 	}

@@ -61,21 +61,3 @@ var ErrUnavailable = errors.New("service: no execution capacity available")
 
 // Statically pin that the local pool satisfies the shared surface.
 var _ Runner = (*Service)(nil)
-
-// ExpandSweep expands req's cartesian grid into one spec and grid label per
-// point, in row-major axis order. It is the same expansion Sweep performs;
-// the cluster coordinator calls it directly so it can route individual
-// points to backends instead of forwarding the whole grid to one node.
-func ExpandSweep(req *SweepRequest) ([]*scenario.Spec, []map[string]any, error) {
-	return expand(req)
-}
-
-// GroupSpecsByPrefix partitions spec indices into groups sharing a run
-// prefix (see Spec.PrefixHash), each group sorted by ascending measurement
-// window. Running a group's points sequentially against one executor lets
-// each later point fork the warm snapshot its predecessor deposited; the
-// cluster coordinator uses the same grouping to keep a prefix's points on
-// one backend.
-func GroupSpecsByPrefix(specs []*scenario.Spec) [][]int {
-	return groupByPrefix(specs)
-}

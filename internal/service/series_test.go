@@ -162,7 +162,7 @@ func TestSweepSeriesDeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 	// The reference runs every point fresh and serially, with no service.
-	specs, _, err := expand(req())
+	specs, _, err := ExpandSweep(req())
 	if err != nil {
 		t.Fatal(err)
 	}

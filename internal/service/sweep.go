@@ -86,12 +86,14 @@ func applyAxis(sp *scenario.Spec, param string, v float64, mgr string) error {
 	return nil
 }
 
-// expand builds the cartesian product of the axes over the base spec, then
-// normalizes every point and checks it against the execution budget, so a
-// bad corner of the grid fails the whole request before any point runs.
-// The point order is row-major in axis order, so it is a pure function of
-// the request — the worker count never reorders results.
-func expand(req *SweepRequest) ([]*scenario.Spec, []map[string]any, error) {
+// ExpandSweep builds the cartesian product of req's axes over the base
+// spec, one spec and grid label per point, then normalizes every point and
+// checks it against the execution budget, so a bad corner of the grid fails
+// the whole request before any point runs. The point order is row-major in
+// axis order, so it is a pure function of the request — the worker count
+// never reorders results. The cluster coordinator calls it directly to
+// route individual points to backends.
+func ExpandSweep(req *SweepRequest) ([]*scenario.Spec, []map[string]any, error) {
 	if len(req.Axes) == 0 {
 		return nil, nil, fmt.Errorf("service: sweep needs at least one axis")
 	}
@@ -183,7 +185,7 @@ func expand(req *SweepRequest) ([]*scenario.Spec, []map[string]any, error) {
 // duplicated within the grid) are served without re-execution; each point's
 // report is byte-identical at any worker count.
 func (s *Service) Sweep(ctx context.Context, req *SweepRequest) ([]SweepPoint, error) {
-	specs, grids, err := expand(req)
+	specs, grids, err := ExpandSweep(req)
 	if err != nil {
 		return nil, err
 	}
@@ -193,7 +195,7 @@ func (s *Service) Sweep(ctx context.Context, req *SweepRequest) ([]SweepPoint, e
 	// predecessor deposited instead of re-simulating the prefix. Rows with
 	// distinct prefixes stay fully concurrent. Results are assembled by
 	// grid index, so the grouping never reorders the response.
-	groups := groupByPrefix(specs)
+	groups := GroupSpecsByPrefix(specs)
 	points := make([]SweepPoint, len(specs))
 	errs := make([]error, len(specs))
 	var wg sync.WaitGroup
@@ -220,14 +222,18 @@ func (s *Service) Sweep(ctx context.Context, req *SweepRequest) ([]SweepPoint, e
 	return points, nil
 }
 
-// groupByPrefix partitions grid indices by prefix hash, each group sorted by
-// ascending measurement window (stably, so equal-window duplicates keep grid
-// order and coalesce through the result cache). It normalizes a clone of
+// GroupSpecsByPrefix partitions grid indices by prefix hash (see
+// Spec.PrefixHash), each group sorted by ascending measurement window
+// (stably, so equal-window duplicates keep grid order and coalesce through
+// the result cache). Running a group's points in order on one executor lets
+// each later point fork the warm snapshot its predecessor deposited; the
+// cluster coordinator uses the same grouping to keep a prefix on one
+// backend. It normalizes a clone of
 // each spec, so raw specs group as their normalized forms do. Rows that
 // cannot use a snapshot anyway — fractional windows, invalid specs — get
 // singleton groups so they keep full row-level parallelism; Submit
 // surfaces any real error.
-func groupByPrefix(specs []*scenario.Spec) [][]int {
+func GroupSpecsByPrefix(specs []*scenario.Spec) [][]int {
 	order := make([]string, 0, len(specs))
 	byPrefix := make(map[string][]int, len(specs))
 	measure := make([]float64, len(specs))

@@ -69,9 +69,6 @@ func NewDPDK(cfg DPDKConfig, h *hierarchy.Hierarchy, n *nic.NIC, id pcm.Workload
 	}
 }
 
-// SetPort records the NIC's PCIe port for A4's device mapping.
-func (d *DPDK) SetPort(p int) { d.port = p }
-
 // Latency returns the total-latency reservoir (microseconds, unscaled by
 // the harness at report time).
 func (d *DPDK) Latency() *stats.Reservoir { return d.lat }

@@ -11,6 +11,8 @@
 package workload
 
 import (
+	"fmt"
+
 	"a4sim/internal/hierarchy"
 	"a4sim/internal/mem"
 	"a4sim/internal/pcm"
@@ -37,6 +39,20 @@ func (c Class) String() string {
 	default:
 		return "compute"
 	}
+}
+
+// MarshalText encodes the class as its name, the "class" of a report.
+func (c Class) MarshalText() ([]byte, error) { return []byte(c.String()), nil }
+
+// UnmarshalText parses a name written by MarshalText.
+func (c *Class) UnmarshalText(b []byte) error {
+	for _, k := range []Class{ClassCompute, ClassNetwork, ClassStorage} {
+		if string(b) == k.String() {
+			*c = k
+			return nil
+		}
+	}
+	return fmt.Errorf("workload: unknown class %q", b)
 }
 
 // Priority is a workload's QoS class, provided by the operator.
