@@ -17,10 +17,11 @@
 // in 32 bits (256 GiB of simulated memory at 64-byte lines) — Insert
 // panics loudly if one does not.
 //
-// The API is copy-based: Probe and Victim return Line values, and resident
-// lines are modified through Touch, MutateFlags, and SetOwnerPort, which
-// also keep the incremental per-(owner, way) occupancy counters consistent
-// (OccupancyByOwner and CountValid cost O(ways) instead of a full walk).
+// The API is copy-based: Probe and Insert return Line values, and resident
+// lines are modified through Touch, MutateFlags, and SetOwnerPort. No
+// per-line operation keeps any count: OccupancyByOwner and CountValid walk
+// the per-set valid bitmaps when asked, so the hot path pays nothing for
+// statistics that are read at most once per simulated second.
 package cache
 
 import "math/bits"
@@ -160,12 +161,6 @@ type Cache struct {
 	wayBits uint32 // (1<<ways)-1, clips masks to real ways
 	setMask uint64
 
-	// validByWay[w] counts valid lines in way w; ownerByWay[w][owner] counts
-	// valid lines per owner (owners are small non-negative workload IDs).
-	// Both are maintained incrementally by every mutating operation.
-	validByWay []int32
-	ownerByWay [][]int32
-
 	// randPct makes victim selection imperfect: with probability
 	// randPct/100 the victim is drawn uniformly from the masked ways
 	// instead of strict LRU, approximating the quad-age PLRU of Skylake
@@ -184,14 +179,12 @@ func New(numSets, ways int) *Cache {
 		panic("cache: ways must be in [1, 16]")
 	}
 	c := &Cache{
-		slots:      make([]uint64, numSets*ways),
-		order:      make([]uint64, numSets),
-		valid:      make([]uint32, numSets),
-		ways:       ways,
-		wayBits:    uint32((uint64(1) << uint(ways)) - 1),
-		setMask:    uint64(numSets - 1),
-		validByWay: make([]int32, ways),
-		ownerByWay: make([][]int32, ways),
+		slots:   make([]uint64, numSets*ways),
+		order:   make([]uint64, numSets),
+		valid:   make([]uint32, numSets),
+		ways:    ways,
+		wayBits: uint32((uint64(1) << uint(ways)) - 1),
+		setMask: uint64(numSets - 1),
 	}
 	for i := range c.slots {
 		c.slots[i] = invalidSlot
@@ -249,31 +242,6 @@ func PromoteMRU(order uint64, w int) uint64 {
 	return high | low<<4 | uw
 }
 
-// noteInsert and noteEvict keep the incremental occupancy counters in sync.
-func (c *Cache) noteInsert(way int, owner int16) {
-	c.validByWay[way]++
-	c.ownerAdd(way, owner, 1)
-}
-
-func (c *Cache) noteEvict(way int, owner int16) {
-	c.validByWay[way]--
-	c.ownerAdd(way, owner, -1)
-}
-
-func (c *Cache) ownerAdd(way int, owner int16, delta int32) {
-	if owner < 0 {
-		return
-	}
-	s := c.ownerByWay[way]
-	if int(owner) >= len(s) {
-		ns := make([]int32, int(owner)+1)
-		copy(ns, s)
-		s = ns
-		c.ownerByWay[way] = s
-	}
-	s[owner] += delta
-}
-
 // Probe looks up addr and returns a copy of its line and its way, or
 // (Line{}, -1) on a miss. A hit does not update LRU; call Touch for that.
 func (c *Cache) Probe(addr uint64) (Line, int) {
@@ -325,16 +293,12 @@ func (c *Cache) MutateFlags(addr uint64, way int, set, clear LineFlags) {
 }
 
 // SetOwnerPort reassigns the owner and port of the resident line at (addr's
-// set, way), keeping the occupancy counters consistent.
+// set, way).
 func (c *Cache) SetOwnerPort(addr uint64, way int, owner int16, port int8) {
 	idx := int(addr&c.setMask)*c.ways + way
 	s := c.slots[idx]
 	if uint32(s) == invalidTag {
 		return
-	}
-	if old := slotOwner(s); old != owner {
-		c.ownerAdd(way, old, -1)
-		c.ownerAdd(way, owner, 1)
 	}
 	s &^= uint64(0xFFFF)<<ownerShift | uint64(0xFF)<<portShift
 	c.slots[idx] = s | uint64(uint16(owner))<<ownerShift | uint64(uint8(port))<<portShift
@@ -373,22 +337,6 @@ func (c *Cache) victimWay(addr uint64, mask WayMask) int {
 	return -1 // unreachable: m is a non-empty subset of the permutation
 }
 
-// Victim returns a copy of the line the next Insert for addr under mask
-// would displace (Valid=false if the chosen slot is empty) and its way, or
-// (Line{}, -1) if the mask is empty. Victim does not reorder recency state,
-// but it does advance the victim-randomness stream exactly as Insert would.
-func (c *Cache) Victim(addr uint64, mask WayMask) (Line, int) {
-	w := c.victimWay(addr, mask)
-	if w < 0 {
-		return Line{}, -1
-	}
-	s := c.slots[int(addr&c.setMask)*c.ways+w]
-	if uint32(s) == invalidTag {
-		return Line{}, w
-	}
-	return unpack(s), w
-}
-
 // Insert allocates addr into the slot chosen by victim selection and
 // returns a copy of the evicted line (Valid=false copy when the slot was
 // empty). The new line is installed MRU with the given metadata.
@@ -404,15 +352,10 @@ func (c *Cache) Insert(addr uint64, mask WayMask, owner int16, port int8, flags 
 	idx := set*c.ways + w
 	if old := c.slots[idx]; uint32(old) != invalidTag {
 		evicted = unpack(old)
-		// Replacement: the way's valid count is unchanged.
-		c.ownerAdd(w, evicted.Owner, -1)
-	} else {
-		c.validByWay[w]++
 	}
 	c.slots[idx] = pack(addr, owner, port, flags)
 	c.order[set] = PromoteMRU(c.order[set], w)
 	c.valid[set] |= 1 << uint(w)
-	c.ownerAdd(w, owner, 1)
 	return evicted, w
 }
 
@@ -422,7 +365,7 @@ func (c *Cache) Invalidate(addr uint64) (Line, bool) {
 	if w < 0 {
 		return Line{}, false
 	}
-	c.invalidateAt(int(addr&c.setMask), w, l.Owner)
+	c.invalidateAt(int(addr&c.setMask), w)
 	return l, true
 }
 
@@ -435,13 +378,11 @@ func (c *Cache) InvalidateWay(addr uint64, way int) Line {
 	if uint32(s) == invalidTag {
 		return Line{}
 	}
-	l := unpack(s)
-	c.invalidateAt(set, way, l.Owner)
-	return l
+	c.invalidateAt(set, way)
+	return unpack(s)
 }
 
-func (c *Cache) invalidateAt(set, way int, owner int16) {
-	c.noteEvict(way, owner)
+func (c *Cache) invalidateAt(set, way int) {
 	c.slots[set*c.ways+way] = invalidSlot
 	c.valid[set] &^= 1 << uint(way)
 }
@@ -455,16 +396,6 @@ func (c *Cache) InvalidateAll() {
 		c.order[i] = IdentityOrder
 		c.valid[i] = 0
 	}
-	for w := range c.validByWay {
-		c.validByWay[w] = 0
-		clear(c.ownerByWay[w])
-	}
-}
-
-// WayOf returns the way a resident addr occupies, or -1.
-func (c *Cache) WayOf(addr uint64) int {
-	_, w := c.Probe(addr)
-	return w
 }
 
 // MoveToWay relocates a resident line to a victim slot among the ways in
@@ -485,7 +416,6 @@ func (c *Cache) MoveToWay(addr uint64, mask WayMask) (moved Line, movedWay int, 
 	set := int(addr & c.setMask)
 	base := set * c.ways
 	saved := c.slots[base+w]
-	c.noteEvict(w, l.Owner)
 	c.slots[base+w] = invalidSlot
 	c.valid[set] &^= 1 << uint(w)
 	dw := c.victimWay(addr, mask)
@@ -493,62 +423,52 @@ func (c *Cache) MoveToWay(addr uint64, mask WayMask) (moved Line, movedWay int, 
 		// Destination mask empty: restore in place, recency unchanged.
 		c.slots[base+w] = saved
 		c.valid[set] |= 1 << uint(w)
-		c.noteInsert(w, l.Owner)
 		return l, w, Line{}
 	}
 	if old := c.slots[base+dw]; uint32(old) != invalidTag {
 		evicted = unpack(old)
-		c.noteEvict(dw, evicted.Owner)
 	}
 	c.slots[base+dw] = saved
 	c.order[set] = PromoteMRU(c.order[set], dw)
 	c.valid[set] |= 1 << uint(dw)
-	c.noteInsert(dw, l.Owner)
 	return l, dw, evicted
 }
 
 // OccupancyByOwner counts valid lines per owner in the ways enabled by mask,
-// writing counts into out (keyed by owner ID); lines with owner -1 are
-// skipped. Served from the incremental counters in O(ways x owners).
+// adding the counts into out (keyed by owner ID); lines with owner -1 are
+// skipped. It walks the valid bitmaps, counting into a dense per-owner
+// slice (owners are small workload IDs) that it folds into out once.
 func (c *Cache) OccupancyByOwner(mask WayMask, out map[int16]int) {
-	for bm := uint32(mask) & c.wayBits; bm != 0; bm &= bm - 1 {
-		w := bits.TrailingZeros32(bm)
-		for owner, n := range c.ownerByWay[w] {
-			if n != 0 {
-				out[int16(owner)] += int(n)
+	m := uint32(mask) & c.wayBits
+	var counts []int
+	for set, v := range c.valid {
+		base := set * c.ways
+		for bm := v & m; bm != 0; bm &= bm - 1 {
+			o := int(slotOwner(c.slots[base+bits.TrailingZeros32(bm)]))
+			if o < 0 {
+				continue
 			}
+			if o >= len(counts) {
+				counts = append(counts, make([]int, o+1-len(counts))...)
+			}
+			counts[o]++
+		}
+	}
+	for o, n := range counts {
+		if n != 0 {
+			out[int16(o)] += n
 		}
 	}
 }
 
 // CountValid returns the number of valid lines in the ways enabled by mask.
-// Served from the incremental counters in O(ways).
 func (c *Cache) CountValid(mask WayMask) int {
-	n := int32(0)
-	for bm := uint32(mask) & c.wayBits; bm != 0; bm &= bm - 1 {
-		n += c.validByWay[bits.TrailingZeros32(bm)]
+	m := uint32(mask) & c.wayBits
+	n := 0
+	for _, v := range c.valid {
+		n += bits.OnesCount32(v & m)
 	}
-	return int(n)
-}
-
-// ValidInWay returns the number of valid lines in way w.
-func (c *Cache) ValidInWay(w int) int {
-	if w < 0 || w >= c.ways {
-		return 0
-	}
-	return int(c.validByWay[w])
-}
-
-// OwnersInWay visits the (owner, count) pairs with non-zero counts in way w.
-func (c *Cache) OwnersInWay(w int, fn func(owner int16, n int)) {
-	if w < 0 || w >= c.ways {
-		return
-	}
-	for owner, n := range c.ownerByWay[w] {
-		if n != 0 {
-			fn(int16(owner), int(n))
-		}
-	}
+	return n
 }
 
 // ForEach visits a copy of every valid line; mutations of the copy are not

@@ -139,7 +139,7 @@ func TestMoveToWay(t *testing.T) {
 	if mw < 0 || moved.Addr != 0 {
 		t.Fatalf("move failed: %+v way %d", moved, mw)
 	}
-	if w := c.WayOf(0); w != 2 && w != 3 {
+	if w := c.ProbeWay(0); w != 2 && w != 3 {
 		t.Errorf("moved line in way %d, want 2 or 3", w)
 	}
 	if !ev.Valid || (ev.Addr != 2 && ev.Addr != 3) {
@@ -220,7 +220,7 @@ func TestRandomVictimStaysInMask(t *testing.T) {
 		c.Insert(a, all, -1, -1, 0)
 	}
 	for i := 0; i < 200; i++ {
-		_, way := c.Victim(0, MaskRange(2, 4))
+		way := c.victimWay(0, MaskRange(2, 4))
 		if way < 2 || way > 4 {
 			t.Fatalf("random victim way %d escaped mask [2:4]", way)
 		}
@@ -235,8 +235,7 @@ func TestVictimPrefersInvalid(t *testing.T) {
 	// Ways 1-3 are invalid; victim must be one of them even with full
 	// randomness, because invalid slots take priority.
 	for i := 0; i < 50; i++ {
-		l, _ := c.Victim(2, all)
-		if l.Valid {
+		if w := c.victimWay(2, all); c.valid[0]&(1<<uint(w)) != 0 {
 			t.Fatalf("victim should prefer an invalid slot")
 		}
 	}

@@ -9,9 +9,8 @@ import (
 
 // EncodeState appends the array's dynamic state: the sparse set array
 // (EncodeSets) and the victim-randomness stream. Geometry (sets, ways,
-// randPct) is structural — a decoder rebuilds the array from configuration
-// and only restores this state on top — and the occupancy counters are
-// derived: DecodeState recounts them from the restored slots.
+// randPct) is structural: a decoder rebuilds the array from configuration
+// and only restores this state on top.
 func (c *Cache) EncodeState(w *codec.Writer) {
 	EncodeSets(w, c.slots, c.order, c.valid)
 	w.U64(c.rngs)
@@ -28,17 +27,6 @@ func (c *Cache) DecodeState(r *codec.Reader) {
 	}
 	sets.Restore(c.slots, c.order, c.valid)
 	c.rngs = rngs
-	clear(c.validByWay)
-	for _, s := range c.ownerByWay {
-		clear(s)
-	}
-	for set, v := range c.valid {
-		base := set * c.ways
-		for bm := v; bm != 0; bm &= bm - 1 {
-			w := bits.TrailingZeros32(bm)
-			c.noteInsert(w, slotOwner(c.slots[base+w]))
-		}
-	}
 }
 
 // EncodeSets appends a set array sparsely: its associativity, the per-set
@@ -138,9 +126,6 @@ func ReadSets(r *codec.Reader, numSets, ways int) SetArray {
 	}
 	return SetArray{ways: ways, valid: valid, order: order, words: words}
 }
-
-// Len returns the number of valid slots in the array.
-func (a SetArray) Len() int { return len(a.words) / 8 }
 
 // Restore overwrites a receiver of the geometry ReadSets checked: every
 // slot, LRU word and bitmap. Slots without a valid bit become empty. A set

@@ -45,24 +45,22 @@ func encodeState(c *Cache) []byte {
 	return w.Bytes()
 }
 
-// countersOf returns the non-zero occupancy counters, which is all the
-// cache's observable behaviour depends on (an owner slice may keep
-// trailing zeros from evicted owners).
-func countersOf(c *Cache) (byWay []int32, byOwner map[[2]int]int32) {
-	byOwner = map[[2]int]int32{}
-	for w, s := range c.ownerByWay {
-		for o, n := range s {
-			if n != 0 {
-				byOwner[[2]int{w, o}] = n
-			}
-		}
+// countersOf returns the array's occupancy counts way by way: valid lines
+// and valid lines per owner, as CountValid and OccupancyByOwner report them.
+func countersOf(c *Cache) (byWay []int, byOwner []map[int16]int) {
+	for w := 0; w < c.ways; w++ {
+		m := WayMask(1) << uint(w)
+		occ := map[int16]int{}
+		c.OccupancyByOwner(m, occ)
+		byWay = append(byWay, c.CountValid(m))
+		byOwner = append(byOwner, occ)
 	}
-	return append([]int32(nil), c.validByWay...), byOwner
+	return byWay, byOwner
 }
 
 // TestSparseStateRoundTrip pins the v3 array codec: decoding restores the
-// slots, orders, bitmaps and randomness stream exactly, rebuilds the
-// occupancy counters the stream no longer carries, re-encodes to the same
+// slots, orders, bitmaps and randomness stream exactly, so the occupancy
+// counts the stream does not carry read the same, re-encodes to the same
 // bytes, and writes only the valid slot words.
 func TestSparseStateRoundTrip(t *testing.T) {
 	c := churned()
@@ -83,7 +81,7 @@ func TestSparseStateRoundTrip(t *testing.T) {
 	wantWay, wantOwner := countersOf(c)
 	gotWay, gotOwner := countersOf(got)
 	if !reflect.DeepEqual(gotWay, wantWay) || !reflect.DeepEqual(gotOwner, wantOwner) {
-		t.Fatalf("rebuilt counters differ:\nway   %v vs %v\nowner %v vs %v", gotWay, wantWay, gotOwner, wantOwner)
+		t.Fatalf("decoded occupancy counts differ:\nway   %v vs %v\nowner %v vs %v", gotWay, wantWay, gotOwner, wantOwner)
 	}
 	if again := encodeState(got); !bytes.Equal(again, data) {
 		t.Fatal("re-encoding the decoded array changed its bytes")

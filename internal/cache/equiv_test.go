@@ -11,7 +11,8 @@ import (
 // identical deterministic operation stream — including the imperfect-LRU
 // victim randomness, whose RNG consumption pattern must match exactly —
 // and every observable output is compared: hit ways, victim choices,
-// eviction copies, migration semantics, and occupancy counts.
+// eviction copies, migration semantics, and occupancy counts (the packed
+// array's bitmap walk against the reference's walk of every slot).
 
 // refLine mirrors the original Line layout (recency stamp per line).
 type refLine struct {
@@ -191,18 +192,20 @@ func (r *opRNG) next() uint64 {
 	return x
 }
 
-// checkState compares every observable of the two implementations.
-func checkState(t *testing.T, step int, c *Cache, r *refCache, numSets, ways int) {
+// checkState compares the occupancy counts of the two implementations,
+// over every way and over the mask of the step's last operation.
+func checkState(t *testing.T, step int, c *Cache, r *refCache, mask WayMask) {
 	t.Helper()
-	all := MaskAll(ways)
-	if got, want := c.CountValid(all), r.countValid(all); got != want {
-		t.Fatalf("step %d: CountValid = %d, ref %d", step, got, want)
-	}
-	gotOcc, wantOcc := map[int16]int{}, map[int16]int{}
-	c.OccupancyByOwner(all, gotOcc)
-	r.occupancyByOwner(all, wantOcc)
-	if fmt.Sprint(gotOcc) != fmt.Sprint(wantOcc) {
-		t.Fatalf("step %d: occupancy %v, ref %v", step, gotOcc, wantOcc)
+	for _, m := range []WayMask{MaskAll(c.ways), mask} {
+		if got, want := c.CountValid(m), r.countValid(m); got != want {
+			t.Fatalf("step %d: CountValid(%#x) = %d, ref %d", step, uint32(m), got, want)
+		}
+		gotOcc, wantOcc := map[int16]int{}, map[int16]int{}
+		c.OccupancyByOwner(m, gotOcc)
+		r.occupancyByOwner(m, wantOcc)
+		if fmt.Sprint(gotOcc) != fmt.Sprint(wantOcc) {
+			t.Fatalf("step %d: occupancy(%#x) %v, ref %v", step, uint32(m), gotOcc, wantOcc)
+		}
 	}
 }
 
@@ -232,10 +235,11 @@ func runEquivalence(t *testing.T, numSets, ways, randPct int, steps int, seed ui
 
 	rng := opRNG(seed)
 	addrSpace := uint64(numSets * ways * 3) // enough aliasing to force evictions
+	mask := MaskAll(ways)
 	for step := 0; step < steps; step++ {
 		addr := rng.next()%addrSpace + 1
 		op := rng.next() % 100
-		mask := WayMask(rng.next()) & MaskAll(ways)
+		mask = WayMask(rng.next()) & MaskAll(ways)
 		if mask == 0 {
 			mask = MaskAll(ways)
 		}
@@ -286,13 +290,13 @@ func runEquivalence(t *testing.T, numSets, ways, randPct int, steps int, seed ui
 				compareLine(t, step, "move-evicted", gev, 0, refLine{Addr: rev.Addr, Owner: rev.Owner, Port: rev.Port, Flags: rev.Flags, Valid: rev.Valid}, 0)
 			}
 		case op < 92: // victim preview (consumes the randomness stream)
-			gl, gw := c.Victim(addr, mask)
+			gw := c.victimWay(addr, mask)
 			rl, rw := r.victim(addr, mask)
 			if gw != rw {
 				t.Fatalf("step %d: victim way %d ref %d (mask %#x)", step, gw, rw, uint32(mask))
 			}
-			if rl != nil && rl.Valid != gl.Valid {
-				t.Fatalf("step %d: victim valid %v ref %v", step, gl.Valid, rl.Valid)
+			if gValid := c.valid[addr&c.setMask]&(1<<uint(gw)) != 0; rl != nil && rl.Valid != gValid {
+				t.Fatalf("step %d: victim valid %v ref %v", step, gValid, rl.Valid)
 			}
 		case op < 96: // flag mutation on a resident line
 			if gl, gw := c.Probe(addr); gw >= 0 {
@@ -312,10 +316,10 @@ func runEquivalence(t *testing.T, numSets, ways, randPct int, steps int, seed ui
 			}
 		}
 		if step%64 == 0 {
-			checkState(t, step, c, r, numSets, ways)
+			checkState(t, step, c, r, mask)
 		}
 	}
-	checkState(t, steps, c, r, numSets, ways)
+	checkState(t, steps, c, r, mask)
 }
 
 func TestEquivalenceStrictLRU(t *testing.T) {

@@ -7,8 +7,7 @@ import (
 
 // EncodeState appends the directory's dynamic state: the sparse set array
 // (cache.EncodeSets) and the back-invalidation diagnostic. Geometry is
-// structural, and the tracked-line count is derived: DecodeState recounts
-// it from the restored slots.
+// structural.
 func (d *Directory) EncodeState(w *codec.Writer) {
 	cache.EncodeSets(w, d.slots, d.order, d.used)
 	w.I64(d.BackInvalidations)
@@ -24,6 +23,5 @@ func (d *Directory) DecodeState(r *codec.Reader) {
 		return
 	}
 	sets.Restore(d.slots, d.order, d.used)
-	d.valid = sets.Len()
 	d.BackInvalidations = backInv
 }

@@ -41,13 +41,12 @@ func encodeDir(d *Directory) []byte {
 }
 
 // TestSparseStateRoundTrip pins the directory's v3 codec: the decoded
-// directory equals the encoded one, its tracked-line count (no longer in
-// the stream) is recounted, and it re-encodes to the same bytes.
+// directory equals the encoded one and re-encodes to the same bytes.
 func TestSparseStateRoundTrip(t *testing.T) {
 	d := churnedDir()
-	if d.BackInvalidations == 0 || d.CountValid() == 0 || d.CountValid() == testSets*testWays {
+	if d.BackInvalidations == 0 || tracked(d) == 0 || tracked(d) == testSets*testWays {
 		t.Fatalf("churn left %d tracked lines and %d back-invalidations; the test needs a partial directory",
-			d.CountValid(), d.BackInvalidations)
+			tracked(d), d.BackInvalidations)
 	}
 	data := encodeDir(d)
 	got := New(testSets, testWays)
@@ -128,7 +127,7 @@ func TestDecodeSetsRejects(t *testing.T) {
 			if r.Err() == nil || !strings.Contains(r.Err().Error(), tc.want) {
 				t.Fatalf("err %v, want one mentioning %q", r.Err(), tc.want)
 			}
-			if !bytes.Equal(encodeDir(got), before) || got.CountValid() != 0 {
+			if !bytes.Equal(encodeDir(got), before) || tracked(got) != 0 {
 				t.Fatal("a rejected decode modified the receiver")
 			}
 		})

@@ -55,7 +55,6 @@ type Directory struct {
 	used    []uint32 // per-set bitmask of valid ways
 	ways    int
 	setMask uint64
-	valid   int // incremental count of tracked lines
 
 	// Hits/misses on directory lookups, for diagnostics.
 	BackInvalidations int64
@@ -143,7 +142,6 @@ func (d *Directory) Track(addr uint64, core int16) (victim Entry, evicted bool) 
 		slots[free] = pack(addr, core)
 		d.order[set] = cache.PromoteMRU(d.order[set], free)
 		d.used[set] |= 1 << uint(free)
-		d.valid++
 		return Entry{}, false
 	}
 	// Set full: evict the LRU entry (the permutation's last nibble).
@@ -167,7 +165,6 @@ func (d *Directory) Untrack(addr uint64) {
 		if uint32(s) == t32 {
 			slots[i] = invalidSlot
 			d.used[int(addr&d.setMask)] &^= 1 << uint(i)
-			d.valid--
 			return
 		}
 	}
@@ -182,9 +179,5 @@ func (d *Directory) Reset() {
 		d.order[i] = cache.IdentityOrder
 		d.used[i] = 0
 	}
-	d.valid = 0
 	d.BackInvalidations = 0
 }
-
-// CountValid returns the number of tracked lines (for tests).
-func (d *Directory) CountValid() int { return d.valid }

@@ -136,8 +136,8 @@ func TestDirectoryEquivalence(t *testing.T) {
 			}
 		}
 		if step%128 == 0 {
-			if got, want := d.CountValid(), r.countValid(); got != want {
-				t.Fatalf("step %d: CountValid = %d, ref %d", step, got, want)
+			if got, want := tracked(d), r.countValid(); got != want {
+				t.Fatalf("step %d: tracked = %d, ref %d", step, got, want)
 			}
 			if d.BackInvalidations != r.backInvalidations {
 				t.Fatalf("step %d: BackInvalidations = %d, ref %d", step, d.BackInvalidations, r.backInvalidations)

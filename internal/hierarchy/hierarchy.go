@@ -136,11 +136,11 @@ func New(cfg Config, fabric *pcm.Fabric) *Hierarchy {
 // FastForward is the memory system's seam in the sampled-execution contract
 // (sim.FastForwarder, called by the harness per skipped gap since the
 // hierarchy is passive, not an engine actor). The model is steady-state
-// freeze: cache and directory contents, occupancy counters, and the
-// migration-race RNG are event-driven — they only change when an access
-// flows through — so skipping accesses leaves them exactly as the last
-// detailed window left them, which is the statistically correct state for
-// the next window to resume from. The method exists so the contract is
+// freeze: cache and directory contents and the migration-race RNG are
+// event-driven — they only change when an access flows through — so
+// skipping accesses leaves them exactly as the last detailed window left
+// them, which is the statistically correct state for the next window to
+// resume from. The method exists so the contract is
 // explicit and so stateful drift models can slot in here later without
 // touching callers.
 func (h *Hierarchy) FastForward(now, dt sim.Tick) {}

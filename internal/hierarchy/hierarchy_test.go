@@ -100,7 +100,7 @@ func TestVictimInsertHonoursCAT(t *testing.T) {
 	}
 	h.CPURead(0, ids[0], 100, false)
 	fillMLCSet(h, 0, ids[0], 100)
-	if w := h.LLC().WayOf(100); w != 5 && w != 6 {
+	if w := h.LLC().ProbeWay(100); w != 5 && w != 6 {
 		t.Fatalf("victim landed in way %d, CAT mask [5:6]", w)
 	}
 }
@@ -108,7 +108,7 @@ func TestVictimInsertHonoursCAT(t *testing.T) {
 func TestDMAWriteAllocatesDCAWays(t *testing.T) {
 	h, ids := newTest(t, 1)
 	h.DMAWrite(0, ids[0], 500)
-	w := h.LLC().WayOf(500)
+	w := h.LLC().ProbeWay(500)
 	if h.LLC().RoleOf(w) != llc.RoleDCA {
 		t.Fatalf("DMA write-allocate in way %d (role %v)", w, h.LLC().RoleOf(w))
 	}
@@ -132,13 +132,13 @@ func TestDMAWriteUpdateOutsideDCAWays(t *testing.T) {
 	// Get a CPU line into a standard way via the victim path.
 	h.CPURead(0, ids[0], 100, false)
 	fillMLCSet(h, 0, ids[0], 100)
-	w := h.LLC().WayOf(100)
+	w := h.LLC().ProbeWay(100)
 	if w < 0 {
 		t.Fatalf("setup failed")
 	}
 	// The device writes that address: in-place update, same way.
 	h.DMAWrite(0, ids[0], 100)
-	if got := h.LLC().WayOf(100); got != w {
+	if got := h.LLC().ProbeWay(100); got != w {
 		t.Fatalf("write update moved the line: %d -> %d", w, got)
 	}
 	l, _ := h.LLC().Probe(100)
@@ -181,7 +181,7 @@ func TestO1MigrationAndDirectoryContention(t *testing.T) {
 	fillMLCSet(h, 1, ids[1], 7*sets)
 	h.CPURead(1, ids[1], 8*sets, false)
 	fillMLCSet(h, 1, ids[1], 8*sets)
-	if h.LLC().RoleOf(h.LLC().WayOf(7*sets)) != llc.RoleInclusive {
+	if h.LLC().RoleOf(h.LLC().ProbeWay(7*sets)) != llc.RoleInclusive {
 		t.Fatalf("setup: victim not in inclusive way")
 	}
 
@@ -191,7 +191,7 @@ func TestO1MigrationAndDirectoryContention(t *testing.T) {
 	if res.Level != LevelLLC {
 		t.Fatalf("consuming read level = %v", res.Level)
 	}
-	w := h.LLC().WayOf(3 * sets)
+	w := h.LLC().ProbeWay(3 * sets)
 	if h.LLC().RoleOf(w) != llc.RoleInclusive {
 		t.Fatalf("consumed DMA line must migrate to inclusive ways, got way %d", w)
 	}
@@ -229,7 +229,7 @@ func TestDMABloat(t *testing.T) {
 	}
 	fillMLCSet(h, 0, id, 900)
 	// The consumed I/O line re-entered the LLC under the CAT mask: bloat.
-	w := h.LLC().WayOf(900)
+	w := h.LLC().ProbeWay(900)
 	if w != 5 && w != 6 {
 		t.Fatalf("bloated line in way %d, want CAT ways [5:6]", w)
 	}
@@ -282,7 +282,7 @@ func TestDMAReadEgress(t *testing.T) {
 	// MLC-only data: read-allocated into the inclusive ways.
 	h.CPUWrite(0, ids[0], 601, false)
 	h.DMARead(0, ids[0], 601)
-	w := h.LLC().WayOf(601)
+	w := h.LLC().ProbeWay(601)
 	if h.LLC().RoleOf(w) != llc.RoleInclusive {
 		t.Fatalf("MLC-only egress should allocate an inclusive way, got %d", w)
 	}
@@ -369,6 +369,9 @@ func TestFlushAll(t *testing.T) {
 	h, ids := newTest(t, 1)
 	h.CPURead(0, ids[0], 100, false)
 	h.DMAWrite(0, ids[0], 200)
+	if h.Directory().Lookup(100) != 0 {
+		t.Fatalf("setup: core 0's read not tracked")
+	}
 	h.FlushAll()
 	if h.LLC().Array().CountValid(cache.MaskAll(h.Config().LLC.Ways)) != 0 {
 		t.Fatalf("LLC not flushed")
@@ -376,7 +379,7 @@ func TestFlushAll(t *testing.T) {
 	if l, _ := h.MLC(0).Probe(100); l.Valid {
 		t.Fatalf("MLC not flushed")
 	}
-	if h.Directory().CountValid() != 0 {
+	if h.Directory().Lookup(100) != -1 {
 		t.Fatalf("directory not flushed")
 	}
 }

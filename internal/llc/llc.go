@@ -10,8 +10,8 @@
 //   - Standard ways: everything in between.
 //
 // The package provides placement-aware insertion, the O1 migration of
-// DMA-written lines into inclusive ways upon first core read, and per-way
-// occupancy statistics used by experiments.
+// DMA-written lines into inclusive ways upon first core read, and a count
+// of valid lines per owning workload for the telemetry plane.
 package llc
 
 import "a4sim/internal/cache"
@@ -129,7 +129,7 @@ func (l *LLC) MutateFlags(addr uint64, way int, set, clear cache.LineFlags) {
 }
 
 // SetOwnerPort reassigns the owner and port of the resident line at
-// (addr, way), keeping occupancy counters consistent.
+// (addr, way).
 func (l *LLC) SetOwnerPort(addr uint64, way int, owner int16, port int8) {
 	l.arr.SetOwnerPort(addr, way, owner, port)
 }
@@ -174,8 +174,14 @@ func (l *LLC) InvalidateWay(addr uint64, way int) cache.Line {
 	return l.arr.InvalidateWay(addr, way)
 }
 
-// WayOf reports which way addr occupies, or -1.
-func (l *LLC) WayOf(addr uint64) int { return l.arr.WayOf(addr) }
+// LinesByOwner tallies valid lines per owning workload across the whole
+// LLC into out (cleared first). It walks the array's valid bitmaps once;
+// the telemetry plane calls it once per simulated second, and only when a
+// series selects the occupancy group.
+func (l *LLC) LinesByOwner(out map[int16]int) {
+	clear(out)
+	l.arr.OccupancyByOwner(l.allMask, out)
+}
 
 // RoleOf classifies a way index.
 func (l *LLC) RoleOf(way int) WayRole {

@@ -1,6 +1,7 @@
 package llc
 
 import (
+	"fmt"
 	"testing"
 
 	"a4sim/internal/cache"
@@ -99,7 +100,7 @@ func TestMigrateToInclusive(t *testing.T) {
 	if mway < 0 || !moved.Inclusive() || !moved.Consumed() {
 		t.Fatalf("migration state wrong: %+v (way %d)", moved, mway)
 	}
-	if w := l.WayOf(set0(3)); w != 9 && w != 10 {
+	if w := l.ProbeWay(set0(3)); w != 9 && w != 10 {
 		t.Fatalf("migrated line in way %d", w)
 	}
 	if !evicted.Valid {
@@ -137,6 +138,38 @@ func TestVictimInsertHonoursCAT(t *testing.T) {
 	}
 }
 
+// roleCounts tallies the LLC's valid lines per way role from one walk of
+// its lines: per owner, in total, and the DMA-written and not yet consumed
+// populations.
+type roleCounts struct {
+	byOwner      map[WayRole]map[int16]int
+	valid        map[WayRole]int
+	ioLines      map[WayRole]int
+	unconsumedIO map[WayRole]int
+}
+
+func countRoles(l *LLC) roleCounts {
+	rc := roleCounts{byOwner: map[WayRole]map[int16]int{}, valid: map[WayRole]int{},
+		ioLines: map[WayRole]int{}, unconsumedIO: map[WayRole]int{}}
+	l.Array().ForEach(func(set, way int, line *cache.Line) {
+		role := l.RoleOf(way)
+		rc.valid[role]++
+		if rc.byOwner[role] == nil {
+			rc.byOwner[role] = map[int16]int{}
+		}
+		if line.Owner >= 0 {
+			rc.byOwner[role][line.Owner]++
+		}
+		if line.IO() {
+			rc.ioLines[role]++
+			if !line.Consumed() {
+				rc.unconsumedIO[role]++
+			}
+		}
+	})
+	return rc
+}
+
 func TestOccupancySnapshot(t *testing.T) {
 	l := New(TestGeometry())
 	// Two DCA lines (one consumed), one inclusive line, one standard line.
@@ -148,26 +181,34 @@ func TestOccupancySnapshot(t *testing.T) {
 	l.InsertInclusive(3, 4, -1, 0)
 	l.InsertVictim(4, cache.MaskRange(4, 4), 5, -1, 0)
 
-	o := l.Snapshot()
-	if o.Valid[RoleDCA] != 2 || o.Valid[RoleInclusive] != 1 || o.Valid[RoleStandard] != 1 {
-		t.Fatalf("valid counts wrong: %+v", o.Valid)
+	o := countRoles(l)
+	if o.valid[RoleDCA] != 2 || o.valid[RoleInclusive] != 1 || o.valid[RoleStandard] != 1 {
+		t.Fatalf("valid counts wrong: %+v", o.valid)
 	}
-	if o.IOLines[RoleDCA] != 2 || o.UnconsumedIO[RoleDCA] != 1 {
-		t.Fatalf("IO accounting wrong: io=%d unconsumed=%d", o.IOLines[RoleDCA], o.UnconsumedIO[RoleDCA])
+	if o.ioLines[RoleDCA] != 2 || o.unconsumedIO[RoleDCA] != 1 {
+		t.Fatalf("IO accounting wrong: io=%d unconsumed=%d", o.ioLines[RoleDCA], o.unconsumedIO[RoleDCA])
 	}
-	if o.ByOwner[RoleDCA][3] != 2 || o.ByOwner[RoleStandard][5] != 1 {
-		t.Fatalf("owner accounting wrong: %+v", o.ByOwner)
+	if o.byOwner[RoleDCA][3] != 2 || o.byOwner[RoleStandard][5] != 1 {
+		t.Fatalf("owner accounting wrong: %+v", o.byOwner)
 	}
-	if o.Capacity[RoleDCA] != TestGeometry().Sets*2 {
-		t.Fatalf("capacity wrong: %d", o.Capacity[RoleDCA])
+	// The array's own counts agree with the walk, region by region.
+	arr := l.Array()
+	for role, mask := range map[WayRole]cache.WayMask{
+		RoleDCA: l.DCAMask(), RoleStandard: l.StandardMask(), RoleInclusive: l.InclusiveMask(),
+	} {
+		if got := arr.CountValid(mask); got != o.valid[role] {
+			t.Errorf("%v: CountValid %d, walk %d", role, got, o.valid[role])
+		}
+		occ := map[int16]int{}
+		arr.OccupancyByOwner(mask, occ)
+		if fmt.Sprint(occ) != fmt.Sprint(o.byOwner[role]) {
+			t.Errorf("%v: OccupancyByOwner %v, walk %v", role, occ, o.byOwner[role])
+		}
 	}
-	if u := o.Utilization(RoleDCA); u <= 0 || u > 1 {
-		t.Fatalf("utilization out of range: %v", u)
-	}
-	if s := o.IOShare(RoleDCA); s != 1 {
-		t.Fatalf("DCA IO share = %v, want 1", s)
-	}
-	if o.IOShare(RoleNone) != 0 || o.Utilization(RoleNone) != 0 {
-		t.Fatalf("empty region should report zeros")
+	// LinesByOwner clears its map and counts every way.
+	lines := map[int16]int{99: 7}
+	l.LinesByOwner(lines)
+	if want := map[int16]int{3: 2, 4: 1, 5: 1}; fmt.Sprint(lines) != fmt.Sprint(want) {
+		t.Fatalf("LinesByOwner = %v, want %v", lines, want)
 	}
 }
