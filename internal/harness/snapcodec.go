@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 
@@ -35,7 +36,8 @@ import (
 // counter, Synthetic fast-forward rate trackers, the window's schedule
 // anchor and detailed-second tally, and the sampling-spec fingerprint); v3
 // writes the cache and directory arrays sparsely (valid slots only) and
-// drops their derived occupancy counters, which decoding recounts.
+// carries no count derived from the slots: occupancy counts are walks of
+// the restored arrays.
 const (
 	snapMagic   = "A4SN"
 	snapVersion = 3
@@ -156,9 +158,11 @@ func (s *Scenario) encodeTo(w *codec.Writer) error {
 // scenario built from the same spec the snapshot was taken from (the
 // caller obtains it by re-running the spec's construction — cheap, no
 // simulation), validating it in full. On success the returned snapshot
-// holds fresh's recipe and the re-encoding of the restored state, so it
-// never aliases data and its bytes are always the encoder's own. fresh is
-// consumed either way: on error it is in an undefined state.
+// holds fresh's recipe and a copy of data, so it never aliases the
+// caller's buffer. The encoding is canonical (a decoder accepts only bytes
+// that re-encode to themselves), so those are the encoder's own bytes for
+// the restored state without encoding it again. fresh is consumed either
+// way: on error it is in an undefined state.
 func DecodeSnapshot(data []byte, fresh *Scenario) (*Snapshot, error) {
 	if !fresh.started {
 		return nil, fmt.Errorf("harness: DecodeSnapshot needs a started scenario")
@@ -166,7 +170,8 @@ func DecodeSnapshot(data []byte, fresh *Scenario) (*Snapshot, error) {
 	if err := fresh.decode(data); err != nil {
 		return nil, err
 	}
-	return fresh.Snapshot(), nil
+	fresh.mustOwnEngine()
+	return &Snapshot{data: bytes.Clone(data), recipe: fresh.recipe}, nil
 }
 
 // decode restores encoded state onto s, a skeleton built by the recipe of

@@ -141,7 +141,9 @@ func TestSnapshotReencodeIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			again, err := sn.Encode()
+			// DecodeSnapshot keeps the bytes it validated, so encode the
+			// restored state again through a fork.
+			again, err := sn.Fork().Snapshot().Encode()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -23,9 +23,11 @@ func fuzzSnapSpec(tb testing.TB) *Spec {
 // each input onto a fresh Spec.Start skeleton of the tiny mix, the way the
 // service rehydrates a stored or handed-off snapshot. Whatever the bytes,
 // decoding must not panic, and a decode that succeeds must round-trip:
-// the decoded snapshot encodes to bytes that decode again, onto another
-// fresh skeleton, and re-encode to exactly the same bytes. The corpus is
-// seeded with encoded snapshots taken at 0, 1 and 2 measured seconds.
+// the restored state, encoded again through a fork, gives exactly the
+// input bytes (the encoding is canonical, which lets DecodeSnapshot keep
+// the bytes it validated), and those decode again onto another fresh
+// skeleton to the same bytes. The corpus is seeded with encoded snapshots
+// taken at 0, 1 and 2 measured seconds.
 //
 // Run with `go test -run='^$' -fuzz=FuzzDecodeSnapshot ./internal/scenario`.
 func FuzzDecodeSnapshot(f *testing.F) {
@@ -56,9 +58,12 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		if err != nil {
 			return
 		}
-		first, err := sn.Encode()
+		first, err := sn.Fork().Snapshot().Encode()
 		if err != nil {
 			t.Fatalf("decoded snapshot does not encode: %v", err)
+		}
+		if !bytes.Equal(first, data) {
+			t.Fatal("decode → encode changed the bytes: the decoder accepted a non-canonical stream")
 		}
 		again, err := harness.DecodeSnapshot(first, skeleton(t))
 		if err != nil {
