@@ -36,6 +36,19 @@ func runForkedAt(t *testing.T, sp *Spec, k int) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, res := forkedAt(t, run, k)
+	data, err := FromResult(run, hash, res).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// forkedAt starts run, forks it at second boundary k, abandons the
+// original, and finishes the run on the fork, returning the fork and its
+// result.
+func forkedAt(t *testing.T, run *Spec, k int) (*harness.Scenario, *harness.Result) {
+	t.Helper()
 	s, err := run.Start()
 	if err != nil {
 		t.Fatal(err)
@@ -55,12 +68,7 @@ func runForkedAt(t *testing.T, sp *Spec, k int) []byte {
 		f = s.Fork()
 		f.Measure(float64(warm + meas - k))
 	}
-	rep := FromResult(run, hash, f.EndMeasure())
-	data, err := rep.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
+	return f, f.EndMeasure()
 }
 
 // TestForkAtEverySecondMatchesFreshRun is the fork-determinism property of

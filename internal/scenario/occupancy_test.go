@@ -80,27 +80,8 @@ func TestOccupancySeriesPin(t *testing.T) {
 			if got := occupancyColumnsDigest(t, s); got != want {
 				t.Errorf("fresh run: occupancy columns digest %s, want %s", got, want)
 			}
-			warm, meas := int(sp.WarmupSec), int(sp.MeasureSec)
-			for k := 1; k < warm+meas; k++ {
-				s, err := sp.Clone().Start()
-				if err != nil {
-					t.Fatal(err)
-				}
-				var f *harness.Scenario
-				if k <= warm {
-					s.Warm(float64(k))
-					f = s.Fork()
-					f.Warm(float64(warm - k))
-					f.BeginMeasure()
-					f.Measure(float64(meas))
-				} else {
-					s.Warm(float64(warm))
-					s.BeginMeasure()
-					s.Measure(float64(k - warm))
-					f = s.Fork()
-					f.Measure(float64(warm + meas - k))
-				}
-				f.EndMeasure()
+			for k := 1; k < int(sp.WarmupSec+sp.MeasureSec); k++ {
+				f, _ := forkedAt(t, sp.Clone(), k)
 				if got := occupancyColumnsDigest(t, f); got != want {
 					t.Errorf("fork at t=%ds: occupancy columns digest %s, want %s", k, got, want)
 				}
