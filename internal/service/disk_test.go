@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"a4sim/internal/codec"
 	"a4sim/internal/scenario"
 	"a4sim/internal/store"
 )
@@ -373,5 +374,51 @@ func TestInstallSnapshotRejectsBadBytes(t *testing.T) {
 	}
 	if !bytes.Equal(res.Report, want.Report) {
 		t.Fatal("run continued from an installed snapshot diverged from a fresh run")
+	}
+}
+
+// TestStaleWrapCannotClaimWindow pins that a shipped snapshot cannot
+// claim a longer window than its state holds. It hand-builds a wrap in
+// the first wrap layout, which carried the measured seconds beside the
+// state: tiny's snapshot after 1 s of measurement, framed as 3 s. Whether
+// or not the install is accepted, a 3 s submission must serve the bytes
+// of a fresh 3 s run.
+func TestStaleWrapCannotClaimWindow(t *testing.T) {
+	sp := tinySpec(t, 1)
+	sc, err := sp.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Warm(sp.WarmupSec)
+	sc.BeginMeasure()
+	sc.Measure(1)
+	state, err := sc.Snapshot().Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	canon, err := sp.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix, err := sp.PrefixHash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &codec.Writer{}
+	w.Raw([]byte("A4SW"))
+	w.U32(1)
+	w.F64(3) // the claimed window
+	w.Blob(canon)
+	w.Blob(state)
+
+	svc := New(Config{Workers: 1})
+	defer svc.Close()
+	svc.InstallSnapshot(prefix, w.Bytes())
+	res, err := svc.Submit(context.Background(), tinySpec(t, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := freshReport(t, tinySpec(t, 3)); !bytes.Equal(res.Report, want) {
+		t.Fatal("a wrap claiming 3 s over 1 s of state served a report that differs from a fresh run")
 	}
 }

@@ -194,3 +194,43 @@ func TestGroupByPrefix(t *testing.T) {
 		t.Fatalf("group 1 = %v, want [1]", groups[1])
 	}
 }
+
+// tinySpec is the builtin tiny mix with the given measurement window.
+func tinySpec(t *testing.T, measure float64) *scenario.Spec {
+	t.Helper()
+	sp, err := scenario.BuiltinMix("tiny")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp.MeasureSec = measure
+	return sp
+}
+
+// TestFractionalWindowsContinue pins that the service continues any
+// measurement window, not only whole seconds: each extension forks the
+// snapshot the previous window deposited and is byte-identical to a fresh
+// run. The last chain splits at half an epoch (1.0015 s rounds to 1002
+// epochs, 2.003 s to 2003), so a continuation that measured the
+// difference in seconds instead of epochs would run one epoch too many.
+func TestFractionalWindowsContinue(t *testing.T) {
+	for _, chain := range [][]float64{{1, 1.5, 2.25}, {0.4, 1.7}, {1.0015, 2.003}} {
+		svc := New(Config{Workers: 1})
+		res, err := svc.Submit(context.Background(), tinySpec(t, chain[0]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range chain[1:] {
+			forks := svc.Stats().SnapshotForks
+			if res, err = svc.Extend(context.Background(), res.Hash, m); err != nil {
+				t.Fatal(err)
+			}
+			if got := svc.Stats().SnapshotForks; got != forks+1 {
+				t.Errorf("chain %v: extending to %g did not fork (forks %d -> %d)", chain, m, forks, got)
+			}
+			if want := freshReport(t, tinySpec(t, m)); !bytes.Equal(res.Report, want) {
+				t.Errorf("chain %v: window %g differs from a fresh run", chain, m)
+			}
+		}
+		svc.Close()
+	}
+}
