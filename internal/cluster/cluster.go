@@ -519,27 +519,13 @@ func (c *Coordinator) Sweep(ctx context.Context, req *service.SweepRequest) ([]s
 	groups := service.GroupSpecsByPrefix(specs)
 	homes := c.place(specs, groups)
 	points := make([]service.SweepPoint, len(specs))
-	errs := make([]error, len(specs))
-	var wg sync.WaitGroup
-	for g, idxs := range groups {
-		wg.Add(1)
-		go func(idxs []int, head *backend) {
-			defer wg.Done()
-			for _, i := range idxs {
-				res, err := c.submit(ctx, specs[i], head)
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				points[i] = service.SweepPoint{Grid: grids[i], Hash: res.Hash, Cached: res.Cached, Report: res.Report}
-			}
-		}(idxs, homes[g])
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("cluster: sweep point %d: %w", i, err)
-		}
+	err = service.RunGroups(groups, "cluster: sweep point", func(g, i int) error {
+		res, err := c.submit(ctx, specs[i], homes[g])
+		points[i] = service.SweepPoint{Grid: grids[i], Hash: res.Hash, Cached: res.Cached, Report: res.Report}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return points, nil
 }

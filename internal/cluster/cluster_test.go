@@ -280,7 +280,7 @@ func TestRunSpecsOverCluster(t *testing.T) {
 	specs := []*scenario.Spec{testSpec(11), testSpec(12), testSpec(11)}
 	specs[2].MeasureSec = 2 // shares spec[0]'s prefix: chained on one backend
 
-	got, err := figures.RunSpecs(figures.Options{Workers: 2}, coord, specs)
+	got, err := figures.RunSpecs(coord, specs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,7 +83,7 @@ func FigTransient(o Options) *Report {
 
 	svc := service.New(service.Config{Workers: o.Workers})
 	defer svc.Close()
-	reports, err := RunSpecs(o, svc, specs)
+	reports, err := RunSpecs(svc, specs)
 	if err != nil {
 		panic(fmt.Sprintf("figures: transient: %v", err))
 	}

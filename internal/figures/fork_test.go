@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"a4sim/internal/scenario"
+	"a4sim/internal/service"
 )
 
 // TestPrefixSweepMatchesFresh pins the acceptance property of the point
@@ -29,7 +30,11 @@ func TestPrefixSweepMatchesFresh(t *testing.T) {
 		{start, withDCA(start, scenario.DCASSDOff)},
 		{start, withDCA(withWays(start, 2, 9, 10), scenario.DCAOff)},
 	}
-	if _, groups := prefixGroups(pts); len(groups) != 1 {
+	starts := make([]*scenario.Spec, len(pts))
+	for i, p := range pts {
+		starts[i] = p.start
+	}
+	if groups := service.GroupSpecsByPrefix(starts); len(groups) != 1 {
 		t.Fatalf("points sharing a start spec formed %d groups, want 1 (no fork path)", len(groups))
 	}
 	forked := run(o, pts, nil)

@@ -82,36 +82,24 @@ func forEachPoint(o Options, n int, fn func(i int)) {
 // RunSpecs executes spec-shaped sweep points through r — the local service
 // pool or a cluster.Coordinator — with the same deterministic assembly as
 // the in-process sweeps: reports come back in input order, byte-identical
-// to a serial run, regardless of worker or backend count. Like run,
-// specs sharing a run prefix
-// form a group submitted sequentially (shortest measurement window first),
-// so the executor warms the prefix once and each later point forks the
-// snapshot its predecessor deposited — locally via the service snapshot
-// LRU, remotely via the backend that prefix-hash routing pins the whole
-// group to. Distinct prefixes fan out concurrently on the sweep pool.
-func RunSpecs(o Options, r service.Runner, specs []*scenario.Spec) ([]*scenario.Report, error) {
+// to a serial run, regardless of worker or backend count. Specs sharing a
+// run prefix form a group submitted in order (service.RunGroups, shortest
+// measurement window first), so the executor warms the prefix once and
+// each later point forks the snapshot its predecessor deposited — locally
+// via the service snapshot LRU, remotely via the backend that prefix-hash
+// routing pins the whole group to. Distinct prefixes are submitted
+// concurrently; r's own pool bounds how many run at once.
+func RunSpecs(r service.Runner, specs []*scenario.Spec) ([]*scenario.Report, error) {
 	reports := make([]*scenario.Report, len(specs))
-	errs := make([]error, len(specs))
-	groups := service.GroupSpecsByPrefix(specs)
-	forEachPoint(o, len(groups), func(g int) {
-		for _, i := range groups[g] {
-			res, err := r.Submit(context.TODO(), specs[i])
-			if err != nil {
-				errs[i] = err
-				continue
-			}
-			rep, err := scenario.DecodeReport(res.Report)
-			if err != nil {
-				errs[i] = err
-				continue
-			}
-			reports[i] = rep
+	err := service.RunGroups(service.GroupSpecsByPrefix(specs), "figures: spec point", func(_, i int) error {
+		res, err := r.Submit(context.TODO(), specs[i])
+		if err == nil {
+			reports[i], err = scenario.DecodeReport(res.Report)
 		}
+		return err
 	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("figures: spec point %d: %w", i, err)
-		}
+	if err != nil {
+		return nil, err
 	}
 	return reports, nil
 }
@@ -128,9 +116,10 @@ type point struct {
 }
 
 // run executes the points on the sweep pool and returns their results in
-// point order. Points whose start specs share a PrefixHash form a group,
-// which is started and warmed once and snapshotted; each point of it then
-// forks the snapshot, programs its boundary change, and measures. A point
+// point order. Points whose start specs share a PrefixHash form a group
+// (service.GroupSpecsByPrefix), which is started and warmed once and
+// snapshotted; each point of it then forks the snapshot, programs its
+// boundary change, and measures. A point
 // with no group mates runs fresh: start, warm, program, measure. The
 // snapshot/fork contract (forked run ≡ fresh run) makes the grouped
 // execution byte-identical to running every point fresh.
@@ -141,7 +130,14 @@ type point struct {
 // so a figure holds one snapshot per shared group and no finished
 // scenario.
 func run(o Options, pts []point, keep func(i int, s *harness.Scenario)) []*harness.Result {
-	starts, groups := prefixGroups(pts)
+	starts := make([]*scenario.Spec, len(pts))
+	for i, p := range pts {
+		starts[i] = p.start.Clone()
+		if err := starts[i].Normalize(); err != nil {
+			panic(fmt.Sprintf("figures: point %d: %v", i, err))
+		}
+	}
+	groups := service.GroupSpecsByPrefix(starts)
 	out := make([]*harness.Result, len(pts))
 	measure := func(i int, s *harness.Scenario) {
 		if at := pts[i].at; at != nil {
@@ -188,30 +184,4 @@ func run(o Options, pts []point, keep func(i int, s *harness.Scenario)) []*harne
 		measure(forks[k].i, snaps[forks[k].g].Fork())
 	})
 	return out
-}
-
-// prefixGroups normalizes each point's start spec and groups the point
-// indices by its PrefixHash, in order of first appearance.
-func prefixGroups(pts []point) (starts []*scenario.Spec, groups [][]int) {
-	starts = make([]*scenario.Spec, len(pts))
-	byPrefix := map[string]int{}
-	for i, p := range pts {
-		sp := p.start.Clone()
-		if err := sp.Normalize(); err != nil {
-			panic(fmt.Sprintf("figures: point %d: %v", i, err))
-		}
-		h, err := sp.PrefixHash()
-		if err != nil {
-			panic(err)
-		}
-		g, ok := byPrefix[h]
-		if !ok {
-			g = len(groups)
-			byPrefix[h] = g
-			groups = append(groups, nil)
-		}
-		groups[g] = append(groups[g], i)
-		starts[i] = sp
-	}
-	return starts, groups
 }

@@ -30,7 +30,7 @@ func TestRunSpecsMatchesSerial(t *testing.T) {
 
 	svc := service.New(service.Config{Workers: 4})
 	defer svc.Close()
-	got, err := RunSpecs(Options{Workers: 4}, svc, specs)
+	got, err := RunSpecs(svc, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestRunSpecsMatchesSerial(t *testing.T) {
 	// A failing point surfaces as an indexed error, not a partial result.
 	bad := spec(3, 1)
 	bad.Manager = "bogus"
-	if _, err := RunSpecs(Options{Workers: 2}, svc, []*scenario.Spec{spec(1, 1), bad}); err == nil {
+	if _, err := RunSpecs(svc, []*scenario.Spec{spec(1, 1), bad}); err == nil {
 		t.Error("invalid spec point did not fail the fan-out")
 	}
 }

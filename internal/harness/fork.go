@@ -55,7 +55,14 @@ func (r recipe) build() *Scenario {
 type Snapshot struct {
 	data   []byte
 	recipe recipe
+	window int // WindowEpochs, read off the captured state
 }
+
+// WindowEpochs is how far the captured measurement window has run: the
+// state's engine time minus its window start, in epochs. A continuation
+// that measures sim.Epochs(total) minus this many more epochs ends where
+// an unsplit window of total seconds ends.
+func (sn *Snapshot) WindowEpochs() int { return sn.window }
 
 // Snapshot encodes the scenario's state at the current instant. The live
 // scenario keeps running without affecting the snapshot.
@@ -72,7 +79,7 @@ func (s *Scenario) Snapshot() *Snapshot {
 	}
 	// The recipe only grows, so sharing its steps with the live scenario
 	// is safe: later appends never touch the snapshot's prefix.
-	return &Snapshot{data: data, recipe: s.recipe}
+	return &Snapshot{data: data, recipe: s.recipe, window: s.windowEpochs()}
 }
 
 // Fork returns an independent copy of the scenario at its current instant;

@@ -6,7 +6,6 @@ package harness
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"a4sim/internal/baseline"
@@ -505,6 +504,12 @@ func (s *Scenario) BeginMeasure() {
 	s.Monitor.BeginWindow()
 }
 
+// windowEpochs is how far the measurement window has run: engine time
+// minus the window's start, in epochs.
+func (s *Scenario) windowEpochs() int {
+	return int((s.Engine.Now() - s.measureStart) / sim.TicksPerEpoch)
+}
+
 // Measure advances simulated time inside the open window. Successive calls
 // accumulate into the same window, so a run can be extended from a forked
 // snapshot: fork, Measure the remainder, EndMeasure.
@@ -520,7 +525,7 @@ func (s *Scenario) Measure(sec float64) {
 		s.Engine.Run(sec)
 		return
 	}
-	epochs := int(math.Floor(sec*sim.EpochsPerSecond + 0.5))
+	epochs := sim.Epochs(sec)
 	detailE := int(s.P.Sample.DetailUs / sim.TicksPerEpoch)
 	periodE := int(s.P.Sample.PeriodUs / sim.TicksPerEpoch)
 	for epochs > 0 {

@@ -171,7 +171,7 @@ func DecodeSnapshot(data []byte, fresh *Scenario) (*Snapshot, error) {
 		return nil, err
 	}
 	fresh.mustOwnEngine()
-	return &Snapshot{data: bytes.Clone(data), recipe: fresh.recipe}, nil
+	return &Snapshot{data: bytes.Clone(data), recipe: fresh.recipe, window: fresh.windowEpochs()}, nil
 }
 
 // decode restores encoded state onto s, a skeleton built by the recipe of

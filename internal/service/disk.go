@@ -3,7 +3,6 @@ package service
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 
 	"a4sim/internal/codec"
 	"a4sim/internal/harness"
@@ -15,13 +14,13 @@ import (
 // The disk plane: glue between the in-memory caches and the durable
 // content-addressed store. Each execution is one run object under the
 // run's hash, the same record the result cache holds; warm snapshots are
-// keyed objects under the prefix hash, wrapped with the measured seconds
-// and the canonical spec that rebuilds their structural skeleton.
-// Everything read back is verified (the store re-hashes payloads, a run
-// object must decode to a whole record, snapshots additionally
-// re-validate structure during decode), and every failure degrades to
-// re-execution — the disk accelerates restarts and handoffs, it is never
-// trusted over the simulator.
+// keyed objects under the prefix hash, wrapped with the canonical spec
+// that rebuilds their structural skeleton. Everything read back is
+// verified (the store re-hashes payloads, a run object must decode to a
+// whole record, snapshots additionally re-validate structure during
+// decode), and every failure degrades to re-execution. A snapshot that
+// passes is trusted as its prefix's state: the store's hash guards its
+// bytes, and the structural decode guards that it fits the scenario.
 
 // runRecord is one executed run: its report, canonical spec, series (when
 // the spec recorded one) and controller event log (empty, never nil,
@@ -74,18 +73,20 @@ func (s *Service) storeRecord(hash string, rec runRecord) {
 	}
 }
 
-// snapWrap is the on-disk and on-wire framing of a warm snapshot: how many
-// measured seconds it holds, the canonical spec that rebuilds its
-// structural skeleton, and the encoded harness state. One format serves
-// both the store's snap objects and the cluster's handoff bodies.
+// snapWrap is the on-disk and on-wire framing of a warm snapshot: the
+// canonical spec that rebuilds its structural skeleton, and the encoded
+// harness state. How far the snapshot's window has run is read off that
+// state, never framed beside it. One format serves both the store's snap
+// objects and the cluster's handoff bodies. Version 1 also carried the
+// measured seconds; its objects fail the version check and re-execute.
 const (
 	snapWrapMagic   = "A4SW"
-	snapWrapVersion = 1
+	snapWrapVersion = 2
 )
 
-// encodeSnapWrap frames snap's encoding with its measured seconds and
-// spec. The snapshot is already encoded; framing is one copy.
-func encodeSnapWrap(measured float64, spec []byte, snap *harness.Snapshot) ([]byte, error) {
+// encodeSnapWrap frames snap's encoding with its spec. The snapshot is
+// already encoded; framing is one copy.
+func encodeSnapWrap(spec []byte, snap *harness.Snapshot) ([]byte, error) {
 	data, err := snap.Encode()
 	if err != nil {
 		return nil, err
@@ -93,30 +94,28 @@ func encodeSnapWrap(measured float64, spec []byte, snap *harness.Snapshot) ([]by
 	w := &codec.Writer{}
 	w.Raw([]byte(snapWrapMagic))
 	w.U32(snapWrapVersion)
-	w.F64(measured)
 	w.Blob(spec)
 	w.Blob(data)
 	return w.Bytes(), nil
 }
 
-func decodeSnapWrap(data []byte) (measured float64, spec, snap []byte, err error) {
+func decodeSnapWrap(data []byte) (spec, snap []byte, err error) {
 	r := codec.NewReader(data)
 	if string(r.Raw(len(snapWrapMagic))) != snapWrapMagic {
-		return 0, nil, nil, fmt.Errorf("service: not a wrapped snapshot (bad magic)")
+		return nil, nil, fmt.Errorf("service: not a wrapped snapshot (bad magic)")
 	}
 	if v := r.U32(); r.Err() == nil && v != snapWrapVersion {
-		return 0, nil, nil, fmt.Errorf("service: wrapped snapshot version %d, want %d", v, snapWrapVersion)
+		return nil, nil, fmt.Errorf("service: wrapped snapshot version %d, want %d", v, snapWrapVersion)
 	}
-	measured = r.F64()
 	spec = r.Blob()
 	snap = r.Blob()
 	if err := r.Err(); err != nil {
-		return 0, nil, nil, err
+		return nil, nil, err
 	}
 	if n := r.Remaining(); n != 0 {
-		return 0, nil, nil, fmt.Errorf("service: wrapped snapshot has %d trailing bytes", n)
+		return nil, nil, fmt.Errorf("service: wrapped snapshot has %d trailing bytes", n)
 	}
-	return measured, spec, snap, nil
+	return spec, snap, nil
 }
 
 // depositSnap stores a warm snapshot in the memory cache and, when that
@@ -126,12 +125,12 @@ func decodeSnapWrap(data []byte) (measured float64, spec, snap []byte, err error
 // The disk write is best-effort and ordered after the memory decision;
 // concurrent advances can at worst leave disk one step behind memory, which
 // costs re-simulation after a restart, never a wrong result.
-func (s *Service) depositSnap(prefix string, snap *harness.Snapshot, measured float64, spec []byte) {
-	advanced := s.snaps.put(prefix, snap, measured, spec)
+func (s *Service) depositSnap(prefix string, snap *harness.Snapshot, spec []byte) {
+	advanced := s.snaps.put(prefix, snap, spec)
 	if !advanced || s.disk == nil {
 		return
 	}
-	data, err := encodeSnapWrap(measured, spec, snap)
+	data, err := encodeSnapWrap(spec, snap)
 	if err != nil {
 		return
 	}
@@ -141,56 +140,44 @@ func (s *Service) depositSnap(prefix string, snap *harness.Snapshot, measured fl
 // diskSnapshot rehydrates the warm snapshot stored under prefix: unwrap,
 // rebuild the structural skeleton from the wrapped spec, and decode the
 // state onto it. Any failure reports a miss and the caller re-executes.
-func (s *Service) diskSnapshot(prefix string) (*harness.Snapshot, float64, []byte, bool) {
+func (s *Service) diskSnapshot(prefix string) (*harness.Snapshot, bool) {
 	data, ok := s.disk.Get(store.KindSnap, prefix)
 	if !ok {
-		return nil, 0, nil, false
+		return nil, false
 	}
-	snap, measured, spec, err := decodeWrappedSnapshot(prefix, data)
-	if err != nil {
-		return nil, 0, nil, false
-	}
-	return snap, measured, spec, true
+	snap, _, err := decodeWrappedSnapshot(prefix, data)
+	return snap, err == nil
 }
 
 // decodeWrappedSnapshot validates and decodes one wrapped snapshot against
 // its claimed prefix: the wrapped spec must actually hash to that prefix
 // (so a misfiled or maliciously shipped snapshot cannot impersonate another
-// scenario), the measured window must be a whole positive second (the
-// snapshot-eligibility invariant), and the harness decode re-validates
-// structure byte by byte.
-func decodeWrappedSnapshot(prefix string, data []byte) (*harness.Snapshot, float64, []byte, error) {
-	measured, specBytes, snapBytes, err := decodeSnapWrap(data)
+// scenario), and the harness decode re-validates structure byte by byte.
+func decodeWrappedSnapshot(prefix string, data []byte) (*harness.Snapshot, []byte, error) {
+	specBytes, snapBytes, err := decodeSnapWrap(data)
 	if err != nil {
-		return nil, 0, nil, err
-	}
-	if measured < 1 || measured != math.Trunc(measured) || measured > scenario.MaxWindowSec {
-		return nil, 0, nil, fmt.Errorf("service: wrapped snapshot measured %g seconds", measured)
+		return nil, nil, err
 	}
 	sp, err := scenario.Parse(specBytes)
 	if err != nil {
-		return nil, 0, nil, fmt.Errorf("service: wrapped snapshot spec: %w", err)
+		return nil, nil, fmt.Errorf("service: wrapped snapshot spec: %w", err)
 	}
-	p, err := sp.PrefixHash()
+	canon, _, p, err := sp.Digest()
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, nil, err
 	}
 	if p != prefix {
-		return nil, 0, nil, fmt.Errorf("service: wrapped snapshot prefix %.12s does not match %.12s", p, prefix)
-	}
-	canon, err := sp.Canonical()
-	if err != nil {
-		return nil, 0, nil, err
+		return nil, nil, fmt.Errorf("service: wrapped snapshot prefix %.12s does not match %.12s", p, prefix)
 	}
 	skel, err := sp.Start()
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, nil, err
 	}
 	snap, err := harness.DecodeSnapshot(snapBytes, skel)
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, nil, err
 	}
-	return snap, measured, canon, nil
+	return snap, canon, nil
 }
 
 // SnapshotBytes exports the warm snapshot for prefix in wrapped form — the
@@ -198,8 +185,8 @@ func decodeWrappedSnapshot(prefix string, data []byte) (*harness.Snapshot, float
 // bytes are framed, not re-encoded); otherwise the durable store's copy is
 // forwarded as-is.
 func (s *Service) SnapshotBytes(prefix string) ([]byte, bool) {
-	if snap, measured, spec, ok := s.snaps.get(prefix); ok {
-		if data, err := encodeSnapWrap(measured, spec, snap); err == nil {
+	if snap, spec, ok := s.snaps.get(prefix); ok {
+		if data, err := encodeSnapWrap(spec, snap); err == nil {
 			return data, true
 		}
 	}
@@ -213,14 +200,17 @@ func (s *Service) SnapshotBytes(prefix string) ([]byte, bool) {
 
 // InstallSnapshot accepts a wrapped snapshot shipped by a coordinator and
 // seeds the warm-state caches with it. The decode is eager and fully
-// validated before anything is stored: corrupt, truncated, or mismatched
-// bytes are rejected here, and the importing node simply re-executes — a
-// bad handoff can waste a transfer, never corrupt a result.
+// validated before anything is stored: corrupt, truncated, stale-version
+// or prefix-mismatched bytes are rejected here, and the importing node
+// simply re-executes. What the check guarantees is structure: a snapshot
+// that decodes onto its prefix's skeleton is trusted as that scenario's
+// state, and since the window a continuation resumes from is read off
+// that state, a wrap cannot claim a window its state does not hold.
 func (s *Service) InstallSnapshot(prefix string, data []byte) error {
-	snap, measured, canon, err := decodeWrappedSnapshot(prefix, data)
+	snap, canon, err := decodeWrappedSnapshot(prefix, data)
 	if err != nil {
 		return err
 	}
-	s.depositSnap(prefix, snap, measured, canon)
+	s.depositSnap(prefix, snap, canon)
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -170,13 +171,15 @@ func TestConcurrentExtendsAreConsistent(t *testing.T) {
 }
 
 // TestGroupByPrefix unit-tests the sweep grouping: same-prefix rows chain
-// shortest-first; distinct prefixes split.
+// shortest-first, fractional windows included; distinct prefixes split.
 func TestGroupByPrefix(t *testing.T) {
 	specs := []*scenario.Spec{
 		extendSpec(1, 3),
 		extendSpec(2, 1), // different seed -> different prefix
 		extendSpec(1, 1),
 		extendSpec(1, 0), // default window (3): ties keep grid order
+		extendSpec(1, 2.5),
+		extendSpec(2, 0.4),
 	}
 	groups := GroupSpecsByPrefix(specs)
 	if len(groups) != 2 {
@@ -184,14 +187,10 @@ func TestGroupByPrefix(t *testing.T) {
 	}
 	// First-appearance order: seed-1 group first, sorted ascending by
 	// effective measure with the tie (3 vs default 3) in grid order.
-	want := []int{2, 0, 3}
-	for i, idx := range groups[0] {
-		if idx != want[i] {
-			t.Fatalf("group 0 = %v, want %v", groups[0], want)
+	for g, want := range [][]int{{2, 4, 0, 3}, {5, 1}} {
+		if fmt.Sprint(groups[g]) != fmt.Sprint(want) {
+			t.Fatalf("group %d = %v, want %v", g, groups[g], want)
 		}
-	}
-	if len(groups[1]) != 1 || groups[1][0] != 1 {
-		t.Fatalf("group 1 = %v, want [1]", groups[1])
 	}
 }
 

@@ -30,6 +30,7 @@ import (
 	"a4sim/internal/harness"
 	"a4sim/internal/obs"
 	"a4sim/internal/scenario"
+	"a4sim/internal/sim"
 	"a4sim/internal/stats"
 	"a4sim/internal/store"
 )
@@ -479,27 +480,23 @@ func (s *Service) runSpec(sp *scenario.Spec, tr *obs.Trace, pub *obs.SeriesPub) 
 }
 
 // snapshotEntries caps the warm-state snapshot cache: encoded snapshots of
-// executed scenarios at their last measured second, keyed by the spec's
+// executed scenarios at their last measured epoch, keyed by the spec's
 // prefix hash. Each entry holds the same bytes the store and /snapshot
 // export carry (about 3 MB for the tiny mix at the Skylake geometry), so
 // the cap is deliberately small.
 const snapshotEntries = 8
-
-// snapshotEligible gates snapshot reuse to whole-second windows: splitting a
-// run at a non-integer boundary would round the engine's epoch counts
-// differently from an uninterrupted run, breaking byte-identity.
-func snapshotEligible(sp *scenario.Spec) bool {
-	return sp.WarmupSec == math.Trunc(sp.WarmupSec) &&
-		sp.MeasureSec == math.Trunc(sp.MeasureSec) && sp.MeasureSec >= 1
-}
 
 // execute runs one spec, continuing from a cached warm snapshot when one
 // shares the spec's prefix (identical scenario up to some point of the
 // measurement window). Because forked execution is byte-identical to fresh
 // execution (the harness snapshot/fork contract, pinned by this package's
 // tests), the serving path is free to choose either and the reports cannot
-// differ. Eligible runs deposit their end-of-window state back into the
+// differ. Every run deposits its end-of-window state back into the
 // snapshot cache so later, longer windows extend instead of restarting.
+//
+// How far a snapshot's window has run is read off its state
+// (Snapshot.WindowEpochs), and the window is counted in epochs, rounded as
+// Measure rounds, so any window continues from any shorter one.
 //
 // It also returns the controller's event log (empty, not nil, without a
 // controller). The log is controller state, which the snapshot carries, so
@@ -511,45 +508,34 @@ func (s *Service) execute(sp *scenario.Spec, tr *obs.Trace, pub *obs.SeriesPub) 
 	if err := run.Normalize(); err != nil {
 		return nil, nil, err
 	}
-	hash, err := run.Hash()
+	spec, hash, prefix, err := run.Digest()
 	if err != nil {
 		return nil, nil, err
 	}
-	eligible := snapshotEligible(run)
-	var (
-		sc       *harness.Scenario
-		prefix   string
-		spec     []byte // canonical spec deposited beside the snapshot
-		measured float64
-	)
-	if eligible {
-		if prefix, err = run.PrefixHash(); err != nil {
-			return nil, nil, err
+	window := sim.Epochs(run.MeasureSec)
+	snap, _, ok := s.snaps.get(prefix)
+	if !ok && s.disk != nil {
+		// Memory miss: a restarted service rehydrates the warm state a
+		// previous instance spilled to disk. Any failure — missing object,
+		// quarantined bytes, version or structure mismatch — falls through
+		// to a plain fresh run.
+		sr := tr.Begin("store_read")
+		if snap, ok = s.diskSnapshot(prefix); ok {
+			s.ctr.storeHits.Add(1)
 		}
-		if spec, err = run.Canonical(); err != nil {
-			return nil, nil, err
-		}
-		snap, m, snapSpec, ok := s.snaps.get(prefix)
-		if !ok && s.disk != nil {
-			// Memory miss: a restarted service rehydrates the warm state a
-			// previous instance spilled to disk. Any failure — missing object,
-			// quarantined bytes, version or structure mismatch — falls through
-			// to a plain fresh run.
-			sr := tr.Begin("store_read")
-			if snap, m, snapSpec, ok = s.diskSnapshot(prefix); ok {
-				s.ctr.storeHits.Add(1)
-			}
-			sr.End()
-		}
-		if ok && m <= run.MeasureSec {
-			s.ctr.snapshotForks.Add(1)
-			fk := tr.Begin("snapshot_fork")
-			sc = snap.Fork()
-			fk.End()
-			measured, spec = m, snapSpec
-		}
+		sr.End()
 	}
-	if sc == nil {
+	var sc *harness.Scenario
+	done := 0 // epochs of the window sc has already run
+	if ok && snap.WindowEpochs() <= window {
+		s.ctr.snapshotForks.Add(1)
+		fk := tr.Begin("snapshot_fork")
+		sc = snap.Fork()
+		fk.End()
+		done = snap.WindowEpochs()
+	}
+	fresh := sc == nil
+	if fresh {
 		if sc, err = run.Start(); err != nil {
 			return nil, nil, err
 		}
@@ -558,22 +544,20 @@ func (s *Service) execute(sp *scenario.Spec, tr *obs.Trace, pub *obs.SeriesPub) 
 		pub.Publish(sc.Monitor.Series()) // replay any forked prefix rows
 		sc.Monitor.SetRowHook(pub.Publish)
 	}
-	if measured == 0 { // a fresh run; a fork resumes inside its window
+	if fresh {
 		w := tr.Begin("warm")
 		sc.Warm(run.WarmupSec)
 		w.End()
 		sc.BeginMeasure()
 	}
 	m := tr.Begin("measure")
-	sc.Measure(run.MeasureSec - measured)
+	sc.Measure(float64(window-done) / sim.EpochsPerSecond)
 	m.End()
-	if eligible {
-		// Snapshot before closing the window: the stored state must be
-		// continuable, and EndMeasure only reads the accumulators.
-		dp := tr.Begin("snapshot_deposit")
-		s.depositSnap(prefix, sc.Snapshot(), run.MeasureSec, spec)
-		dp.End()
-	}
+	// Snapshot before closing the window: the stored state must be
+	// continuable, and EndMeasure only reads the accumulators.
+	dp := tr.Begin("snapshot_deposit")
+	s.depositSnap(prefix, sc.Snapshot(), spec)
+	dp.End()
 	events := []string{}
 	if sc.Controller != nil {
 		events = append(events, sc.Controller.Events...)
@@ -633,9 +617,10 @@ func (s *Service) TraceEvents(hash string, n int) ([]byte, bool) {
 }
 
 // snapStore is a bounded LRU of warm simulation snapshots (encoded state
-// plus construction recipe) keyed by prefix hash. One entry per prefix: put keeps the longest-measured state, since
-// any request at or past it can continue from there while earlier states
-// would re-simulate more.
+// plus construction recipe) keyed by prefix hash. One entry per prefix:
+// put keeps the state whose window has run furthest, since any request at
+// or past it can continue from there while earlier states would
+// re-simulate more.
 type snapStore struct {
 	mu    sync.Mutex
 	cap   int
@@ -644,48 +629,46 @@ type snapStore struct {
 }
 
 type snapEntry struct {
-	key      string
-	snap     *harness.Snapshot
-	measured float64
-	spec     []byte // canonical spec of a run sharing the prefix, for snapshot shipping
+	key  string
+	snap *harness.Snapshot
+	spec []byte // canonical spec of a run sharing the prefix, for snapshot shipping
 }
 
 func newSnapStore(capEntries int) *snapStore {
 	return &snapStore{cap: capEntries, ll: list.New(), items: make(map[string]*list.Element)}
 }
 
-// get returns the stored snapshot, its measured seconds, and the canonical
-// spec it belongs to. The snapshot is immutable; callers fork it outside
-// the store's lock.
-func (c *snapStore) get(key string) (*harness.Snapshot, float64, []byte, bool) {
+// get returns the stored snapshot and the canonical spec it belongs to.
+// The snapshot is immutable; callers fork it outside the store's lock.
+func (c *snapStore) get(key string) (*harness.Snapshot, []byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		return nil, 0, nil, false
+		return nil, nil, false
 	}
 	c.ll.MoveToFront(el)
 	e := el.Value.(*snapEntry)
-	return e.snap, e.measured, e.spec, true
+	return e.snap, e.spec, true
 }
 
-// put stores a snapshot unless a longer-measured one for the same prefix is
-// already resident (concurrent shorter runs must not clobber it). It
-// reports whether the entry was stored or advanced — the signal the caller
-// uses to mirror the state to disk.
-func (c *snapStore) put(key string, snap *harness.Snapshot, measured float64, spec []byte) bool {
+// put stores a snapshot unless one for the same prefix whose window has
+// run further is already resident (concurrent shorter runs must not
+// clobber it). It reports whether the entry was stored or advanced — the
+// signal the caller uses to mirror the state to disk.
+func (c *snapStore) put(key string, snap *harness.Snapshot, spec []byte) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		e := el.Value.(*snapEntry)
-		advanced := measured >= e.measured
+		advanced := snap.WindowEpochs() >= e.snap.WindowEpochs()
 		if advanced {
-			e.snap, e.measured, e.spec = snap, measured, spec
+			e.snap, e.spec = snap, spec
 		}
 		c.ll.MoveToFront(el)
 		return advanced
 	}
-	c.items[key] = c.ll.PushFront(&snapEntry{key: key, snap: snap, measured: measured, spec: spec})
+	c.items[key] = c.ll.PushFront(&snapEntry{key: key, snap: snap, spec: spec})
 	for c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)

@@ -183,63 +183,43 @@ func ExpandSweep(req *SweepRequest) ([]*scenario.Spec, []map[string]any, error) 
 // Sweep expands the grid and runs every point on the worker pool,
 // returning results in grid order. Points whose hash is already cached (or
 // duplicated within the grid) are served without re-execution; each point's
-// report is byte-identical at any worker count.
+// report is byte-identical at any worker count. Rows sharing a run prefix
+// (e.g. a measure_sec axis) chain through RunGroups, so each later row
+// forks the warm snapshot its predecessor deposited.
 func (s *Service) Sweep(ctx context.Context, req *SweepRequest) ([]SweepPoint, error) {
 	specs, grids, err := ExpandSweep(req)
 	if err != nil {
 		return nil, err
 	}
-	// Rows sharing a run prefix (identical scenario and warm-up, divergent
-	// measurement window — e.g. a measure_sec axis) are chained: shortest
-	// first, sequentially, so each later row forks the warm snapshot its
-	// predecessor deposited instead of re-simulating the prefix. Rows with
-	// distinct prefixes stay fully concurrent. Results are assembled by
-	// grid index, so the grouping never reorders the response.
-	groups := GroupSpecsByPrefix(specs)
 	points := make([]SweepPoint, len(specs))
-	errs := make([]error, len(specs))
-	var wg sync.WaitGroup
-	for _, idxs := range groups {
-		wg.Add(1)
-		go func(idxs []int) {
-			defer wg.Done()
-			for _, i := range idxs {
-				res, err := s.Submit(ctx, specs[i])
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				points[i] = SweepPoint{Grid: grids[i], Hash: res.Hash, Cached: res.Cached, Report: res.Report}
-			}
-		}(idxs)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("service: sweep point %d: %w", i, err)
-		}
+	err = RunGroups(GroupSpecsByPrefix(specs), "service: sweep point", func(_, i int) error {
+		res, err := s.Submit(ctx, specs[i])
+		points[i] = SweepPoint{Grid: grids[i], Hash: res.Hash, Cached: res.Cached, Report: res.Report}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return points, nil
 }
 
-// GroupSpecsByPrefix partitions grid indices by prefix hash (see
+// GroupSpecsByPrefix partitions spec indices by prefix hash (see
 // Spec.PrefixHash), each group sorted by ascending measurement window
 // (stably, so equal-window duplicates keep grid order and coalesce through
-// the result cache). Running a group's points in order on one executor lets
-// each later point fork the warm snapshot its predecessor deposited; the
-// cluster coordinator uses the same grouping to keep a prefix on one
-// backend. It normalizes a clone of
-// each spec, so raw specs group as their normalized forms do. Rows that
-// cannot use a snapshot anyway — fractional windows, invalid specs — get
-// singleton groups so they keep full row-level parallelism; Submit
-// surfaces any real error.
+// the result cache), groups in order of first appearance. Running a
+// group's points in order on one executor lets each later point fork the
+// warm snapshot its predecessor deposited; the cluster coordinator uses the
+// same grouping to keep a prefix on one backend, and figures to warm each
+// prefix once. It normalizes a clone of each spec, so raw specs group as
+// their normalized forms do. A spec that does not normalize gets a
+// singleton group; submitting it surfaces the error.
 func GroupSpecsByPrefix(specs []*scenario.Spec) [][]int {
 	order := make([]string, 0, len(specs))
 	byPrefix := make(map[string][]int, len(specs))
 	measure := make([]float64, len(specs))
 	for i, sp := range specs {
 		key := fmt.Sprintf("!solo-%d", i)
-		if n := sp.Clone(); n.Normalize() == nil && snapshotEligible(n) {
+		if n := sp.Clone(); n.Normalize() == nil {
 			if p, err := n.PrefixHash(); err == nil {
 				key = p
 			}
@@ -257,4 +237,38 @@ func GroupSpecsByPrefix(specs []*scenario.Spec) [][]int {
 		groups = append(groups, idxs)
 	}
 	return groups
+}
+
+// RunGroups is the one grouped-submit loop, shared by Service.Sweep,
+// the cluster coordinator's Sweep and figures.RunSpecs: it calls
+// run(g, i) for each index i of groups[g] (the groups partition 0..n−1,
+// as GroupSpecsByPrefix's do), in order within a group and
+// concurrently across groups, so a group's later points can fork what its
+// earlier points deposited. Each executor bounds its own concurrency, so
+// the loop does not. Callers assemble results by index, so the grouping
+// never reorders them. A failing point does not stop its group; the error
+// of the lowest failing index is returned as "<what> <index>: <err>".
+func RunGroups(groups [][]int, what string, run func(g, i int) error) error {
+	n := 0
+	for _, idxs := range groups {
+		n += len(idxs)
+	}
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for g, idxs := range groups {
+		wg.Add(1)
+		go func(g int, idxs []int) {
+			defer wg.Done()
+			for _, i := range idxs {
+				errs[i] = run(g, i)
+			}
+		}(g, idxs)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("%s %d: %w", what, i, err)
+		}
+	}
+	return nil
 }

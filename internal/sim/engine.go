@@ -149,17 +149,17 @@ func (e *Engine) Observers() []Observer {
 // happened, so observers can branch to extrapolation only in sampled runs.
 func (e *Engine) SkippedTicks() Tick { return e.ffSkipped }
 
-// Run advances simulated time by the given number of simulated seconds.
-// Fractional seconds convert to epochs by rounding half-up: Run(0.29) runs
-// exactly 290 epochs even though 0.29*1000 is 289.999… in float64. Pinning
-// the conversion matters for the telemetry plane — a run split as
-// Run(a); Run(b) must cross the same whole-second boundaries as Run(a+b),
-// or per-second series cadence would drift (truncation loses an epoch per
-// call and accumulates).
-func (e *Engine) Run(seconds float64) {
-	epochs := int(math.Floor(seconds*EpochsPerSecond + 0.5))
-	e.RunEpochsBatched(epochs)
-}
+// Epochs converts simulated seconds to whole epochs by rounding half-up:
+// Epochs(0.29) is exactly 290 even though 0.29*1000 is 289.999… in
+// float64. Pinning the conversion matters for the telemetry plane — a run
+// split as Run(a); Run(b) must cross the same whole-second boundaries as
+// Run(a+b), or per-second series cadence would drift (truncation loses an
+// epoch per call and accumulates). A window continued from a snapshot
+// counts in epochs too: Epochs(a+b) − Epochs(a) need not equal Epochs(b).
+func Epochs(seconds float64) int { return int(math.Floor(seconds*EpochsPerSecond + 0.5)) }
+
+// Run advances simulated time by Epochs(seconds) epochs.
+func (e *Engine) Run(seconds float64) { e.RunEpochsBatched(Epochs(seconds)) }
 
 // sliceOffsets are the slice start times within an epoch, hoisted out of the
 // dispatch loop.
