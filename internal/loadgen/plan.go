@@ -35,8 +35,10 @@ var DefaultMix = map[string]float64{
 }
 
 // extendWindowsSec are the measure_sec values extend events cycle
-// through: each distinct window executes once (cheaply, from the warm
-// snapshot) and is cache-served afterwards.
+// through, all longer than the popular specs' 1 s window: each distinct
+// window executes once, forked from the warm snapshot the longest earlier
+// window of its prefix deposited (fractional windows continue like whole
+// ones), and is cache-served afterwards.
 var extendWindowsSec = []float64{1.5, 2}
 
 // Event is one planned request: when to send it (offset from the start of

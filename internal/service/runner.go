@@ -20,6 +20,10 @@ import (
 // determinism contract (same spec hash, same report bytes, same series
 // bytes), callers — cmd/a4serve's HTTP mux, figures.RunSpecs — cannot
 // observe which one they are talking to except through latency and stats.
+// Extend and Submit continue any measurement window, fractional ones
+// included, from a warm snapshot of a shorter window of the same prefix
+// when the executing node holds one; Sweep runs the grid's prefix groups
+// through RunGroups on both sides.
 //
 // Submit, Extend and Sweep take the request's context first. The context
 // carries the request's trace (obs.WithTrace); a Runner records its spans
