@@ -119,10 +119,10 @@ type point struct {
 // point order. Points whose start specs share a PrefixHash form a group
 // (service.GroupSpecsByPrefix), which is started and warmed once and
 // snapshotted; each point of it then forks the snapshot, programs its
-// boundary change, and measures. A point
-// with no group mates runs fresh: start, warm, program, measure. The
-// snapshot/fork contract (forked run ≡ fresh run) makes the grouped
-// execution byte-identical to running every point fresh.
+// boundary change, and measures. A point with no group mates runs fresh:
+// start, warm, program, measure. The snapshot/fork contract (forked run ≡
+// fresh run) makes the grouped execution byte-identical to running every
+// point fresh.
 //
 // Phase one starts every group, warming the shared ones and running the
 // lone points through; phase two measures the forks. Each scenario is
