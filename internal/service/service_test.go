@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"a4sim/internal/scenario"
 )
@@ -370,6 +371,78 @@ func TestClosedServiceRejectsSubmissions(t *testing.T) {
 	if _, err := svc.Submit(context.Background(), testSpec(1)); err != ErrClosed {
 		t.Fatalf("got %v, want ErrClosed", err)
 	}
+}
+
+// TestCloseWaitsForAcceptedRun pins Close's contract: a run accepted before
+// Close finishes and returns its report, Close returns only after that run
+// has published it, later submissions get ErrClosed, and neither a busy nor
+// a closed rejection leaves a flight behind.
+func TestCloseWaitsForAcceptedRun(t *testing.T) {
+	ctx := context.Background()
+	svc := New(Config{Workers: 1})
+	type outcome struct {
+		res Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := svc.Submit(ctx, testSpec(21))
+		done <- outcome{res, err}
+	}()
+	for svc.Stats().Misses == 0 { // wait until the run is accepted
+		time.Sleep(time.Millisecond)
+	}
+	svc.Close()
+
+	hash, err := testSpec(21).Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, ok := svc.Lookup(hash)
+	if !ok {
+		t.Fatal("Close returned before the accepted run published its report")
+	}
+	if n := inflightLen(svc); n != 0 {
+		t.Errorf("%d flights left after Close", n)
+	}
+	out := <-done
+	if out.err != nil {
+		t.Fatalf("accepted run failed: %v", out.err)
+	}
+	if out.res.Cached || !bytes.Equal(out.res.Report, rep) {
+		t.Error("accepted run did not return its own executed report")
+	}
+
+	if _, err := svc.Submit(ctx, testSpec(22)); err != ErrClosed {
+		t.Fatalf("after Close: got %v, want ErrClosed", err)
+	}
+	if n := inflightLen(svc); n != 0 {
+		t.Errorf("closed rejection left %d flights", n)
+	}
+	if st := svc.Stats(); st.Misses != 1 || st.Executions != 1 || st.Queued != 0 {
+		t.Errorf("stats = %+v, want 1 miss, 1 execution, 0 queued", st)
+	}
+
+	// A service with no room to wait rejects every execution as busy.
+	busy := New(Config{Workers: 1})
+	defer busy.Close()
+	busy.maxQueue = 0
+	if _, err := busy.Submit(ctx, testSpec(23)); err != ErrBusy {
+		t.Fatalf("got %v, want ErrBusy", err)
+	}
+	if n := inflightLen(busy); n != 0 {
+		t.Errorf("busy rejection left %d flights", n)
+	}
+	if st := busy.Stats(); st.Errors != 1 || st.Misses != 0 || st.Executions != 0 || st.Queued != 0 {
+		t.Errorf("stats = %+v, want 1 error, 0 misses, 0 executions, 0 queued", st)
+	}
+}
+
+// inflightLen counts the service's registered flights.
+func inflightLen(svc *Service) int {
+	svc.fmu.Lock()
+	defer svc.fmu.Unlock()
+	return len(svc.inflight)
 }
 
 func BenchmarkSubmitCached(b *testing.B) {
