@@ -1,6 +1,6 @@
 // Package cluster shards scenario serving across a fleet of a4serve
 // backends. A Coordinator implements the same service.Runner surface as the
-// local worker pool, but routes each submission to one of N remote daemons
+// local Service, but routes each submission to one of N remote daemons
 // by rendezvous-hashing its routing key — the spec's prefix hash — so that
 // specs sharing a run prefix consistently land on the same backend and
 // reuse its warm-snapshot LRU, while distinct prefixes spread across the

@@ -14,7 +14,7 @@ import (
 )
 
 // The HTTP surface of a4serve, factored over Runner so the same mux fronts
-// a local worker pool (single-node daemon) or a cluster coordinator — the
+// a local Service (single-node daemon) or a cluster coordinator — the
 // API a client sees is identical either way, which is what lets -cluster
 // slot in without touching clients.
 

@@ -14,8 +14,8 @@ import (
 // spec, extend a served run by content address, expand-and-run a sweep
 // grid, retrieve cached reports and their per-second telemetry, and serve
 // the observability planes (controller events, metrics, live series) and
-// the body of a traced request. The local Service implements it with its
-// in-process worker pool; internal/cluster's Coordinator implements it by
+// the body of a traced request. The local Service implements it by running
+// each execution in-process under a slot semaphore; internal/cluster's Coordinator implements it by
 // sharding over remote a4serve backends. Because both sides honour the
 // determinism contract (same spec hash, same report bytes, same series
 // bytes), callers — cmd/a4serve's HTTP mux, figures.RunSpecs — cannot

@@ -1,18 +1,19 @@
-// Package service turns scenario execution into a served resource: a job
-// queue drained by a fixed worker pool (the figures sweep-runner pattern),
-// fronted by singleflight deduplication and an LRU result cache keyed by
-// the spec's content hash. Because the simulation is deterministic, a hash
-// fully identifies its report, so serving a cached or deduplicated result
-// is indistinguishable from re-running the scenario — that invariant is
-// what makes the cache sound, and internal/service's tests pin it.
+// Package service turns scenario execution into a served resource: each
+// execution runs on its submitter's goroutine once it holds one of a fixed
+// number of slots, fronted by singleflight deduplication and an LRU result
+// cache keyed by the spec's content hash. Because the simulation is
+// deterministic, a hash fully identifies its report, so serving a cached or
+// deduplicated result is indistinguishable from re-running the scenario —
+// that invariant is what makes the cache sound, and internal/service's
+// tests pin it.
 //
 // Concurrency model (DESIGN.md §17): the serving path holds no global
-// lock. The job queue, the in-flight flight map, and the result cache each
-// have their own lock; the counters are atomics snapshotted at /stats
-// scrape time; the queue-wait histogram is sharded. The lock-ordering rule
-// is flat: fmu may be held while taking the cache's lock, and nothing else
-// nests — qmu, the cache lock, and the snapshot/store/trace locks are all
-// leaves.
+// lock. The in-flight flight map and the result cache each have their own
+// lock, and the execution slots are a channel of tokens; the counters are
+// atomics snapshotted at /stats scrape time; the queue-wait histogram is
+// sharded. The lock-ordering rule is flat: fmu may be held while taking the
+// cache's lock, and nothing else nests — the cache lock and the
+// snapshot/store/trace locks are all leaves.
 package service
 
 import (
@@ -37,7 +38,8 @@ import (
 
 // Config sizes the service.
 type Config struct {
-	// Workers is the execution pool degree; 0 means GOMAXPROCS.
+	// Workers is the number of executions that run at once; 0 means
+	// GOMAXPROCS.
 	Workers int
 	// CacheEntries caps the result cache; 0 means 256.
 	CacheEntries int
@@ -60,8 +62,8 @@ type Stats struct {
 	Executions uint64 `json:"executions" prom:"a4_executions_total,counter"` // scenario runs actually performed
 	Errors     uint64 `json:"errors" prom:"a4_errors_total,counter"`         // failed submissions
 	Entries    int    `json:"entries" prom:"a4_cache_entries,gauge"`         // current cache entries
-	Workers    int    `json:"workers" prom:"a4_workers,gauge"`               // pool degree
-	Queued     int    `json:"queued" prom:"a4_queued,gauge"`                 // jobs waiting for a worker
+	Workers    int    `json:"workers" prom:"a4_workers,gauge"`               // execution slots
+	Queued     int    `json:"queued" prom:"a4_queued,gauge"`                 // accepted executions waiting for a slot
 
 	// SnapshotForks counts executions that continued from a cached warm
 	// snapshot instead of re-simulating their prefix; SnapshotEntries is
@@ -116,7 +118,7 @@ type Result struct {
 
 // flight is one in-progress execution that concurrent identical
 // submissions wait on. report/body/err are written only by the executing
-// job (or failFlight) before done is closed; waiters read them only after
+// submitter before done is closed; waiters read them only after
 // <-done, so the channel close is the only synchronization needed.
 type flight struct {
 	done   chan struct{}
@@ -127,25 +129,23 @@ type flight struct {
 
 // Service serves scenario runs.
 type Service struct {
-	workers int
-	// maxQueue caps jobs waiting for a worker (MaxSweepPoints, one
-	// full-size sweep); submissions beyond it fail fast with ErrBusy
+	// slots holds one token per running execution; its capacity is the
+	// resolved Config.Workers.
+	slots chan struct{}
+	// maxQueue caps accepted executions waiting for a slot (MaxSweepPoints,
+	// one full-size sweep); submissions beyond it fail fast with ErrBusy
 	// instead of growing memory without bound.
 	maxQueue int
-	wg       sync.WaitGroup
+	// wg counts accepted executions; Close waits for them.
+	wg sync.WaitGroup
 
 	// closed is checked lock-free at submission entry; it is only ever set
-	// under qmu so the set serializes with enqueues (see Close).
+	// under fmu, so the set serializes with admission (see Close).
 	closed atomic.Bool
 
-	// qmu guards the job queue; work signals queue growth or close.
-	qmu   sync.Mutex
-	work  *sync.Cond
-	queue []func()
-
-	// fmu guards the in-flight map. The register path re-checks the result
-	// cache under fmu (jobs publish to the cache before clearing their
-	// flight), so a submission can never miss both.
+	// fmu guards the in-flight map and admission. The register path
+	// re-checks the result cache under fmu (executions publish to the cache
+	// before clearing their flight), so a submission can never miss both.
 	fmu      sync.Mutex
 	inflight map[string]*flight
 
@@ -170,15 +170,15 @@ type Service struct {
 	// the service runs memory-only.
 	disk *store.Store
 
-	// queueWait records each job's enqueue-to-start wait (µs); sharded so
-	// concurrent job starts don't contend, merged at scrape time.
+	// queueWait records each execution's admission-to-slot wait (µs);
+	// sharded so concurrent starts don't contend, merged at scrape time.
 	queueWait *stats.ShardedHistogram
 	// streams fans live series rows out to GET /series/<hash>/stream
 	// subscribers, under its own (short-hold) lock.
 	streams *obs.SeriesHub
 }
 
-// New starts a service with cfg's pool and cache.
+// New starts a service with cfg's execution slots and cache.
 func New(cfg Config) *Service {
 	w := cfg.Workers
 	if w <= 0 {
@@ -188,8 +188,8 @@ func New(cfg Config) *Service {
 	if entries <= 0 {
 		entries = 256
 	}
-	s := &Service{
-		workers:   w,
+	return &Service{
+		slots:     make(chan struct{}, w),
 		maxQueue:  MaxSweepPoints,
 		inflight:  make(map[string]*flight),
 		cache:     newLRUCache(entries),
@@ -199,57 +199,24 @@ func New(cfg Config) *Service {
 		queueWait: stats.NewShardedHistogram(),
 		streams:   obs.NewSeriesHub(),
 	}
-	s.work = sync.NewCond(&s.qmu)
-	for i := 0; i < w; i++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
-	return s
 }
 
-// worker drains the job queue until the service is closed AND the queue is
-// empty — accepted jobs always execute, so no Submit waiter is stranded.
-func (s *Service) worker() {
-	defer s.wg.Done()
-	s.qmu.Lock()
-	for {
-		for len(s.queue) == 0 && !s.closed.Load() {
-			s.work.Wait()
-		}
-		if len(s.queue) == 0 {
-			s.qmu.Unlock()
-			return
-		}
-		job := s.queue[0]
-		s.queue[0] = nil // release the closure (and its Spec clone) promptly
-		s.queue = s.queue[1:]
-		s.qmu.Unlock()
-		job()
-		s.qmu.Lock()
-	}
-}
-
-// Close stops accepting submissions and waits for the pool to finish every
-// job already accepted (running or queued), so no waiter is stranded. The
-// closed flag is set under qmu: an enqueue and the close serialize, so a
-// job is either rejected with ErrClosed or guaranteed a worker drains it.
+// Close stops accepting submissions and waits for every execution already
+// accepted, running or waiting for a slot, so no waiter is stranded. The
+// closed flag is set under fmu: an admission and the close serialize, so a
+// submission is either rejected with ErrClosed or counted in wg first.
 func (s *Service) Close() {
-	s.qmu.Lock()
-	if s.closed.Load() {
-		s.qmu.Unlock()
-		return
-	}
+	s.fmu.Lock()
 	s.closed.Store(true)
-	s.work.Broadcast()
-	s.qmu.Unlock()
+	s.fmu.Unlock()
 	s.wg.Wait()
 }
 
 // ErrClosed is returned for submissions to a closed service.
 var ErrClosed = errors.New("service: closed")
 
-// ErrBusy is returned when the job queue is full; the submission was not
-// accepted and may be retried later.
+// ErrBusy is returned when maxQueue accepted executions already wait for a
+// slot; the submission was not accepted and may be retried later.
 var ErrBusy = errors.New("service: job queue full")
 
 // RunError wraps a failure that happened while executing a scenario, as
@@ -329,8 +296,8 @@ func (s *Service) submit(sp *scenario.Spec, tr *obs.Trace) (Result, error) {
 	}
 	s.fmu.Lock()
 	if f, ok := s.inflight[hash]; ok {
-		// Coalesce onto the running execution rather than queueing a
-		// duplicate job.
+		// Coalesce onto the running execution rather than running a
+		// duplicate.
 		s.ctr.dedups.Add(1)
 		s.fmu.Unlock()
 		dw := tr.Begin("dedup_wait")
@@ -341,8 +308,8 @@ func (s *Service) submit(sp *scenario.Spec, tr *obs.Trace) (Result, error) {
 		}
 		return Result{Hash: hash, Cached: false, Report: f.report, Envelope: f.body}, nil
 	}
-	// The executing job publishes its result to the cache before clearing
-	// its flight, so a submission that missed the cache and then found no
+	// The executing submitter publishes its result to the cache before
+	// clearing its flight, so a submission that missed the cache and then found no
 	// flight re-checks here — under fmu — and cannot miss both. The
 	// re-check reaches the store too: a restarted (or memory-evicted)
 	// service serves durably stored runs instead of re-simulating them.
@@ -354,122 +321,93 @@ func (s *Service) submit(sp *scenario.Spec, tr *obs.Trace) (Result, error) {
 		tr.Mark("cache_hit", "")
 		return Result{Hash: hash, Cached: true, Report: e.Report, Envelope: e.hitBody}, nil
 	}
-	f := &flight{done: make(chan struct{})}
-	s.inflight[hash] = f
-	s.fmu.Unlock()
-
-	// The spec may be mutated by the caller after Submit returns for a
-	// deduplicated waiter, so the executing job owns a private copy.
-	run := sp.Clone()
-	qw := tr.Begin("queue_wait")
-	enqueued := time.Now()
-	job := func() {
-		defer close(f.done)
-		qw.End()
-		wait := time.Since(enqueued)
-		s.ctr.queued.Add(-1)
-		s.ctr.executions.Add(1)
-		s.queueWait.Observe(wait.Microseconds())
-		// A run that records a series streams it: the publisher is live from
-		// before the first simulated second, so a subscriber attaching
-		// mid-run replays from row 0.
-		var pub *obs.SeriesPub
-		if run.Series != nil {
-			pub = s.streams.Open(hash)
-		}
-		rep, events, err := s.runSpec(run, tr, pub)
-		rec := runRecord{Events: events}
-		if err == nil {
-			rec.Report, err = rep.Encode()
-		}
-		if err == nil && rep.Series != nil {
-			// The window's series is kept beside the report, so
-			// GET /series/<hash> serves it without the client re-parsing
-			// the (much larger) report.
-			rec.Series, err = rep.Series.Encode()
-		}
-		if err == nil {
-			// The canonical spec is kept so /extend can re-derive longer
-			// windows of a run from its content address alone.
-			rec.Spec, err = run.Canonical()
-		}
-		if err == nil && s.disk != nil {
-			sw := tr.Begin("store_write")
-			s.storeRecord(hash, rec)
-			sw.End()
-		}
-		if err != nil {
-			s.ctr.errors.Add(1)
-			f.err = &RunError{Hash: hash, Err: err}
-		} else {
-			f.report = rec.Report
-			f.body = encodeResultEnvelope(hash, false, rec.Report)
-			// Publish before clearing the flight (below): between the two, a
-			// new submission either attaches to this flight or hits the
-			// cache, never both-miss.
-			s.cache.put(hash, rec)
-		}
-		s.fmu.Lock()
-		delete(s.inflight, hash)
-		s.fmu.Unlock()
-		// The stream ends only after the cache put: a subscriber that sees
-		// the terminal message can immediately GET /series and find the
-		// stored bytes it should compare against.
-		if pub != nil {
-			if err == nil && rec.Series != nil {
-				pub.Finish(rec.Series)
-			} else {
-				pub.Abort("execution failed")
-			}
-		}
-	}
-
-	// Backpressure and the closed check ride the enqueue lock: an accepted
-	// job is guaranteed a worker (workers drain the queue before exiting),
-	// and a rejected one fails its flight so any dedup waiter that attached
-	// in the window gets the same retryable error.
-	s.qmu.Lock()
+	// Admission: an accepted execution is counted in wg before Close can
+	// wait, and a rejected one never registers a flight.
 	if s.closed.Load() {
-		s.qmu.Unlock()
-		qw.End()
-		s.failFlight(hash, f, ErrClosed)
+		s.fmu.Unlock()
 		return Result{}, ErrClosed
 	}
-	if len(s.queue) >= s.maxQueue {
-		s.qmu.Unlock()
-		qw.End()
+	if s.ctr.queued.Load() >= int64(s.maxQueue) {
+		s.fmu.Unlock()
 		s.ctr.errors.Add(1)
-		s.failFlight(hash, f, ErrBusy)
 		return Result{}, ErrBusy
 	}
+	f := &flight{done: make(chan struct{})}
+	s.inflight[hash] = f
 	s.ctr.misses.Add(1)
 	s.ctr.queued.Add(1)
-	s.queue = append(s.queue, job)
-	s.work.Signal()
-	s.qmu.Unlock()
+	s.wg.Add(1)
+	s.fmu.Unlock()
+	defer s.wg.Done()
 
-	<-f.done
+	qw := tr.Begin("queue_wait")
+	admitted := time.Now()
+	s.slots <- struct{}{}
+	qw.End()
+	s.queueWait.Observe(time.Since(admitted).Microseconds())
+	s.ctr.queued.Add(-1)
+	s.ctr.executions.Add(1)
+	// A run that records a series streams it: the publisher is live from
+	// before the first simulated second, so a subscriber attaching mid-run
+	// replays from row 0.
+	var pub *obs.SeriesPub
+	if sp.Series != nil {
+		pub = s.streams.Open(hash)
+	}
+	rep, events, err := s.runSpec(sp, tr, pub)
+	rec := runRecord{Events: events}
+	if err == nil {
+		rec.Report, err = rep.Encode()
+	}
+	if err == nil && rep.Series != nil {
+		// The window's series is kept beside the report, so GET /series/<hash>
+		// serves it without the client re-parsing the (much larger) report.
+		rec.Series, err = rep.Series.Encode()
+	}
+	if err == nil {
+		// The canonical spec is kept so /extend can re-derive longer windows
+		// of a run from its content address alone.
+		rec.Spec, err = sp.Canonical()
+	}
+	if err == nil && s.disk != nil {
+		sw := tr.Begin("store_write")
+		s.storeRecord(hash, rec)
+		sw.End()
+	}
+	if err != nil {
+		s.ctr.errors.Add(1)
+		f.err = &RunError{Hash: hash, Err: err}
+	} else {
+		f.report = rec.Report
+		f.body = encodeResultEnvelope(hash, false, rec.Report)
+		// Publish before clearing the flight (below): between the two, a new
+		// submission either attaches to this flight or hits the cache, never
+		// both-miss.
+		s.cache.put(hash, rec)
+	}
+	s.fmu.Lock()
+	delete(s.inflight, hash)
+	s.fmu.Unlock()
+	// The stream ends only after the cache put: a subscriber that sees the
+	// terminal message can immediately GET /series and find the stored
+	// bytes it should compare against.
+	if pub != nil {
+		if err == nil && rec.Series != nil {
+			pub.Finish(rec.Series)
+		} else {
+			pub.Abort("execution failed")
+		}
+	}
+	<-s.slots
+	close(f.done)
 	if f.err != nil {
 		return Result{}, f.err
 	}
 	return Result{Hash: hash, Cached: false, Report: f.report, Envelope: f.body}, nil
 }
 
-// failFlight delivers err to a flight whose job was never enqueued and
-// removes it from the in-flight map (unless a newer flight took the slot).
-func (s *Service) failFlight(hash string, f *flight, err error) {
-	f.err = err
-	s.fmu.Lock()
-	if s.inflight[hash] == f {
-		delete(s.inflight, hash)
-	}
-	s.fmu.Unlock()
-	close(f.done)
-}
-
 // runSpec executes a spec, converting a panic anywhere in the simulator
-// into an error so one bad submission cannot take down the daemon's worker
-// pool.
+// into an error so one bad submission cannot take down the daemon.
 func (s *Service) runSpec(sp *scenario.Spec, tr *obs.Trace, pub *obs.SeriesPub) (rep *scenario.Report, events []string, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -715,7 +653,7 @@ func (s *Service) Stats() Stats {
 		Executions:      s.ctr.executions.Load(),
 		Errors:          s.ctr.errors.Load(),
 		Entries:         s.cache.len(),
-		Workers:         s.workers,
+		Workers:         cap(s.slots),
 		Queued:          int(s.ctr.queued.Load()),
 		SnapshotForks:   s.ctr.snapshotForks.Load(),
 		StoreHits:       s.ctr.storeHits.Load(),

@@ -341,26 +341,27 @@ func TestSubmitBackpressure(t *testing.T) {
 	defer svc.Close()
 	svc.maxQueue = 1
 
-	// Occupy the single worker with a job seen to start that blocks until
-	// released, then fill the queue behind it, so the state is
-	// deterministic whenever the worker goroutine got scheduled.
-	started, release := make(chan struct{}), make(chan struct{})
-	defer close(release) // runs before Close, which waits for the job
-	svc.qmu.Lock()
-	svc.queue = append(svc.queue, func() { close(started); <-release })
-	svc.work.Signal()
-	svc.qmu.Unlock()
-	<-started
-	svc.qmu.Lock()
-	svc.queue = append(svc.queue, func() {})
-	svc.qmu.Unlock()
+	// Hold the single slot, so an accepted submission waits for it whenever
+	// its goroutine gets scheduled, and the state is deterministic.
+	svc.slots <- struct{}{}
+	waiting := make(chan error, 1)
+	go func() {
+		_, err := svc.Submit(context.Background(), testSpec(2))
+		waiting <- err
+	}()
+	for svc.Stats().Queued != 1 {
+		time.Sleep(time.Millisecond)
+	}
 
 	if _, err := svc.Submit(context.Background(), testSpec(1)); err != ErrBusy {
-		t.Fatalf("got %v, want ErrBusy", err)
+		t.Errorf("got %v, want ErrBusy", err)
 	}
-	st := svc.Stats()
-	if st.Errors != 1 || st.Executions != 0 {
+	if st := svc.Stats(); st.Errors != 1 || st.Executions != 0 {
 		t.Errorf("stats = %+v, want 1 error, 0 executions", st)
+	}
+	<-svc.slots // release the slot; the waiting submission runs
+	if err := <-waiting; err != nil {
+		t.Fatalf("waiting submission: %v", err)
 	}
 }
 

@@ -180,8 +180,8 @@ func ExpandSweep(req *SweepRequest) ([]*scenario.Spec, []map[string]any, error) 
 	return specs, grids, nil
 }
 
-// Sweep expands the grid and runs every point on the worker pool,
-// returning results in grid order. Points whose hash is already cached (or
+// Sweep expands the grid and submits every point, prefix groups in
+// parallel, returning results in grid order. Points whose hash is already cached (or
 // duplicated within the grid) are served without re-execution; each point's
 // report is byte-identical at any worker count. Rows sharing a run prefix
 // (e.g. a measure_sec axis) chain through RunGroups, so each later row
