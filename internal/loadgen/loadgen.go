@@ -222,25 +222,16 @@ func (r *Result) WriteJSON(w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// Run executes one open-loop load run against cfg.URL: build (or reuse)
-// the plan, prime the cache serially, then offer every planned event at
-// its scheduled time, capped at MaxInflight outstanding requests. The
-// returned Result is complete even when ctx cancels the run early (Sent
-// records how far it got, and the error is ctx's).
+// Run executes one open-loop load run against cfg.URL: build the plan from
+// cfg, prime the cache serially, then offer every planned event at its
+// scheduled time, capped at MaxInflight outstanding requests. The returned
+// Result is complete even when ctx cancels the run early (Sent records how
+// far it got, and the error is ctx's).
 func Run(ctx context.Context, cfg Config) (*Result, error) {
-	return RunPlan(ctx, cfg, nil)
-}
-
-// RunPlan is Run with a pre-built plan (nil builds one from cfg) — the
-// saturation search reuses it to re-offer an identical population at
-// different rates without re-deriving spec bodies.
-func RunPlan(ctx context.Context, cfg Config, plan *Plan) (*Result, error) {
 	cfg = cfg.withDefaults()
-	if plan == nil {
-		var err error
-		if plan, err = BuildPlan(cfg); err != nil {
-			return nil, err
-		}
+	plan, err := BuildPlan(cfg)
+	if err != nil {
+		return nil, err
 	}
 	client := cfg.Client
 	if client == nil {

@@ -104,7 +104,7 @@ func Search(ctx context.Context, sc SearchConfig) (*SearchResult, error) {
 	res := &SearchResult{SLOP99Ms: sc.SLOP99Ms}
 	// One tuned client for the whole search: probes at different rates reuse
 	// the same keep-alive pool instead of re-dialing MaxInflight connections
-	// per probe (RunPlan would otherwise build a fresh client each time).
+	// per probe (Run would otherwise build a fresh client each time).
 	shared := sc.Load.withDefaults()
 	searchClient := shared.Client
 	if searchClient == nil {
@@ -121,7 +121,7 @@ func Search(ctx context.Context, sc SearchConfig) (*SearchResult, error) {
 		// popular set and would only re-prime cache hits.
 		cfg.SkipPriming = probeIdx > 0
 		probeIdx++
-		r, err := RunPlan(ctx, cfg, nil)
+		r, err := Run(ctx, cfg)
 		if err != nil {
 			return Probe{}, err
 		}

@@ -343,12 +343,8 @@ func (sp *Spec) Canonical() ([]byte, error) {
 // encoding. Identical hashes mean identical scenarios, and — because the
 // simulation is deterministic — byte-identical reports.
 func (sp *Spec) Hash() (string, error) {
-	c, err := sp.Canonical()
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(c)
-	return hex.EncodeToString(sum[:]), nil
+	_, hash, _, err := sp.Digest()
+	return hash, err
 }
 
 // PrefixHash returns the content address of the spec's run prefix: the
@@ -359,17 +355,8 @@ func (sp *Spec) Hash() (string, error) {
 // is the key the service's snapshot cache uses to continue longer runs from
 // shorter ones instead of restarting (see internal/service).
 func (sp *Spec) PrefixHash() (string, error) {
-	c := sp.Clone()
-	if err := c.Normalize(); err != nil {
-		return "", err
-	}
-	c.MeasureSec = 0
-	data, err := json.Marshal(c)
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:]), nil
+	_, _, prefix, err := sp.Digest()
+	return prefix, err
 }
 
 // Digest computes the spec's canonical encoding, content hash, and prefix
