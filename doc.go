@@ -23,8 +23,8 @@
 // scenarios through specs (builtin mixes ship embedded in the package),
 // CAT way ranges, DCA switches and the ablation knobs included. On top of
 // that, internal/service and cmd/a4serve serve scenario runs over HTTP with
-// a worker pool, singleflight deduplication, and an LRU result cache keyed
-// by spec hash — determinism makes cache hits byte-identical to fresh runs.
+// a bounded number of execution slots, singleflight deduplication, and an
+// LRU result cache keyed by spec hash — determinism makes cache hits byte-identical to fresh runs.
 //
 // Simulation state is forkable: every layer implements one state contract,
 // the snapshot codec, and harness.Scenario.Fork/Snapshot rebuild a
