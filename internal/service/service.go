@@ -309,8 +309,8 @@ func (s *Service) submit(sp *scenario.Spec, tr *obs.Trace) (Result, error) {
 		return Result{Hash: hash, Cached: false, Report: f.report, Envelope: f.body}, nil
 	}
 	// The executing submitter publishes its result to the cache before
-	// clearing its flight, so a submission that missed the cache and then found no
-	// flight re-checks here — under fmu — and cannot miss both. The
+	// clearing its flight, so a submission that missed the cache and then
+	// found no flight re-checks here — under fmu — and cannot miss both. The
 	// re-check reaches the store too: a restarted (or memory-evicted)
 	// service serves durably stored runs instead of re-simulating them.
 	// Held under fmu — rare (memory miss), and the alternative is a
