@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"a4sim/internal/scenario"
+	"a4sim/internal/sim"
 )
 
 // extendSpec is testSpec with an adjustable measurement window.
@@ -110,6 +111,35 @@ func TestSubmitReusesPrefixSnapshots(t *testing.T) {
 	}
 	if want := freshReport(t, extendSpec(12, 1)); !bytes.Equal(shorter.Report, want) {
 		t.Fatal("shorter run differs from fresh serial run")
+	}
+}
+
+// TestShorterWindowKeepsFurtherSnapshot pins that the warm snapshot a
+// prefix keeps is the one whose window has run furthest: a shorter run of
+// the same prefix executes fresh and deposits its own state, which must not
+// replace the longer one, so the exported snapshot still holds 2 s.
+func TestShorterWindowKeepsFurtherSnapshot(t *testing.T) {
+	svc := New(Config{Workers: 1})
+	defer svc.Close()
+	for _, m := range []float64{2, 1} {
+		if _, err := svc.Submit(context.Background(), tinySpec(t, m)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prefix, err := tinySpec(t, 1).PrefixHash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, ok := svc.SnapshotBytes(prefix)
+	if !ok {
+		t.Fatal("no snapshot resident for the prefix")
+	}
+	snap, _, err := decodeWrappedSnapshot(prefix, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := snap.WindowEpochs(), sim.Epochs(2); got != want {
+		t.Errorf("resident snapshot window = %d epochs, want %d", got, want)
 	}
 }
 
