@@ -125,10 +125,24 @@ func TestSweepEndpoint(t *testing.T) {
 		"axes": []map[string]any{{"param": "manager", "managers": []string{"default", "a4-d"}}},
 	}
 	body, _ := json.Marshal(req)
-	points, err := service.NewClient(srv.URL, nil).SweepBytes(body)
+	resp, err := http.Post(srv.URL+"/sweep", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /sweep: status %d", resp.StatusCode)
+	}
+	var out struct {
+		Points []struct {
+			Grid map[string]any `json:"grid"`
+			Hash string         `json:"hash"`
+		} `json:"points"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	points := out.Points
 	if len(points) != 2 {
 		t.Fatalf("got %d points, want 2", len(points))
 	}

@@ -34,6 +34,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"a4sim/internal/lru"
 	"a4sim/internal/obs"
 	"a4sim/internal/scenario"
 	"a4sim/internal/service"
@@ -57,9 +58,9 @@ const (
 	queueDepth = 32
 	// routeEntries caps the content-hash → routing-key index that sends
 	// /extend and by-hash reads to the backend owning the run, and the
-	// routing-key → owner index beside it. Unknown hashes fall back to
-	// probing backends in a deterministic order, so eviction costs latency,
-	// never correctness.
+	// routing-key → owner index beside it; each evicts its least recently
+	// used entry. Unknown hashes fall back to probing backends in a
+	// deterministic order, so eviction costs latency, never correctness.
 	routeEntries = 16384
 	// runTimeout bounds a run, extend, or by-hash hop: runs may
 	// legitimately simulate for minutes (the backend's CheckBudget bounds
@@ -75,11 +76,8 @@ type Coordinator struct {
 	backends    []*backend
 	reviveAfter time.Duration
 
-	// mu guards only the two routing maps; the counters below are atomics
-	// so the submission hot path never takes the coordinator lock.
-	mu     sync.Mutex
-	routes map[string]string // content hash -> routing key
-	owners map[string]string // routing key (prefix hash) -> backend URL last serving it
+	routes *lru.Map[string] // content hash -> routing key
+	owners *lru.Map[string] // routing key (prefix hash) -> backend URL last serving it
 
 	// The live form of Routing.
 	reroutes    atomic.Uint64
@@ -122,8 +120,8 @@ func New(cfg Config) (*Coordinator, error) {
 	probeHC := &http.Client{Timeout: probeTimeout, Transport: transport}
 	c := &Coordinator{
 		reviveAfter: revive,
-		routes:      make(map[string]string),
-		owners:      make(map[string]string),
+		routes:      lru.New[string](routeEntries),
+		owners:      lru.New[string](routeEntries),
 	}
 	seen := map[string]bool{}
 	for _, raw := range cfg.Backends {
@@ -323,7 +321,7 @@ func (c *Coordinator) submitKey(ctx context.Context, key string, head *backend, 
 		}
 		switch class {
 		case callOK:
-			c.recordOwner(key, b.url)
+			c.owners.Put(key, b.url, nil)
 			return res, nil
 		case callTerminal:
 			return service.Result{}, err
@@ -369,32 +367,10 @@ func (c *Coordinator) maybeHandoff(key string, target *backend, tr *obs.Trace) {
 	}
 }
 
-// recordOwner remembers which backend last served a routing key, bounded
-// like the route index; eviction only costs a missed handoff opportunity.
-func (c *Coordinator) recordOwner(key, url string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if cur, ok := c.owners[key]; ok {
-		if cur != url {
-			c.owners[key] = url
-		}
-		return
-	}
-	if len(c.owners) >= routeEntries {
-		for k := range c.owners {
-			delete(c.owners, k)
-			break
-		}
-	}
-	c.owners[key] = url
-}
-
 // ownerOf returns the backend that last served routing key, or nil when
 // none is recorded (or the recorded URL left the fleet).
 func (c *Coordinator) ownerOf(key string) *backend {
-	c.mu.Lock()
-	url := c.owners[key]
-	c.mu.Unlock()
+	url, _ := c.owners.Get(key, true)
 	return c.backendAt(url)
 }
 
@@ -433,7 +409,7 @@ func (c *Coordinator) submit(ctx context.Context, sp *scenario.Spec, head *backe
 	}
 	res, err := c.submitKey(ctx, prefix, head, canon)
 	if err == nil {
-		c.recordRoute(res.Hash, prefix)
+		c.routes.Put(res.Hash, prefix, nil)
 	}
 	return res, err
 }
@@ -466,7 +442,7 @@ func (c *Coordinator) Extend(ctx context.Context, hash string, measureSec float6
 		case callOK:
 			// The extended run shares the original's prefix, so it lives
 			// under the same routing key.
-			c.recordRoute(res.Hash, key)
+			c.routes.Put(res.Hash, key, nil)
 			return res, nil
 		case callTerminal:
 			if errors.Is(err, service.ErrUnknownHash) {
@@ -618,7 +594,7 @@ func (c *Coordinator) Series(hash string) ([]byte, bool) {
 // itself when unrecorded) and the backends to try for it: the one that last
 // served the key first, then the rest in the key's rendezvous order.
 func (c *Coordinator) hashOrder(hash string) (string, []*backend) {
-	key, known := c.routeOf(hash)
+	key, known := c.routes.Get(hash, true)
 	if !known {
 		key = hash
 	}
@@ -659,30 +635,6 @@ func (c *Coordinator) fetchByHash(hash string, get func(*service.Client) ([]byte
 		return err
 	})
 	return data, ok
-}
-
-func (c *Coordinator) recordRoute(hash, key string) {
-	if hash == "" {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.routes[hash]; !ok && len(c.routes) >= routeEntries {
-		// Evict one arbitrary entry; a missed route only costs the probing
-		// fallback, never correctness.
-		for k := range c.routes {
-			delete(c.routes, k)
-			break
-		}
-	}
-	c.routes[hash] = key
-}
-
-func (c *Coordinator) routeOf(hash string) (string, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	key, ok := c.routes[hash]
-	return key, ok
 }
 
 // BackendStats is one backend's view in the merged /stats payload.

@@ -568,9 +568,7 @@ func TestHandoffRejectsCorruptSnapshot(t *testing.T) {
 
 	target := newBackend(t)
 	coord := newCoordinator(t, target.URL)
-	coord.mu.Lock()
-	coord.owners[prefix] = owner.URL
-	coord.mu.Unlock()
+	coord.owners.Put(prefix, owner.URL, nil)
 
 	long := testSpec(23)
 	long.MeasureSec = 2

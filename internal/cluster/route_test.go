@@ -101,7 +101,7 @@ func TestByHashReadsGoOwnerFirst(t *testing.T) {
 
 func mustRoute(t *testing.T, c *Coordinator, hash string) string {
 	t.Helper()
-	key, ok := c.routeOf(hash)
+	key, ok := c.routes.Get(hash, false)
 	if !ok {
 		t.Fatalf("no route recorded for %s", hash)
 	}

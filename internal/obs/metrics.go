@@ -118,52 +118,33 @@ func AddStats[T any](dst *T, src T) {
 	}
 }
 
-// HTTPMetrics records per-endpoint request durations into sharded
-// histograms and exposes them as one labeled family. Timed resolves an
-// endpoint's shard set once at mux-build time, so the per-request record
-// is one sharded Observe — no registry lock, no map probe. WriteProm
-// merges shards at scrape time; endpoints registered but never hit are
-// skipped, so the exposition is identical to the old lazily-registered
-// form.
+// HTTPMetrics records per-endpoint request durations and exposes them as
+// one labeled family. Timed resolves an endpoint's histogram once at
+// mux-build time, so the per-request record is one SyncHistogram Observe —
+// no registry lock, no map probe. Endpoints registered but never hit are
+// left out of the scrape.
 type HTTPMetrics struct {
 	mu    sync.Mutex
 	order []string
-	hists map[string]*stats.ShardedHistogram
+	hists map[string]*stats.SyncHistogram
 }
 
 // NewHTTPMetrics returns an empty recorder.
 func NewHTTPMetrics() *HTTPMetrics {
-	return &HTTPMetrics{hists: make(map[string]*stats.ShardedHistogram)}
+	return &HTTPMetrics{hists: make(map[string]*stats.SyncHistogram)}
 }
 
 // handle returns endpoint's histogram, registering it on first use.
-func (m *HTTPMetrics) handle(endpoint string) *stats.ShardedHistogram {
+func (m *HTTPMetrics) handle(endpoint string) *stats.SyncHistogram {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	h, ok := m.hists[endpoint]
 	if !ok {
-		h = stats.NewShardedHistogram()
+		h = new(stats.SyncHistogram)
 		m.hists[endpoint] = h
 		m.order = append(m.order, endpoint)
 	}
 	return h
-}
-
-// Observe records one request's duration under its endpoint label.
-func (m *HTTPMetrics) Observe(endpoint string, d time.Duration) {
-	m.handle(endpoint).Observe(d.Microseconds())
-}
-
-// Quantile returns one endpoint's latency quantile in microseconds (0 when
-// the endpoint was never hit).
-func (m *HTTPMetrics) Quantile(endpoint string, p float64) float64 {
-	m.mu.Lock()
-	h, ok := m.hists[endpoint]
-	m.mu.Unlock()
-	if !ok {
-		return 0
-	}
-	return h.Snapshot().Quantile(p)
 }
 
 // WriteProm writes the a4_http_request_duration_seconds family, one label
@@ -171,15 +152,15 @@ func (m *HTTPMetrics) Quantile(endpoint string, p float64) float64 {
 func (m *HTTPMetrics) WriteProm(w io.Writer) {
 	m.mu.Lock()
 	order := append([]string(nil), m.order...)
-	merged := make(map[string]*stats.Histogram, len(m.hists))
+	snaps := make(map[string]*stats.Histogram, len(m.hists))
 	for ep, h := range m.hists {
-		merged[ep] = h.Snapshot()
+		snaps[ep] = h.Snapshot()
 	}
 	m.mu.Unlock()
 	var e *Expo
 	const name = "a4_http_request_duration_seconds"
 	for _, ep := range order {
-		h := merged[ep]
+		h := snaps[ep]
 		if h.Count() == 0 {
 			continue // registered by Timed but never hit: keep it out of the scrape
 		}

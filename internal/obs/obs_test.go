@@ -284,10 +284,10 @@ func TestHubDropsStalledSubscriber(t *testing.T) {
 // and WriteProm emits the bucket/sum/count families with endpoint labels.
 func TestHTTPMetricsExposition(t *testing.T) {
 	m := NewHTTPMetrics()
-	m.Observe("run", 5*time.Millisecond)
-	m.Observe("run", 10*time.Millisecond)
-	m.Observe("series", time.Millisecond)
-	if q := m.Quantile("run", 1.0); q < 8000 || q > 10240 {
+	m.handle("run").Observe(5000) // µs, as Timed records
+	m.handle("run").Observe(10000)
+	m.handle("series").Observe(1000)
+	if q := m.handle("run").Snapshot().Quantile(1.0); q < 8000 || q > 10240 {
 		t.Errorf("p100 = %g µs, want ~10000", q)
 	}
 	var buf bytes.Buffer

@@ -74,31 +74,6 @@ func (c *Client) Extend(ctx context.Context, hash string, measureSec float64) (R
 	return c.postResult(ctx, "/extend", body)
 }
 
-// SweepBytes posts a pre-encoded sweep body and decodes the grid points in
-// order.
-func (c *Client) SweepBytes(body []byte) ([]SweepPoint, error) {
-	data, err := c.do(context.TODO(), http.MethodPost, "/sweep", jsonType, body, maxClientResponseBytes)
-	if err != nil {
-		return nil, err
-	}
-	var out struct {
-		Points []struct {
-			Grid   map[string]any  `json:"grid"`
-			Hash   string          `json:"hash"`
-			Cached bool            `json:"cached"`
-			Report json.RawMessage `json:"report"`
-		} `json:"points"`
-	}
-	if err := json.Unmarshal(data, &out); err != nil {
-		return nil, fmt.Errorf("service: client: decode sweep response: %w", err)
-	}
-	points := make([]SweepPoint, len(out.Points))
-	for i, p := range out.Points {
-		points[i] = SweepPoint{Grid: p.Grid, Hash: p.Hash, Cached: p.Cached, Report: p.Report}
-	}
-	return points, nil
-}
-
 // Result fetches a cached report by content address (GET /result/<hash>).
 func (c *Client) Result(hash string) ([]byte, error) {
 	return c.get("/result/" + hash)

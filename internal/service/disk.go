@@ -41,9 +41,9 @@ type runRecord struct {
 // run object that is missing, quarantined or does not decode to a whole
 // record (an older layout, for one) is a miss, and the re-execution that
 // follows replaces it. Safe to call with fmu held (the cache put nests
-// fmu -> cache.mu, the one permitted nesting).
+// fmu -> the result cache's lock, the one permitted nesting).
 func (s *Service) record(hash string, touch bool, tr *obs.Trace) (*lruEntry, bool) {
-	if e, ok := s.cache.get(hash, touch); ok {
+	if e, ok := s.cache.Get(hash, touch); ok {
 		return e, true
 	}
 	if s.disk == nil {
@@ -60,7 +60,7 @@ func (s *Service) record(hash string, touch bool, tr *obs.Trace) (*lruEntry, boo
 		return nil, false
 	}
 	s.ctr.storeHits.Add(1)
-	return s.cache.put(hash, rec), true
+	return s.publish(hash, rec), true
 }
 
 // storeRecord writes rec as hash's run object. One atomic write is the
@@ -126,7 +126,11 @@ func decodeSnapWrap(data []byte) (spec, snap []byte, err error) {
 // concurrent advances can at worst leave disk one step behind memory, which
 // costs re-simulation after a restart, never a wrong result.
 func (s *Service) depositSnap(prefix string, snap *harness.Snapshot, spec []byte) {
-	advanced := s.snaps.put(prefix, snap, spec)
+	// A resident state whose window has run further is kept: any request
+	// at or past it continues from there, and concurrent shorter runs must
+	// not clobber it.
+	further := func(old *snapEntry) bool { return old.snap.WindowEpochs() > snap.WindowEpochs() }
+	advanced := s.snaps.Put(prefix, &snapEntry{snap: snap, spec: spec}, further)
 	if !advanced || s.disk == nil {
 		return
 	}
@@ -185,8 +189,8 @@ func decodeWrappedSnapshot(prefix string, data []byte) (*harness.Snapshot, []byt
 // bytes are framed, not re-encoded); otherwise the durable store's copy is
 // forwarded as-is.
 func (s *Service) SnapshotBytes(prefix string) ([]byte, bool) {
-	if snap, spec, ok := s.snaps.get(prefix); ok {
-		if data, err := encodeSnapWrap(spec, snap); err == nil {
+	if e, ok := s.snaps.Get(prefix, true); ok {
+		if data, err := encodeSnapWrap(e.spec, e.snap); err == nil {
 			return data, true
 		}
 	}

@@ -8,27 +8,27 @@
 // tests pin it.
 //
 // Concurrency model (DESIGN.md §17): the serving path holds no global
-// lock. The in-flight flight map and the result cache each have their own
-// lock, and the execution slots are a channel of tokens; the counters are
-// atomics snapshotted at /stats scrape time; the queue-wait histogram is
-// sharded. The lock-ordering rule is flat: fmu may be held while taking the
-// cache's lock, and nothing else nests — the cache lock and the
-// snapshot/store/trace locks are all leaves.
+// lock. The in-flight flight map has its own lock, the result and snapshot
+// caches are each an lru.Map under one mutex, and the execution slots are a
+// channel of tokens; the counters are atomics snapshotted at /stats scrape
+// time; the queue-wait histogram has one mutex of its own. The
+// lock-ordering rule is flat: fmu may be held while taking the result
+// cache's lock, and nothing else nests — the cache locks and the
+// store/trace/histogram locks are all leaves.
 package service
 
 import (
-	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"a4sim/internal/harness"
+	"a4sim/internal/lru"
 	"a4sim/internal/obs"
 	"a4sim/internal/scenario"
 	"a4sim/internal/sim"
@@ -149,9 +149,9 @@ type Service struct {
 	fmu      sync.Mutex
 	inflight map[string]*flight
 
-	// cache is the result LRU; internally synchronized, read path never
-	// blocks on writers (sync.RWMutex + atomic recency stamps).
-	cache *lruCache
+	// cache is the result LRU, keyed by content hash; entries are immutable
+	// once published (publish replaces an entry wholesale).
+	cache *lru.Map[*lruEntry]
 
 	// memo maps exact request body bytes to the content hash they parse
 	// to — Parse and Hash are deterministic, so the mapping is immutable
@@ -161,18 +161,18 @@ type Service struct {
 
 	ctr counters
 
-	// snaps caches warm simulation state for prefix-shared continuation.
-	// It has its own lock: snapshot forking is heavy and must not serialize
-	// the submission path.
-	snaps *snapStore
+	// snaps caches warm simulation state for prefix-shared continuation,
+	// keyed by prefix hash. Entries are immutable; forking happens outside
+	// its lock, so heavy snapshot work never serializes the submission path.
+	snaps *lru.Map[*snapEntry]
 
 	// disk is the durable object store under the in-memory caches; nil when
 	// the service runs memory-only.
 	disk *store.Store
 
-	// queueWait records each execution's admission-to-slot wait (µs);
-	// sharded so concurrent starts don't contend, merged at scrape time.
-	queueWait *stats.ShardedHistogram
+	// queueWait records each execution's admission-to-slot wait (µs); at
+	// most Workers executions start at once, so one mutex serves it.
+	queueWait *stats.SyncHistogram
 	// streams fans live series rows out to GET /series/<hash>/stream
 	// subscribers, under its own (short-hold) lock.
 	streams *obs.SeriesHub
@@ -192,11 +192,11 @@ func New(cfg Config) *Service {
 		slots:     make(chan struct{}, w),
 		maxQueue:  MaxSweepPoints,
 		inflight:  make(map[string]*flight),
-		cache:     newLRUCache(entries),
+		cache:     lru.New[*lruEntry](entries),
 		memo:      newBodyMemo(),
-		snaps:     newSnapStore(snapshotEntries),
+		snaps:     lru.New[*snapEntry](snapshotEntries),
 		disk:      cfg.Store,
-		queueWait: stats.NewShardedHistogram(),
+		queueWait: new(stats.SyncHistogram),
 		streams:   obs.NewSeriesHub(),
 	}
 }
@@ -260,7 +260,7 @@ func (s *Service) RunCachedBody(body []byte, tr *obs.Trace) (Result, bool) {
 	if !ok {
 		return Result{}, false
 	}
-	e, ok := s.cache.get(hash, true)
+	e, ok := s.cache.Get(hash, true)
 	if !ok {
 		return Result{}, false
 	}
@@ -289,7 +289,7 @@ func (s *Service) submit(sp *scenario.Spec, tr *obs.Trace) (Result, error) {
 	if s.closed.Load() {
 		return Result{}, ErrClosed
 	}
-	if e, ok := s.cache.get(hash, true); ok {
+	if e, ok := s.cache.Get(hash, true); ok {
 		s.ctr.hits.Add(1)
 		tr.Mark("cache_hit", "")
 		return Result{Hash: hash, Cached: true, Report: e.Report, Envelope: e.hitBody}, nil
@@ -383,7 +383,7 @@ func (s *Service) submit(sp *scenario.Spec, tr *obs.Trace) (Result, error) {
 		// Publish before clearing the flight (below): between the two, a new
 		// submission either attaches to this flight or hits the cache, never
 		// both-miss.
-		s.cache.put(hash, rec)
+		s.publish(hash, rec)
 	}
 	s.fmu.Lock()
 	delete(s.inflight, hash)
@@ -451,8 +451,11 @@ func (s *Service) execute(sp *scenario.Spec, tr *obs.Trace, pub *obs.SeriesPub) 
 		return nil, nil, err
 	}
 	window := sim.Epochs(run.MeasureSec)
-	snap, _, ok := s.snaps.get(prefix)
-	if !ok && s.disk != nil {
+	var snap *harness.Snapshot
+	se, ok := s.snaps.Get(prefix, true)
+	if ok {
+		snap = se.snap
+	} else if s.disk != nil {
 		// Memory miss: a restarted service rehydrates the warm state a
 		// previous instance spilled to disk. Any failure — missing object,
 		// quarantined bytes, version or structure mismatch — falls through
@@ -554,71 +557,12 @@ func (s *Service) TraceEvents(hash string, n int) ([]byte, bool) {
 	return data, err == nil
 }
 
-// snapStore is a bounded LRU of warm simulation snapshots (encoded state
-// plus construction recipe) keyed by prefix hash. One entry per prefix:
-// put keeps the state whose window has run furthest, since any request at
-// or past it can continue from there while earlier states would
-// re-simulate more.
-type snapStore struct {
-	mu    sync.Mutex
-	cap   int
-	ll    *list.List // front = most recently used
-	items map[string]*list.Element
-}
-
+// snapEntry is one warm snapshot and the canonical spec of a run sharing
+// its prefix, for snapshot shipping. Both are immutable; callers fork the
+// snapshot outside the cache's lock.
 type snapEntry struct {
-	key  string
 	snap *harness.Snapshot
-	spec []byte // canonical spec of a run sharing the prefix, for snapshot shipping
-}
-
-func newSnapStore(capEntries int) *snapStore {
-	return &snapStore{cap: capEntries, ll: list.New(), items: make(map[string]*list.Element)}
-}
-
-// get returns the stored snapshot and the canonical spec it belongs to.
-// The snapshot is immutable; callers fork it outside the store's lock.
-func (c *snapStore) get(key string) (*harness.Snapshot, []byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return nil, nil, false
-	}
-	c.ll.MoveToFront(el)
-	e := el.Value.(*snapEntry)
-	return e.snap, e.spec, true
-}
-
-// put stores a snapshot unless one for the same prefix whose window has
-// run further is already resident (concurrent shorter runs must not
-// clobber it). It reports whether the entry was stored or advanced — the
-// signal the caller uses to mirror the state to disk.
-func (c *snapStore) put(key string, snap *harness.Snapshot, spec []byte) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		e := el.Value.(*snapEntry)
-		advanced := snap.WindowEpochs() >= e.snap.WindowEpochs()
-		if advanced {
-			e.snap, e.spec = snap, spec
-		}
-		c.ll.MoveToFront(el)
-		return advanced
-	}
-	c.items[key] = c.ll.PushFront(&snapEntry{key: key, snap: snap, spec: spec})
-	for c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*snapEntry).key)
-	}
-	return true
-}
-
-func (c *snapStore) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
+	spec []byte
 }
 
 // Lookup serves a cached report by hash without triggering execution. It
@@ -652,12 +596,12 @@ func (s *Service) Stats() Stats {
 		Dedups:          s.ctr.dedups.Load(),
 		Executions:      s.ctr.executions.Load(),
 		Errors:          s.ctr.errors.Load(),
-		Entries:         s.cache.len(),
+		Entries:         s.cache.Len(),
 		Workers:         cap(s.slots),
 		Queued:          int(s.ctr.queued.Load()),
 		SnapshotForks:   s.ctr.snapshotForks.Load(),
 		StoreHits:       s.ctr.storeHits.Load(),
-		SnapshotEntries: s.snaps.len(),
+		SnapshotEntries: s.snaps.Len(),
 	}
 	if s.disk != nil {
 		st.StoreObjects = s.disk.Len()
@@ -666,88 +610,19 @@ func (s *Service) Stats() Stats {
 	return st
 }
 
-// lruCache is the result cache: an RWMutex-guarded map whose entries are
-// immutable once published (a re-put replaces the entry object), plus an
-// atomic recency stamp per entry. The hot read path takes only the read
-// lock — it never reorders a list or otherwise writes shared state, so
-// concurrent cache hits proceed in parallel and never block behind one
-// another. Eviction (rare: one candidate scan per insert over capacity)
-// happens under the write lock by discarding the minimum-stamp entry —
-// exact LRU semantics, different bookkeeping.
-type lruCache struct {
-	mu    sync.RWMutex
-	cap   int
-	clock atomic.Uint64 // global recency stamp source
-	items map[string]*lruEntry
-}
-
 // lruEntry is one cached run: its record, the same one the store holds,
-// and the pre-encoded cached:true response envelope for /run hits. The
-// record and envelope are immutable after the entry is published; only
-// the recency stamp is written on reads.
+// and the pre-encoded cached:true response envelope for /run hits. Both
+// are immutable after the entry is published.
 type lruEntry struct {
 	runRecord
 	hitBody []byte
-
-	used atomic.Uint64 // recency stamp; higher = more recently used
 }
 
-func newLRUCache(capEntries int) *lruCache {
-	return &lruCache{cap: capEntries, items: make(map[string]*lruEntry)}
-}
-
-// touch refreshes an entry's recency. Stamps come from one atomic clock,
-// so concurrent touches race only over which of two adjacent stamps wins —
-// either order is a correct LRU history.
-func (c *lruCache) touch(e *lruEntry) {
-	e.used.Store(c.clock.Add(1))
-}
-
-// get returns the entry under key, refreshing its recency when touch is
-// set.
-func (c *lruCache) get(key string, touch bool) (*lruEntry, bool) {
-	c.mu.RLock()
-	e, ok := c.items[key]
-	c.mu.RUnlock()
-	if ok && touch {
-		c.touch(e)
-	}
-	return e, ok
-}
-
-// put publishes rec under key and returns the resident entry. An existing
-// entry is replaced wholesale (entries are immutable).
-func (c *lruCache) put(key string, rec runRecord) *lruEntry {
-	e := &lruEntry{runRecord: rec, hitBody: encodeResultEnvelope(key, true, rec.Report)}
-	c.touch(e)
-	c.mu.Lock()
-	c.items[key] = e
-	for len(c.items) > c.cap {
-		c.evictOldestLocked()
-	}
-	c.mu.Unlock()
+// publish makes rec the resident result for hash and returns the entry.
+func (s *Service) publish(hash string, rec runRecord) *lruEntry {
+	e := &lruEntry{runRecord: rec, hitBody: encodeResultEnvelope(hash, true, rec.Report)}
+	s.cache.Put(hash, e, nil)
 	return e
-}
-
-// evictOldestLocked discards the minimum-stamp entry. O(entries), but runs
-// only when an insert exceeds capacity — once per cached execution at
-// steady state, against a capped (default 256) map.
-func (c *lruCache) evictOldestLocked() {
-	var oldestKey string
-	oldest := uint64(math.MaxUint64)
-	for k, e := range c.items {
-		if u := e.used.Load(); u < oldest {
-			oldest = u
-			oldestKey = k
-		}
-	}
-	delete(c.items, oldestKey)
-}
-
-func (c *lruCache) len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.items)
 }
 
 // bodyMemo is a bounded map from exact request-body bytes to the content

@@ -313,22 +313,24 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestLRUUnit(t *testing.T) {
-	c := newLRUCache(2)
-	c.put("a", runRecord{Report: []byte("1"), Spec: []byte("sa")})
-	c.put("b", runRecord{Report: []byte("2"), Spec: []byte("sb")})
-	c.get("a", true) // refresh a; b is now oldest
-	c.put("c", runRecord{Report: []byte("3"), Spec: []byte("sc")})
-	if _, ok := c.get("b", true); ok {
+	svc := New(Config{CacheEntries: 2})
+	defer svc.Close()
+	c := svc.cache
+	svc.publish("a", runRecord{Report: []byte("1"), Spec: []byte("sa")})
+	svc.publish("b", runRecord{Report: []byte("2"), Spec: []byte("sb")})
+	c.Get("a", true) // refresh a; b is now oldest
+	svc.publish("c", runRecord{Report: []byte("3"), Spec: []byte("sc")})
+	if _, ok := c.Get("b", true); ok {
 		t.Error("LRU evicted the recently-used entry instead of the oldest")
 	}
-	e, ok := c.get("a", true)
+	e, ok := c.Get("a", true)
 	if !ok {
 		t.Error("refreshed entry was evicted")
 	} else if string(e.Report) != "1" {
 		t.Errorf("entry report = %q, want %q", e.Report, "1")
 	}
-	if c.len() != 2 {
-		t.Errorf("len = %d, want 2", c.len())
+	if c.Len() != 2 {
+		t.Errorf("len = %d, want 2", c.Len())
 	}
 	// Entries carry their pre-encoded cache-hit response body.
 	if want := string(encodeResultEnvelope("a", true, []byte("1"))); string(e.hitBody) != want {

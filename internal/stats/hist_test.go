@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 )
 
@@ -198,5 +199,34 @@ func TestHistogramEmptyAndNegative(t *testing.T) {
 	h.Observe(-5)
 	if h.Count() != 1 || h.Sum() != 0 || h.Quantile(1) != 0 {
 		t.Errorf("negative observation: count=%d sum=%d q=%g", h.Count(), h.Sum(), h.Quantile(1))
+	}
+}
+
+// TestSyncHistogramConcurrent: concurrent observers lose nothing, and a
+// snapshot equals one histogram that saw every value. Run it under -race.
+func TestSyncHistogramConcurrent(t *testing.T) {
+	var s SyncHistogram
+	want := NewHistogram()
+	var wg sync.WaitGroup
+	for g := int64(0); g < 4; g++ {
+		for v := int64(0); v < 1000; v++ {
+			want.Observe(g*1000 + v)
+		}
+		wg.Add(1)
+		go func(g int64) {
+			defer wg.Done()
+			for v := int64(0); v < 1000; v++ {
+				s.Observe(g*1000 + v)
+				if v%100 == 0 {
+					s.Snapshot()
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	got, _ := s.Snapshot().Encode()
+	exp, _ := want.Encode()
+	if !bytes.Equal(got, exp) {
+		t.Errorf("snapshot %s, want %s", got, exp)
 	}
 }
