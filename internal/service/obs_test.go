@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"a4sim/internal/obs"
 	"a4sim/internal/stats"
@@ -188,6 +189,53 @@ func TestStreamLiveAttachMatchesStored(t *testing.T) {
 	replay := readSSE(t, resp.Body)
 	resp.Body.Close()
 	checkStreamAgainstStored(t, replay, stored)
+}
+
+// TestStreamQueuedAttachReadsFromRowZero: a subscriber attaching to an
+// accepted series run that still waits for an execution slot gets the live
+// stream, not a 404, and reads it from row 0 to the stored series. Holding
+// the only slot makes this the live-attach path every time.
+func TestStreamQueuedAttachReadsFromRowZero(t *testing.T) {
+	svc := New(Config{Workers: 1})
+	t.Cleanup(svc.Close)
+	srv := httptest.NewServer(NewMux(svc, func() any { return svc.Stats() }, nil))
+	t.Cleanup(srv.Close)
+
+	sp := seriesSpec(93, 1)
+	_, hash, _, err := sp.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.slots <- struct{}{}
+	runDone := make(chan error, 1)
+	go func() {
+		_, err := svc.Submit(context.Background(), sp)
+		runDone <- err
+	}()
+	for svc.Stats().Queued != 1 {
+		time.Sleep(time.Millisecond)
+	}
+
+	resp, err := http.Get(srv.URL + "/series/" + hash + "/stream")
+	if err != nil {
+		<-svc.slots
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		<-svc.slots
+		t.Fatalf("stream of a queued run: status %d, want 200", resp.StatusCode)
+	}
+	<-svc.slots // release the slot; the queued run executes
+	events := readSSE(t, resp.Body)
+	if err := <-runDone; err != nil {
+		t.Fatal(err)
+	}
+	stored, err := fetchOK(srv.URL + "/series/" + hash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkStreamAgainstStored(t, events, stored)
 }
 
 func fetchOK(url string) ([]byte, error) {
