@@ -103,87 +103,107 @@ func BenchmarkScenarioSecondSampled(b *testing.B) {
 	})
 }
 
+// warmedMicroMix builds the micro mix and warms it one simulated second,
+// with the measurement window still closed, so each fork of it can pick its
+// series groups before opening the window.
+func warmedMicroMix(opts harness.SeriesOpts) *harness.Scenario {
+	s := harness.NewScenario(harness.DefaultParams())
+	s.AddDPDK("dpdk-t", []int{0, 1, 2, 3}, true, workload.HPW)
+	s.AddFIO("fio", []int{4, 5, 6, 7}, 128<<10, 32, workload.LPW)
+	s.AddXMem("xmem", []int{8, 9}, 4<<20, workload.Sequential, false, workload.HPW)
+	s.Start(harness.Default())
+	s.Monitor.EnableSeries(opts)
+	s.Warm(1)
+	return s
+}
+
+// offOn runs one "off" and one "on" step per iteration, swapping their
+// order every iteration, so drift on the host lands on both sides alike
+// instead of in their ratio. It reports each side's ms per step (one
+// simulated second) and the overhead of "on" over "off" in percent.
+func offOn(b *testing.B, off, on func()) {
+	timed := func(f func()) time.Duration {
+		t0 := time.Now()
+		f()
+		return time.Since(t0)
+	}
+	var dOff, dOn time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%2 == 0 {
+			dOff += timed(off)
+			dOn += timed(on)
+		} else {
+			dOn += timed(on)
+			dOff += timed(off)
+		}
+	}
+	offMs := float64(dOff.Microseconds()) / 1e3 / float64(b.N)
+	onMs := float64(dOn.Microseconds()) / 1e3 / float64(b.N)
+	b.ReportMetric(offMs, "off_ms/simsec")
+	b.ReportMetric(onMs, "on_ms/simsec")
+	b.ReportMetric(100*(onMs-offMs)/offMs, "overhead_pct")
+}
+
 // BenchmarkScenarioSecondSeries prices the telemetry plane on one
 // simulated second inside an open measurement window: "off" is the default
 // measurement path (per-second core columns, no export — what every run
 // pays since the series refactor), "on" adds every extended column group
-// (device queues, LLC occupancy, export). The relative difference is the
-// series_overhead_pct the plane is held to (<3%); run it by hand, as
-// perfbench's traced ladder carries the production overhead
-// (trace.overhead_pct).
+// (device queues, LLC occupancy, export). Both are forks of one warmed
+// scenario, stepped alternately; overhead_pct is the series_overhead_pct
+// the plane is held to (<3%). Run it by hand, as perfbench's traced ladder
+// carries the production overhead (trace.overhead_pct).
 func BenchmarkScenarioSecondSeries(b *testing.B) {
-	run := func(b *testing.B, opts harness.SeriesOpts) {
-		p := harness.DefaultParams()
-		s := harness.NewScenario(p)
-		s.AddDPDK("dpdk-t", []int{0, 1, 2, 3}, true, workload.HPW)
-		s.AddFIO("fio", []int{4, 5, 6, 7}, 128<<10, 32, workload.LPW)
-		s.AddXMem("xmem", []int{8, 9}, 4<<20, workload.Sequential, false, workload.HPW)
-		s.Start(harness.Default())
-		s.Monitor.EnableSeries(opts)
-		s.Warm(1)
-		s.BeginMeasure()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.Measure(1)
-		}
-	}
-	b.Run("off", func(b *testing.B) { run(b, harness.SeriesOpts{}) })
-	b.Run("on", func(b *testing.B) {
-		run(b, harness.SeriesOpts{Devices: true, Occupancy: true, Controller: true, Export: true})
-	})
+	base := warmedMicroMix(harness.SeriesOpts{})
+	off, on := base.Fork(), base.Fork()
+	on.Monitor.EnableSeries(harness.SeriesOpts{Devices: true, Occupancy: true, Controller: true, Export: true})
+	off.BeginMeasure()
+	on.BeginMeasure()
+	offOn(b, func() { off.Measure(1) }, func() { on.Measure(1) })
 }
 
 // BenchmarkScenarioSecondObs prices the observability plane on one
 // simulated second with the full telemetry series enabled: "off" is the
 // bare measurement loop, "on" adds everything a traced, streamed, metered
 // request pays — a span per second, a latency-histogram observation, and
-// the series row hook publishing through a hub to one draining subscriber.
-// The relative difference is the obs_overhead_pct the plane is held to
-// (<3%); run it by hand like the series benchmark above.
+// the series row hook publishing into a hub's row log that one subscriber
+// follows. Both are forks of one warmed scenario, stepped alternately;
+// overhead_pct is the obs_overhead_pct the plane is held to (<3%). Run it
+// by hand like the series benchmark above.
 func BenchmarkScenarioSecondObs(b *testing.B) {
-	run := func(b *testing.B, instrumented bool) {
-		p := harness.DefaultParams()
-		s := harness.NewScenario(p)
-		s.AddDPDK("dpdk-t", []int{0, 1, 2, 3}, true, workload.HPW)
-		s.AddFIO("fio", []int{4, 5, 6, 7}, 128<<10, 32, workload.LPW)
-		s.AddXMem("xmem", []int{8, 9}, 4<<20, workload.Sequential, false, workload.HPW)
-		s.Start(harness.Default())
-		s.Monitor.EnableSeries(harness.SeriesOpts{Devices: true, Occupancy: true, Controller: true, Export: true})
-		s.Warm(1)
-		s.BeginMeasure()
-		var (
-			tr   *obs.Trace
-			hist = stats.NewHistogram()
-		)
-		if instrumented {
-			tr = obs.NewTrace("bench")
-			hub := obs.NewSeriesHub()
-			pub := hub.Open("bench")
-			sub, _ := hub.Attach("bench")
-			drained := make(chan struct{})
-			go func() {
-				for range sub.C {
-				}
-				close(drained)
-			}()
-			b.Cleanup(func() { pub.Finish(nil); <-drained })
-			s.Monitor.SetRowHook(pub.Publish)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if instrumented {
-				sp := tr.Begin("measure")
-				t0 := time.Now()
-				s.Measure(1)
-				sp.End()
-				hist.Observe(time.Since(t0).Microseconds())
-			} else {
-				s.Measure(1)
+	base := warmedMicroMix(harness.SeriesOpts{Devices: true, Occupancy: true, Controller: true, Export: true})
+	off, on := base.Fork(), base.Fork()
+	off.BeginMeasure()
+	on.BeginMeasure()
+
+	hub := obs.NewSeriesHub()
+	log := hub.Open("bench")
+	sub, _ := hub.Attach("bench")
+	followed := make(chan struct{})
+	go func() {
+		defer close(followed)
+		next := 0
+		for {
+			_, rows, end, wake := sub.Read(next)
+			next += len(rows)
+			if end != nil {
+				return
 			}
+			<-wake
 		}
-	}
-	b.Run("off", func(b *testing.B) { run(b, false) })
-	b.Run("on", func(b *testing.B) { run(b, true) })
+	}()
+	b.Cleanup(func() { hub.Close("bench", log, nil, ""); <-followed })
+	on.Monitor.SetRowHook(log.Publish)
+
+	tr := obs.NewTrace("bench")
+	hist := stats.NewHistogram()
+	offOn(b, func() { off.Measure(1) }, func() {
+		sp := tr.Begin("measure")
+		t0 := time.Now()
+		on.Measure(1)
+		sp.End()
+		hist.Observe(time.Since(t0).Microseconds())
+	})
 }
 
 // --- sweep forking (snapshot/fork warm-state reuse) ---

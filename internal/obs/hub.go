@@ -6,207 +6,146 @@ import (
 	"a4sim/internal/stats"
 )
 
-// SeriesHub fans a running scenario's per-second series rows out to live
-// SSE subscribers. The executing worker publishes (one call per simulated
-// second, from the monitor's row hook); any number of subscribers attach
-// by the run's content hash and replay from row 0 — the hub keeps every
-// published row for the run's lifetime, which is bounded by the window cap
-// (MaxWindowSec rows), so late attachers see exactly the rows early ones
-// did and the streamed bytes can match the stored series bit for bit.
+// SeriesHub maps the content hash of each series run in flight to its row
+// log. The service opens a run's log at admission, before the run waits for
+// an execution slot, so any subscriber that finds the run reads it from
+// row 0; the executing worker publishes into the log (one call per
+// simulated second, from the monitor's row hook) and closes it when the run
+// ends. The hub's lock and each log's lock are leaves: neither is held
+// while taking another lock or writing to a subscriber.
 type SeriesHub struct {
 	mu   sync.Mutex
-	runs map[string]*liveSeries
+	runs map[string]*SeriesLog
 }
 
-// SeriesMsg is one hub message. Exactly one field group is meaningful:
-// Names announces the column layout (sent once, when the first row makes
-// it known), Row carries one appended row, and a terminal message carries
-// either Final (the stored series' canonical bytes — the byte-identity
-// anchor) or Err. A closed channel without a terminal message means the
-// subscriber was dropped for falling behind.
-type SeriesMsg struct {
-	Names []string
-	Row   []float64
+// SeriesLog is one run's append-only series: every subscriber reads it at
+// its own pace from any row index, so the publisher does O(1) work per row
+// however many subscribers there are, and a stalled subscriber resumes
+// where it stopped. A log keeps every row for the run's lifetime, which the
+// window cap (MaxWindowSec rows) bounds, so late attachers see exactly the
+// rows early ones did and the streamed rows match the stored series bit for
+// bit.
+type SeriesLog struct {
+	mu   sync.Mutex
+	rows *stats.Series // nil until the first Publish names the columns
+	end  *SeriesEnd    // nil while the run executes
+	wake chan struct{} // closed, and replaced, on every change
+}
+
+// SeriesEnd is an ended log's outcome: Final holds the stored series'
+// canonical bytes (the byte-identity anchor for GET /series), or Err says
+// why the run failed.
+type SeriesEnd struct {
 	Final []byte
 	Err   string
-	End   bool
-}
-
-// subBuffer is each subscriber's channel depth: enough for a maximum-length
-// window (scenario.MaxWindowSec = 3600 rows) plus control messages, so only
-// a subscriber that stops reading entirely can overflow and be dropped.
-const subBuffer = 4096
-
-type liveSeries struct {
-	mu    sync.Mutex
-	named bool
-	names []string
-	rows  [][]float64
-	done  bool
-	subs  map[int]chan SeriesMsg
-	next  int
 }
 
 // NewSeriesHub returns an empty hub.
 func NewSeriesHub() *SeriesHub {
-	return &SeriesHub{runs: make(map[string]*liveSeries)}
+	return &SeriesHub{runs: make(map[string]*SeriesLog)}
 }
 
-// SeriesPub is the publishing side of one run's stream.
-type SeriesPub struct {
-	hub *SeriesHub
-	key string
-	run *liveSeries
-}
+func newSeriesLog() *SeriesLog { return &SeriesLog{wake: make(chan struct{})} }
 
-// Open registers a run about to execute and returns its publisher. A key
-// already open (a racing duplicate execution — impossible through the
-// service's singleflight, but the hub does not depend on that) returns the
-// existing run's publisher.
-func (h *SeriesHub) Open(key string) *SeriesPub {
+// Open registers a run about to execute and returns its log. A key already
+// open (a racing duplicate execution — impossible through the service's
+// singleflight, but the hub does not depend on that) returns the existing
+// log.
+func (h *SeriesHub) Open(key string) *SeriesLog {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	run, ok := h.runs[key]
+	l, ok := h.runs[key]
 	if !ok {
-		run = &liveSeries{subs: make(map[int]chan SeriesMsg)}
-		h.runs[key] = run
+		l = newSeriesLog()
+		h.runs[key] = l
 	}
-	return &SeriesPub{hub: h, key: key, run: run}
+	return l
 }
 
-// SeriesSub is one attached subscriber: the column layout and rows
-// published before the attach (for replay), then live messages on C.
-type SeriesSub struct {
-	Names  []string
-	Replay [][]float64
-	C      <-chan SeriesMsg
-
-	run *liveSeries
-	id  int
-}
-
-// Attach subscribes to a run in flight. It returns false when no run is
-// live under key — the caller then serves the stored series instead.
-func (h *SeriesHub) Attach(key string) (*SeriesSub, bool) {
+// Attach returns the log of a run in flight. It returns false when no run
+// is open under key — the caller then serves the stored series instead.
+func (h *SeriesHub) Attach(key string) (*SeriesLog, bool) {
 	h.mu.Lock()
-	run, ok := h.runs[key]
+	defer h.mu.Unlock()
+	l, ok := h.runs[key]
+	return l, ok
+}
+
+// Close ends l, the log Open returned for key, with the stored series'
+// bytes final, or with errMsg when it is not empty. The run leaves the hub
+// before its log ends, so a concurrent Attach either gets the log (and
+// reads the outcome) or misses and reads the stored series, which the
+// service stores before it closes the log.
+func (h *SeriesHub) Close(key string, l *SeriesLog, final []byte, errMsg string) {
+	h.mu.Lock()
+	if h.runs[key] == l {
+		delete(h.runs, key)
+	}
 	h.mu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	run.mu.Lock()
-	defer run.mu.Unlock()
-	if run.done {
-		// Finish raced our map lookup; the stored series is already
-		// servable, so report no live run.
-		return nil, false
-	}
-	ch := make(chan SeriesMsg, subBuffer)
-	id := run.next
-	run.next++
-	run.subs[id] = ch
-	sub := &SeriesSub{
-		Names: append([]string(nil), run.names...),
-		C:     ch,
-		run:   run,
-		id:    id,
-	}
-	for _, row := range run.rows {
-		sub.Replay = append(sub.Replay, append([]float64(nil), row...))
-	}
-	return sub, true
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.finish(&SeriesEnd{Final: final, Err: errMsg})
 }
 
-// Close detaches the subscriber; safe to call after the stream ended.
-func (s *SeriesSub) Close() {
-	s.run.mu.Lock()
-	if ch, ok := s.run.subs[s.id]; ok {
-		delete(s.run.subs, s.id)
-		close(ch)
+// StoredSeries returns an ended log holding a finished run's stored series,
+// so a stored replay goes through the same reader as a live run.
+func StoredSeries(final []byte) (*SeriesLog, error) {
+	ser, err := stats.DecodeSeries(final)
+	if err != nil {
+		return nil, err
 	}
-	s.run.mu.Unlock()
+	l := newSeriesLog()
+	l.rows = ser
+	l.finish(&SeriesEnd{Final: final})
+	return l, nil
 }
 
-// Publish broadcasts every series row beyond what was already published.
+// finish ends the log once and wakes every reader. Called with l.mu held
+// (or before l is shared).
+func (l *SeriesLog) finish(end *SeriesEnd) {
+	if l.end == nil {
+		l.end = end
+		close(l.wake)
+	}
+}
+
+// Publish appends every series row beyond those already in the log.
 // Catch-up semantics (rather than "append one row") make the fork path
 // free: a run continued from a warm snapshot publishes its inherited
 // prefix rows with one call, then per-second rows as they append. The
-// series is read under the run's lock but not retained.
-func (p *SeriesPub) Publish(s *stats.Series) {
+// rows are copied; s is not retained.
+func (l *SeriesLog) Publish(s *stats.Series) {
 	if s == nil {
 		return
 	}
-	r := p.run
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.done {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.end != nil || (l.rows != nil && l.rows.Len() >= s.Len()) {
 		return
 	}
-	if !r.named {
-		r.named = true
-		r.names = s.Names()
-		r.broadcast(SeriesMsg{Names: append([]string(nil), r.names...)})
+	if l.rows == nil {
+		l.rows = stats.NewSeries(s.Names()...)
 	}
-	for i := len(r.rows); i < s.Len(); i++ {
-		row := s.Row(i, nil)
-		r.rows = append(r.rows, row)
-		r.broadcast(SeriesMsg{Row: row})
+	var row []float64
+	for i := l.rows.Len(); i < s.Len(); i++ {
+		row = s.Row(i, row)
+		l.rows.Append(row...)
 	}
+	close(l.wake)
+	l.wake = make(chan struct{})
 }
 
-// Finish ends the stream normally: final is the stored series' canonical
-// bytes, handed to every subscriber as the terminal message so a streamed
-// view can verify byte-identity against GET /series. The run is removed
-// from the hub first, so a concurrent Attach either joins before (and gets
-// the terminal message) or misses and reads the stored series.
-func (p *SeriesPub) Finish(final []byte) {
-	p.end(SeriesMsg{Final: final, End: true})
-}
-
-// Abort ends the stream with an error (the execution failed); subscribers
-// see a terminal error message.
-func (p *SeriesPub) Abort(msg string) {
-	p.end(SeriesMsg{Err: msg, End: true})
-}
-
-func (p *SeriesPub) end(terminal SeriesMsg) {
-	p.hub.mu.Lock()
-	if p.hub.runs[p.key] == p.run {
-		delete(p.hub.runs, p.key)
-	}
-	p.hub.mu.Unlock()
-	r := p.run
-	r.mu.Lock()
-	if !r.done {
-		r.done = true
-		r.broadcast(terminal)
-		for id, ch := range r.subs {
-			delete(r.subs, id)
-			close(ch)
+// Read returns the log's column names (nil until the first row is
+// published), copies of its rows from index i on, its outcome (nil while
+// the run executes) and a channel closed at the log's next change.
+func (l *SeriesLog) Read(i int) (names []string, rows [][]float64, end *SeriesEnd, wake <-chan struct{}) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.rows != nil {
+		names = l.rows.Names()
+		for ; i < l.rows.Len(); i++ {
+			rows = append(rows, l.rows.Row(i, nil))
 		}
 	}
-	r.mu.Unlock()
-}
-
-// broadcast sends to every subscriber without blocking: one that stopped
-// draining (buffer full) is dropped — its channel closes with no terminal
-// message, which the SSE layer reports as a dropped stream. Called with
-// run.mu held.
-func (r *liveSeries) broadcast(msg SeriesMsg) {
-	for id, ch := range r.subs {
-		select {
-		case ch <- msg:
-		default:
-			delete(r.subs, id)
-			close(ch)
-		}
-	}
-}
-
-// Live reports whether a run is currently streaming under key.
-func (h *SeriesHub) Live(key string) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	_, ok := h.runs[key]
-	return ok
+	return names, rows, l.end, l.wake
 }

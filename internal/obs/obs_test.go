@@ -180,104 +180,154 @@ func seriesWithRows(n int) *stats.Series {
 	return s
 }
 
-// TestHubReplayAndLive: a subscriber attaching mid-run replays the already
-// published rows, then follows live ones, and the terminal message carries
-// the final bytes.
+// TestHubReplayAndLive: a subscriber attaching mid-run reads the already
+// published rows, then follows live ones, and the outcome carries the final
+// bytes.
 func TestHubReplayAndLive(t *testing.T) {
 	h := NewSeriesHub()
-	pub := h.Open("run1")
+	log := h.Open("run1")
 	ser := seriesWithRows(3)
-	pub.Publish(ser)
+	log.Publish(ser)
 
 	sub, ok := h.Attach("run1")
 	if !ok {
 		t.Fatal("attach to live run failed")
 	}
-	defer sub.Close()
-	if len(sub.Names) != 2 || len(sub.Replay) != 3 {
-		t.Fatalf("replay: names=%v rows=%d, want 2 names 3 rows", sub.Names, len(sub.Replay))
+	names, rows, end, wake := sub.Read(0)
+	if len(names) != 2 || len(rows) != 3 || end != nil {
+		t.Fatalf("replay: names=%v rows=%d end=%v, want 2 names 3 rows", names, len(rows), end)
 	}
-	if sub.Replay[2][1] != 4 {
-		t.Errorf("replay row values %v", sub.Replay[2])
+	if rows[2][1] != 4 {
+		t.Errorf("replay row values %v", rows[2])
 	}
 
 	// Two more rows and the end; catch-up publishing delivers both rows in
 	// one call.
 	ser.Append(3, 6)
 	ser.Append(4, 8)
-	pub.Publish(ser)
+	log.Publish(ser)
 	final := []byte(`{"stored":"series"}`)
-	pub.Finish(final)
+	h.Close("run1", log, final, "")
 
-	var rows int
-	for msg := range sub.C {
-		switch {
-		case msg.Row != nil:
-			rows++
-		case msg.End:
-			if string(msg.Final) != string(final) {
-				t.Errorf("final = %s", msg.Final)
-			}
-		}
+	<-wake
+	_, rows, end, _ = sub.Read(3)
+	if len(rows) != 2 {
+		t.Errorf("live rows = %d, want 2", len(rows))
 	}
-	if rows != 2 {
-		t.Errorf("live rows = %d, want 2", rows)
-	}
-	if h.Live("run1") {
-		t.Error("run still live after Finish")
+	if end == nil || string(end.Final) != string(final) || end.Err != "" {
+		t.Errorf("end = %+v, want final %s", end, final)
 	}
 	if _, ok := h.Attach("run1"); ok {
-		t.Error("attach after Finish should miss (stored series serves instead)")
+		t.Error("attach after Close should miss (stored series serves instead)")
 	}
 }
 
-// TestHubAbortAndMisc: an aborted run delivers a terminal error; attaching
-// to an unknown key misses; a 0-column publish does not re-announce names
-// forever.
+// TestHubAbortAndMisc: an aborted run ends with an error; attaching to an
+// unknown key misses; a stored series reads back as an ended log.
 func TestHubAbortAndMisc(t *testing.T) {
 	h := NewSeriesHub()
 	if _, ok := h.Attach("nope"); ok {
 		t.Fatal("attach to unknown key")
 	}
-	pub := h.Open("run2")
+	log := h.Open("run2")
 	sub, _ := h.Attach("run2")
-	pub.Abort("execution failed")
-	msg, open := <-sub.C
-	if !open || !msg.End || msg.Err != "execution failed" {
-		t.Errorf("abort message %+v open=%v", msg, open)
+	_, _, _, wake := sub.Read(0)
+	h.Close("run2", log, nil, "execution failed")
+	<-wake
+	names, rows, end, _ := sub.Read(0)
+	if names != nil || rows != nil || end == nil || end.Err != "execution failed" {
+		t.Errorf("abort: names=%v rows=%v end=%+v", names, rows, end)
 	}
-	if _, open := <-sub.C; open {
-		t.Error("channel should close after terminal message")
+	log.Publish(seriesWithRows(1))
+	if _, rows, _, _ := sub.Read(0); rows != nil {
+		t.Error("publish after Close appended rows")
+	}
+
+	stored, err := seriesWithRows(2).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sl, err := StoredSeries(stored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names, rows, end, _ = sl.Read(1)
+	if len(names) != 2 || len(rows) != 1 || rows[0][1] != 2 || end == nil || string(end.Final) != string(stored) {
+		t.Errorf("stored: names=%v rows=%v end=%+v", names, rows, end)
+	}
+	if _, err := StoredSeries([]byte("{")); err == nil {
+		t.Error("corrupt stored series decoded")
 	}
 }
 
-// TestHubDropsStalledSubscriber: a subscriber that never drains overflows
-// its buffer and is dropped — channel closed with no terminal message.
-func TestHubDropsStalledSubscriber(t *testing.T) {
+// TestHubStalledReaderResumes: a reader that reads nothing while more rows
+// publish than any fixed buffer would hold is not dropped; afterwards it
+// reads every row, in order, and the outcome.
+func TestHubStalledReaderResumes(t *testing.T) {
+	const n = 5000
 	h := NewSeriesHub()
-	pub := h.Open("run3")
+	log := h.Open("run3")
 	sub, _ := h.Attach("run3")
 	ser := stats.NewSeries("v")
-	// names message + subBuffer rows fill the channel; one more drops us.
-	for i := 0; i < subBuffer+1; i++ {
+	for i := 0; i < n; i++ {
 		ser.Append(float64(i))
+		log.Publish(ser)
 	}
-	pub.Publish(ser)
-	sawTerminal := false
-	n := 0
-	for msg := range sub.C {
-		if msg.End {
-			sawTerminal = true
+	h.Close("run3", log, []byte("final"), "")
+	_, rows, end, _ := sub.Read(0)
+	if len(rows) != n {
+		t.Fatalf("read %d rows, want %d", len(rows), n)
+	}
+	for i, r := range rows {
+		if r[0] != float64(i) {
+			t.Fatalf("row %d = %v", i, r)
 		}
-		n++
 	}
-	if sawTerminal {
-		t.Error("dropped subscriber should not get a terminal message")
+	if end == nil || string(end.Final) != "final" {
+		t.Errorf("end = %+v", end)
 	}
-	if n > subBuffer {
-		t.Errorf("drained %d messages from a %d buffer", n, subBuffer)
+}
+
+// TestHubConcurrentReaders: readers following a log from several
+// goroutines while it publishes each see every row once, in order, then
+// the outcome.
+func TestHubConcurrentReaders(t *testing.T) {
+	const n, readers = 200, 4
+	h := NewSeriesHub()
+	log := h.Open("run4")
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		sub, _ := h.Attach("run4")
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			next := 0
+			for {
+				_, rows, end, wake := sub.Read(next)
+				for _, row := range rows {
+					if row[0] != float64(next) {
+						t.Errorf("row %d = %v", next, row)
+						return
+					}
+					next++
+				}
+				if end != nil {
+					if next != n {
+						t.Errorf("read %d rows, want %d", next, n)
+					}
+					return
+				}
+				<-wake
+			}
+		}()
 	}
-	sub.Close() // after-drop Close must be safe
+	ser := stats.NewSeries("v")
+	for i := 0; i < n; i++ {
+		ser.Append(float64(i))
+		log.Publish(ser)
+	}
+	h.Close("run4", log, nil, "")
+	wg.Wait()
 }
 
 // TestHTTPMetricsExposition: observations land in per-endpoint histograms

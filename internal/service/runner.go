@@ -51,10 +51,10 @@ type Runner interface {
 	// GET /metrics; the mux appends its trace ring's families and its
 	// request-duration histograms.
 	WriteMetrics(w io.Writer)
-	// ServeSeriesStream serves GET /series/<hash>/stream: SSE rows while
-	// the run executes, stored-series replay afterwards. It returns false,
-	// having written nothing, when no run under hash has a series to
-	// stream, and the mux answers 404.
+	// ServeSeriesStream serves GET /series/<hash>/stream: SSE rows from
+	// row 0 from the run's admission on, stored-series replay after it
+	// ends. It returns false, having written nothing, when no run under
+	// hash has a series to stream, and the mux answers 404.
 	ServeSeriesStream(w http.ResponseWriter, req *http.Request, hash string) bool
 }
 

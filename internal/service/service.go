@@ -173,8 +173,8 @@ type Service struct {
 	// queueWait records each execution's admission-to-slot wait (µs); at
 	// most Workers executions start at once, so one mutex serves it.
 	queueWait *stats.SyncHistogram
-	// streams fans live series rows out to GET /series/<hash>/stream
-	// subscribers, under its own (short-hold) lock.
+	// streams holds the row log of each admitted series run, read by
+	// GET /series/<hash>/stream subscribers, under its own (leaf) locks.
 	streams *obs.SeriesHub
 }
 
@@ -339,6 +339,13 @@ func (s *Service) submit(sp *scenario.Spec, tr *obs.Trace) (Result, error) {
 	s.wg.Add(1)
 	s.fmu.Unlock()
 	defer s.wg.Done()
+	// A run that records a series streams it: its log opens at admission,
+	// so a subscriber attaching while the run waits for a slot, or
+	// mid-run, reads from row 0.
+	var log *obs.SeriesLog
+	if sp.Series != nil {
+		log = s.streams.Open(hash)
+	}
 
 	qw := tr.Begin("queue_wait")
 	admitted := time.Now()
@@ -347,14 +354,7 @@ func (s *Service) submit(sp *scenario.Spec, tr *obs.Trace) (Result, error) {
 	s.queueWait.Observe(time.Since(admitted).Microseconds())
 	s.ctr.queued.Add(-1)
 	s.ctr.executions.Add(1)
-	// A run that records a series streams it: the publisher is live from
-	// before the first simulated second, so a subscriber attaching mid-run
-	// replays from row 0.
-	var pub *obs.SeriesPub
-	if sp.Series != nil {
-		pub = s.streams.Open(hash)
-	}
-	rep, events, err := s.runSpec(sp, tr, pub)
+	rep, events, err := s.runSpec(sp, tr, log)
 	rec := runRecord{Events: events}
 	if err == nil {
 		rec.Report, err = rep.Encode()
@@ -389,13 +389,13 @@ func (s *Service) submit(sp *scenario.Spec, tr *obs.Trace) (Result, error) {
 	delete(s.inflight, hash)
 	s.fmu.Unlock()
 	// The stream ends only after the cache put: a subscriber that sees the
-	// terminal message can immediately GET /series and find the stored
-	// bytes it should compare against.
-	if pub != nil {
+	// terminal event can immediately GET /series and find the stored bytes
+	// it should compare against.
+	if log != nil {
 		if err == nil && rec.Series != nil {
-			pub.Finish(rec.Series)
+			s.streams.Close(hash, log, rec.Series, "")
 		} else {
-			pub.Abort("execution failed")
+			s.streams.Close(hash, log, nil, "execution failed")
 		}
 	}
 	<-s.slots
@@ -408,13 +408,13 @@ func (s *Service) submit(sp *scenario.Spec, tr *obs.Trace) (Result, error) {
 
 // runSpec executes a spec, converting a panic anywhere in the simulator
 // into an error so one bad submission cannot take down the daemon.
-func (s *Service) runSpec(sp *scenario.Spec, tr *obs.Trace, pub *obs.SeriesPub) (rep *scenario.Report, events []string, err error) {
+func (s *Service) runSpec(sp *scenario.Spec, tr *obs.Trace, log *obs.SeriesLog) (rep *scenario.Report, events []string, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			rep, events, err = nil, nil, fmt.Errorf("panic during run: %v", r)
 		}
 	}()
-	return s.execute(sp, tr, pub)
+	return s.execute(sp, tr, log)
 }
 
 // snapshotEntries caps the warm-state snapshot cache: encoded snapshots of
@@ -439,9 +439,9 @@ const snapshotEntries = 8
 // It also returns the controller's event log (empty, not nil, without a
 // controller). The log is controller state, which the snapshot carries, so
 // a forked run returns the whole run's log, as a fresh one does. Spans
-// time warm, measure, fork and store reads, and when pub is non-nil every
-// appended series row is published to live stream subscribers.
-func (s *Service) execute(sp *scenario.Spec, tr *obs.Trace, pub *obs.SeriesPub) (*scenario.Report, []string, error) {
+// time warm, measure, fork and store reads, and when log is non-nil every
+// appended series row is published to it for live stream subscribers.
+func (s *Service) execute(sp *scenario.Spec, tr *obs.Trace, log *obs.SeriesLog) (*scenario.Report, []string, error) {
 	run := sp.Clone()
 	if err := run.Normalize(); err != nil {
 		return nil, nil, err
@@ -481,9 +481,9 @@ func (s *Service) execute(sp *scenario.Spec, tr *obs.Trace, pub *obs.SeriesPub) 
 			return nil, nil, err
 		}
 	}
-	if pub != nil {
-		pub.Publish(sc.Monitor.Series()) // replay any forked prefix rows
-		sc.Monitor.SetRowHook(pub.Publish)
+	if log != nil {
+		log.Publish(sc.Monitor.Series()) // any forked prefix rows
+		sc.Monitor.SetRowHook(log.Publish)
 	}
 	if fresh {
 		w := tr.Begin("warm")

@@ -7,7 +7,6 @@ import (
 	"net/http"
 
 	"a4sim/internal/obs"
-	"a4sim/internal/stats"
 )
 
 // GET /series/<hash>/stream: the run's per-second telemetry as it records.
@@ -24,85 +23,63 @@ import (
 // serves, so a client can verify the rows it streamed against the stored
 // encoding bit for bit.
 
-// ServeSeriesStream serves the local stream: live runs stream from the
-// hub, finished runs replay the stored series, and everything else reports
-// false, so the mux gives the same 404 the plain series endpoint gives.
+// ServeSeriesStream serves the local stream: a run admitted here streams
+// from its live log, from row 0 even while it waits for an execution slot;
+// a finished run replays its stored series through the same reader; and
+// everything else reports false, so the mux gives the same 404 the plain
+// series endpoint gives.
 func (s *Service) ServeSeriesStream(w http.ResponseWriter, req *http.Request, hash string) bool {
-	if sub, ok := s.streams.Attach(hash); ok {
-		defer sub.Close()
-		streamLive(w, req, sub)
-		return true
-	}
-	// A run finishing between the hub check and here is safe: Finish runs
-	// after the cache put, so a missed live attach always finds the stored
-	// series.
-	data, ok := s.Series(hash)
-	if ok {
-		streamStored(w, req, data)
-	}
-	return ok
-}
-
-func streamLive(w http.ResponseWriter, req *http.Request, sub *obs.SeriesSub) {
-	sse, err := newSSEWriter(w)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	row := 0
-	if sub.Names != nil {
-		sse.hello(sub.Names)
-	}
-	for _, vals := range sub.Replay {
-		sse.row(row, vals)
-		row++
-	}
-	ctx := req.Context()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case msg, ok := <-sub.C:
-			switch {
-			case !ok:
-				// Closed without a terminal message: this subscriber fell
-				// behind and was dropped by the hub.
-				sse.errEvent("stream dropped: subscriber fell behind")
-				return
-			case msg.Names != nil:
-				sse.hello(msg.Names)
-			case msg.Row != nil:
-				sse.row(row, msg.Row)
-				row++
-			case msg.End && msg.Err != "":
-				sse.errEvent(msg.Err)
-				return
-			case msg.End:
-				sse.series(msg.Final)
-				return
-			}
+	log, ok := s.streams.Attach(hash)
+	if !ok {
+		// A run ending between the attach and here is safe: its log closes
+		// after the cache put, so a missed attach finds the stored series.
+		data, stored := s.Series(hash)
+		if !stored {
+			return false
+		}
+		var err error
+		if log, err = obs.StoredSeries(data); err != nil {
+			httpError(w, http.StatusInternalServerError, "corrupt stored series: "+err.Error())
+			return true
 		}
 	}
+	streamLog(w, req, log)
+	return true
 }
 
-func streamStored(w http.ResponseWriter, req *http.Request, data []byte) {
-	ser, err := stats.DecodeSeries(data)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "corrupt stored series: "+err.Error())
-		return
-	}
+// streamLog writes log's rows as they arrive, then its terminal event; it
+// returns early when the subscriber leaves.
+func streamLog(w http.ResponseWriter, req *http.Request, log *obs.SeriesLog) {
 	sse, err := newSSEWriter(w)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	sse.hello(ser.Names())
-	var scratch []float64
-	for i := 0; i < ser.Len(); i++ {
-		scratch = ser.Row(i, scratch)
-		sse.row(i, scratch)
+	next, named := 0, false
+	for {
+		names, rows, end, wake := log.Read(next)
+		if !named && names != nil {
+			sse.hello(names)
+			named = true
+		}
+		for _, vals := range rows {
+			sse.row(next, vals)
+			next++
+		}
+		switch {
+		case end != nil && end.Err != "":
+			sse.errEvent(end.Err)
+			return
+		case end != nil:
+			sse.series(end.Final)
+			return
+		}
+		select {
+		case <-req.Context().Done():
+			return
+		case <-wake:
+		}
 	}
-	sse.series(data)
 }
 
 // sseWriter frames Server-Sent Events, flushing after each so rows reach
