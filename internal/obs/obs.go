@@ -1,8 +1,8 @@
 // Package obs is the request-lifecycle observability plane: per-request
 // traces built from typed spans around the serving path's seams
 // (queue_wait, warm, measure, store_read, …), a bounded ring the HTTP
-// layer serves them from, a fan-out hub that streams a run's per-second
-// series rows to live subscribers, and a hand-rolled Prometheus text
+// layer serves them from, a hub of per-run series row logs that live
+// subscribers read at their own pace, and a hand-rolled Prometheus text
 // exposition for /metrics. Everything here is deliberately cheap and
 // nil-safe: an untraced request pays a single nil check per seam, and no
 // body ever carries a wall-clock timestamp — spans are offsets and

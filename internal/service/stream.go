@@ -17,8 +17,9 @@ import (
 //	event: series    data: <canonical series JSON>          normal end
 //	event: error     data: {"error":"..."}                  abnormal end
 //
-// A subscriber attaching mid-run replays from row 0, then follows live; a
-// completed run replays its stored series through the same event shapes.
+// A subscriber attaching while the run waits for a slot or mid-run reads
+// from row 0, then follows live; a completed run replays its stored series
+// through the same event shapes.
 // The terminal series event carries exactly the bytes GET /series/<hash>
 // serves, so a client can verify the rows it streamed against the stored
 // encoding bit for bit.
